@@ -361,11 +361,13 @@ class CoordinateBasis:
 
     Built from an explicit basis; coordinates are read off through a
     precomputed left inverse on pivot rows, then membership is the check
-    that the reconstruction reproduces the element.
+    that the reconstruction reproduces the element. On pivot rows the
+    reconstruction cols[piv] L^-1 flat[piv] is flat[piv] by construction,
+    so only the remaining (free) rows are compared.
     """
 
     __slots__ = ("ring", "n", "basis", "_cols", "_pivot_rows", "_left_inv",
-                 "_standard", "_full")
+                 "_free_rows", "_standard")
 
     def __init__(self, ring, n, basis):
         self.ring = ring
@@ -381,8 +383,9 @@ class CoordinateBasis:
         self._pivot_rows = piv
         sub = cols.submatrix(piv, range(d))
         self._left_inv = sub.inverse()
-        self._full = d == n * n
-        self._standard = self._full and cols == Matrix.identity(ring, d)
+        self._free_rows = [i for i in range(n * n) if i not in piv]
+        self._standard = (not self._free_rows
+                          and cols == Matrix.identity(ring, d))
 
     @property
     def dim(self):
@@ -396,13 +399,16 @@ class CoordinateBasis:
             return flat
         c = K.matvec(self._left_inv.rows,
                      [flat[i] for i in self._pivot_rows], self.ring)
-        if not self._full and not self._contains_given(flat, c):
+        if self._free_rows and not self._contains_given(flat, c):
             raise NotInSubspace("element is outside the subspace")
         return c
 
     def _contains_given(self, flat, c):
-        recon = K.matvec(self._cols.rows, c, self.ring)
-        diff = [a - b for a, b in zip(recon, flat)]
+        """Whether the coordinates `c` reconstruct `flat` on the free rows."""
+        rows = self._cols.rows
+        free = self._free_rows
+        recon = K.matvec([rows[i] for i in free], c, self.ring)
+        diff = [a - flat[i] for a, i in zip(recon, free)]
         if self.ring.is_exact():
             z = self.ring.zero()
             return all(x == z for x in diff)
@@ -429,4 +435,20 @@ class CoordinateBasis:
         return LinearOperator(Matrix(self.ring, rows))
 
     def embed(self, ring):
-        return CoordinateBasis(ring, self.n, [b.embed(ring) for b in self.basis])
+        """The same subspace over an iterated dual extension of its ring.
+
+        Embedding is a ring homomorphism and dual pivots are decided on
+        re-parts, so elimination over `ring` would pick the same pivot
+        rows and return the embedded left inverse; both are carried over
+        instead of being recomputed.
+        """
+        out = CoordinateBasis.__new__(CoordinateBasis)
+        out.ring = ring
+        out.n = self.n
+        out.basis = [b.embed(ring) for b in self.basis]
+        out._cols = self._cols.embed(ring)
+        out._pivot_rows = self._pivot_rows
+        out._left_inv = self._left_inv.embed(ring)
+        out._free_rows = self._free_rows
+        out._standard = self._standard
+        return out

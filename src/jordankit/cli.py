@@ -52,6 +52,9 @@ def cmd_verify(args, out):
     if args.trials < 1:
         _emit({"error": "BadTrialCount", "trials": args.trials}, out)
         return 2
+    if args.n < 1:
+        _emit({"error": "BadDimension", "n": args.n}, out)
+        return 2
     cfg = suites.SuiteConfig(suite=args.suite, ring=ring, n=args.n,
                              trials=args.trials, seed=args.seed,
                              tol=args.tol, order=args.order,
@@ -84,6 +87,8 @@ def _element_out(ctx, m):
 
 def compute(req, convention="ad"):
     """Dispatch one compute request; returns the response dict."""
+    if not isinstance(req, dict):
+        raise ValueError("request must be a JSON object")
     op = req.get("op")
     convention = req.get("convention", convention)
     if convention not in ("ad", "loos"):

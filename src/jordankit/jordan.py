@@ -25,7 +25,7 @@ class JordanContext:
     """Ambient subspace V of A = M_n(K): all of A, Herm(A, iota) or
     Aherm(A, iota), with a fixed coordinate basis."""
 
-    __slots__ = ("n", "ring", "flavor", "involution", "space")
+    __slots__ = ("n", "ring", "flavor", "involution", "space", "_lifts")
 
     def __init__(self, n, ring, flavor="full", involution=None, _space=None):
         if flavor not in FLAVORS:
@@ -37,6 +37,7 @@ class JordanContext:
         self.flavor = flavor
         self.involution = involution
         self.space = _space if _space is not None else self._build_space()
+        self._lifts = {}
 
     def _build_space(self):
         units = matrix_unit_basis(self.ring, self.n)
@@ -77,44 +78,61 @@ class JordanContext:
         return Matrix.zeros(self.ring, self.n)
 
     def at_ring(self, ring):
-        """The same context with all data embedded into a dual extension."""
+        """The same context with all data embedded into a dual extension;
+        built once per ring and reused."""
         if ring == self.ring:
             return self
-        inv = self.involution.embed(ring) if self.involution else None
-        return JordanContext(self.n, ring, self.flavor, inv,
-                             _space=self.space.embed(ring))
+        lifted = self._lifts.get(ring)
+        if lifted is None:
+            inv = self.involution.embed(ring) if self.involution else None
+            lifted = self._lifts[ring] = JordanContext(
+                self.n, ring, self.flavor, inv, _space=self.space.embed(ring))
+        return lifted
 
     def __repr__(self):
         return f"JordanContext(n={self.n}, {self.ring!r}, {self.flavor})"
 
 
-def jordan_product(ctx, x, y):
-    """x o y = (xy + yx)/2; only the product-closed flavors."""
+def _require_product_closed(ctx, *xs):
     if ctx.flavor == "antihermitian":
         raise NotInSubspace("antihermitian part is not product-closed")
-    ctx.require(x, y)
+    ctx.require(*xs)
+
+
+def _mult_operator(ctx, x):
+    """L(x) for an x already known to lie in V."""
+    half = ctx.ring.half()
+    return ctx.space.materialize(lambda w: (x @ w + w @ x).scale(half))
+
+
+def _rep_pair(ctx, x):
+    """(L(x), Q(x)) for an x already known to lie in V; x o x = x^2."""
+    lx = _mult_operator(ctx, x)
+    two = ctx.ring.from_int(2)
+    return lx, lx.compose(lx).scale(two) - _mult_operator(ctx, x @ x)
+
+
+def jordan_product(ctx, x, y):
+    """x o y = (xy + yx)/2; only the product-closed flavors."""
+    _require_product_closed(ctx, x, y)
     return (x @ y + y @ x).scale(ctx.ring.half())
 
 
 def mult_operator(ctx, x):
     """L(x): w -> x o w on V."""
-    if ctx.flavor == "antihermitian":
-        raise NotInSubspace("antihermitian part is not product-closed")
-    ctx.require(x)
-    half = ctx.ring.half()
-    return ctx.space.materialize(lambda w: (x @ w + w @ x).scale(half))
+    _require_product_closed(ctx, x)
+    return _mult_operator(ctx, x)
 
 
 def rep_operators(ctx, x, y=None):
     """(L(x), Q(x)) and, when y is given, the polarized Q(x,y), as
     operators on the context's coordinate space; Q = 2 L(x)^2 - L(x o x)."""
-    lx = mult_operator(ctx, x)
-    lxx = mult_operator(ctx, jordan_product(ctx, x, x))
-    two = ctx.ring.from_int(2)
-    qx = lx.compose(lx).scale(two) - lxx
     if y is None:
-        return lx, qx
-    qxy = rep_operators(ctx, x + y)[1] - qx - rep_operators(ctx, y)[1]
+        _require_product_closed(ctx, x)
+        return _rep_pair(ctx, x)
+    _require_product_closed(ctx, x, y)
+    lx, qx = _rep_pair(ctx, x)
+    qxy = _rep_pair(ctx, x + y)[1] - qx - _rep_pair(ctx, y)[1]
     return lx, qx, qxy
 
 
@@ -188,10 +206,14 @@ def quasi_inverse(ctx, x, y):
     """B(x,y)^-1 (x + Q(x)y); equals x(1+yx)^-1 in the full case and the
     chart action of (1 0; y 1)."""
     b = bergman_operator(ctx, x, y)
-    if not (b.is_invertible() and bergman_operator(ctx, y, x).is_invertible()):
-        raise NotQuasiInvertible("Bergman operator is singular")
     nom = x + x @ y @ x
-    return ctx.space.from_coords(b.solve_flat(ctx.space.coords(nom)))
+    try:
+        c = b.solve_flat(ctx.space.coords(nom))
+    except SingularOperator as e:
+        raise NotQuasiInvertible("Bergman operator is singular") from e
+    if not bergman_operator(ctx, y, x).is_invertible():
+        raise NotQuasiInvertible("Bergman operator is singular")
+    return ctx.space.from_coords(c)
 
 
 def loos_bergman(ctx, x, w):

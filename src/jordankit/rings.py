@@ -411,7 +411,10 @@ def scalar_to_json(ring, s):
 def scalar_from_json(ring, obj):
     if ring.kind == "rational":
         if isinstance(obj, (str, int)):
-            return _rational(obj)
+            try:
+                return _rational(obj)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {obj!r}") from None
         raise ValueError(f"bad rational payload {obj!r}")
     if ring.kind == "float64":
         return float(obj)

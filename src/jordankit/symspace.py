@@ -28,6 +28,7 @@ class JordanUnitsSpace:
         self.o = jctx.unit() if o is None else o
         if not self.contains(self.o):
             raise NotInSpace("base point is not invertible")
+        self._lifts = {}
 
     @property
     def ring(self):
@@ -66,9 +67,14 @@ class JordanUnitsSpace:
             op.apply_flat(self.jctx.space.coords(w)))
 
     def at_ring(self, ring):
+        """The space over a dual extension, validated once per ring."""
         if ring == self.ring:
             return self
-        return JordanUnitsSpace(self.jctx.at_ring(ring), self.o.embed(ring))
+        lifted = self._lifts.get(ring)
+        if lifted is None:
+            lifted = self._lifts[ring] = JordanUnitsSpace(
+                self.jctx.at_ring(ring), self.o.embed(ring))
+        return lifted
 
 
 class GroupSpace:
@@ -139,6 +145,7 @@ class ProjectiveSpace:
         self.o = gamma_chart(jctx.zero()) if o is None else o
         if not self.contains(self.o):
             raise NotInSpace("base point is isotropic")
+        self._lifts = {}
 
     @property
     def ring(self):
@@ -178,10 +185,15 @@ class ProjectiveSpace:
                 - triple_product(self.jctx, v, u, w))
 
     def at_ring(self, ring):
+        """The space over a dual extension, validated once per ring."""
         if ring == self.ring:
             return self
-        return ProjectiveSpace(self.polarity.embed(ring),
-                               self.jctx.at_ring(ring), self.o.embed(ring))
+        lifted = self._lifts.get(ring)
+        if lifted is None:
+            lifted = self._lifts[ring] = ProjectiveSpace(
+                self.polarity.embed(ring), self.jctx.at_ring(ring),
+                self.o.embed(ring))
+        return lifted
 
 
 def sym_mul(ctx, x, y):

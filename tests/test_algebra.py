@@ -2,6 +2,7 @@
 
 import pytest
 
+from jordankit import _kernels as K
 from jordankit.algebra import (CoordinateBasis, Involution, Matrix,
                                alg_invert, dual_combine, dual_split,
                                herm_split, involution_apply,
@@ -9,8 +10,10 @@ from jordankit.algebra import (CoordinateBasis, Involution, Matrix,
                                op_solve)
 from jordankit.errors import (NotInvertible, NotInSubspace,
                               SingularOperator)
-from jordankit.randgen import rand_invertible, rand_matrix
-from jordankit.rings import RATIONAL, DualRing
+from jordankit.jordan import JordanContext
+from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
+                               rand_scalar, trial_rng)
+from jordankit.rings import RATIONAL, DualRing, PrimeFieldRing
 
 Q = RATIONAL
 
@@ -157,3 +160,58 @@ def test_coordinate_basis_membership():
     assert not space.contains(mat([[0, 1], [0, 0]]))
     with pytest.raises(NotInSubspace):
         space.coords(mat([[0, 1], [0, 0]]))
+
+
+SUBSPACE_RINGS = [Q, PrimeFieldRing(5), DualRing(Q), DualRing(DualRing(Q))]
+
+
+def restricted_contexts(ring):
+    """Hermitian and antihermitian parts of M_n for the transpose at
+    n = 2, 3 and for the symplectic adjoint at n = 2 (odd n carries no
+    symplectic form)."""
+    symplectic = Involution("form_adjoint",
+                            Matrix.from_ints(ring, [[0, 1], [-1, 0]]), "skew")
+    for n, iota in ((2, Involution()), (3, Involution()), (2, symplectic)):
+        for flavor in ("hermitian", "antihermitian"):
+            yield JordanContext(n, ring, flavor, iota)
+
+
+@pytest.mark.parametrize("ring", SUBSPACE_RINGS, ids=repr)
+def test_membership_on_free_rows_matches_full_reconstruction(ring):
+    """contains() compares only the non-pivot rows; a full reconstruction
+    from the pivot-row coordinates gives the same verdict on members,
+    random matrices and members perturbed by one off-subspace entry
+    (over dual rings, possibly in the eps-part alone)."""
+    rng = trial_rng(11, 0)
+    for ctx in restricted_contexts(ring):
+        space, n = ctx.space, ctx.n
+        verdicts = set()
+        for _ in range(8):
+            member = rand_in_context(rng, ctx)
+            i, j = rng.randrange(n), rng.randrange(n)
+            bump = Matrix.unit(ring, n, i, j).scale(rand_scalar(rng, ring))
+            for x in (member, rand_matrix(rng, ring, n), member + bump):
+                flat = x.flatten()
+                c = K.matvec(space._left_inv.rows,
+                             [flat[r] for r in space._pivot_rows], ring)
+                full = space.from_coords(c) == x
+                assert space.contains(x) == full
+                verdicts.add(full)
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("ring", SUBSPACE_RINGS[:3], ids=repr)
+def test_embedded_basis_equals_fresh_basis(ring):
+    """embed() carries the pivot rows and the embedded left inverse over;
+    both equal what elimination over the extension computes."""
+    for ctx in restricted_contexts(ring):
+        for target in (DualRing(ring), DualRing(DualRing(ring))):
+            space = ctx.space
+            lifted = space.embed(target)
+            fresh = CoordinateBasis(target, space.n,
+                                    [b.embed(target) for b in space.basis])
+            assert lifted._pivot_rows == fresh._pivot_rows
+            assert lifted._left_inv == fresh._left_inv
+            assert lifted._free_rows == fresh._free_rows
+            assert lifted._cols == fresh._cols
+            assert lifted.basis == fresh.basis

@@ -47,6 +47,15 @@ def test_verify_unsupported_ring():
     assert json.loads(out)["error"] == "UnsupportedRing"
 
 
+def test_verify_rejects_bad_dimension():
+    for n in ("0", "-1"):
+        code, out, err = run_cli(["verify", "--suite", "fundamental",
+                                  "--n", n, "--trials", "2"])
+        assert code == 2
+        assert json.loads(out) == {"error": "BadDimension", "n": int(n)}
+        assert "Traceback" not in err
+
+
 def test_verify_fp_ring():
     code, out, _ = run_cli(["verify", "--suite", "jordan-pair",
                             "--ring", "fp:5", "--trials", "5"])
@@ -90,6 +99,22 @@ def test_compute_malformed():
     assert code == 2
     code, out, _ = run_cli(["compute"], stdin='{"op": "nosuchop"}')
     assert code == 2
+
+
+def test_compute_non_object_request():
+    code, out, err = run_cli(["compute"], stdin="[1, 2]")
+    assert code == 2
+    assert json.loads(out)["error"] == "MalformedRequest"
+    assert "Traceback" not in err
+
+
+def test_compute_zero_denominator():
+    req = {"op": "quasi_inverse", "ring": "rational", "n": 1,
+           "x": "1/0", "y": 1}
+    code, out, err = run_cli(["compute"], stdin=json.dumps(req))
+    assert code == 2
+    assert json.loads(out)["error"] == "MalformedRequest"
+    assert "Traceback" not in err
 
 
 def test_compute_sym_mul_and_lts():

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from jordankit.algebra import Matrix, dual_combine, dual_split
+from jordankit.algebra import Involution, Matrix, dual_combine, dual_split
 from jordankit.errors import NotInSpace
-from jordankit.jordan import jordan_product
+from jordankit.jordan import JordanContext, jordan_product
 from jordankit.projline import chart_coords, gamma_chart
 from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
                                rand_orthogonal2, trial_rng)
@@ -14,8 +14,9 @@ from jordankit.rings import FLOAT64, RATIONAL, DualRing
 from jordankit.suites import (group_space, numeric_lts, proj_space_i11,
                               proj_space_jmat, proj_space_swap, unitary_space,
                               units_space)
-from jordankit.symspace import (exp_tanh, lts_bracket, quadratic_rep_point,
-                                sym_mul, tilde_field, transvection)
+from jordankit.symspace import (JordanUnitsSpace, exp_tanh, lts_bracket,
+                                quadratic_rep_point, sym_mul, tilde_field,
+                                transvection)
 
 Q = RATIONAL
 
@@ -52,6 +53,28 @@ def test_not_in_space():
     space = scalar_units()
     with pytest.raises(NotInSpace):
         sym_mul(space, mat([[0]]), mat([[1]]))
+
+
+def test_singular_base_point_rejected_at_construction():
+    ctx = JordanContext(2, Q)
+    with pytest.raises(NotInSpace):
+        JordanUnitsSpace(ctx, mat([[1, 2], [2, 4]]))
+    with pytest.raises(NotInSpace):
+        JordanUnitsSpace(ctx.at_ring(DualRing(Q)),
+                         mat([[1, 2], [2, 4]]).embed(DualRing(Q)))
+
+
+def test_lifts_are_built_once_per_ring():
+    d1 = DualRing(Q)
+    d2 = DualRing(d1)
+    ctx = JordanContext(2, Q, "hermitian", Involution())
+    assert ctx.at_ring(DualRing(Q)) is ctx.at_ring(DualRing(Q))
+    assert ctx.at_ring(Q) is ctx
+    for space in (units_space(Q, 2), proj_space_swap(Q, 2)):
+        lifted = space.at_ring(d1)
+        assert space.at_ring(DualRing(Q)) is lifted
+        assert lifted.jctx is space.jctx.at_ring(d1)
+        assert lifted.at_ring(d2) is lifted.at_ring(DualRing(DualRing(Q)))
 
 
 def test_quadratic_rep_point():
