@@ -1,25 +1,29 @@
-"""Kernel backend selection.
+"""Matrix kernels keyed on the scalar ring.
 
-The compiled extension is used when it imported cleanly; set
-JORDANKIT_PURE_KERNELS=1 to force the pure-Python fallback (the parity
-tests and the benchmark do this explicitly).
+`matmul`, `matvec` and `gauss_solve` hand the work to the ring, which
+multiplies in its own packed form where it has one (Q, F_p and dual
+towers; see rings.py) and runs the generic loops of generic.py otherwise.
+Rank and pivot search always run the generic elimination.
 """
 
-import os
+from .generic import (gauss_rank, madd, meye, mneg, mscale, msub,
+                      mtranspose, pivot_columns)
 
-from . import pure
-from .pure import madd, msub, mneg, mscale, meye, mtranspose, pivot_columns
+BACKEND = "packed"
 
-if os.environ.get("JORDANKIT_PURE_KERNELS"):
-    _impl = pure
-else:
-    try:
-        from . import fast as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = pure
 
-BACKEND = _impl.BACKEND
-matmul = _impl.matmul
-matvec = _impl.matvec
-gauss_solve = _impl.gauss_solve
-gauss_rank = _impl.gauss_rank
+def matmul(a, b, ring):
+    return ring.matmul(a, b)
+
+
+def matvec(a, v, ring):
+    """A v, computed as the product of A with the column v."""
+    if not v:
+        return [ring.zero() for _ in a]
+    return [r[0] for r in ring.matmul(a, [[x] for x in v])]
+
+
+def gauss_solve(a, b, ring):
+    """Solve A X = B for square A; returns X rows or None if no unit
+    pivot can be found for some column (A not invertible over `ring`)."""
+    return ring.solve(a, b)

@@ -1,25 +1,12 @@
-"""Pure-Python matrix kernels over a generic scalar ring.
+"""Generic matrix kernels over any scalar ring.
 
 Matrices are lists of row lists of scalar objects; the `ring` argument
 supplies zero/one, the unit test used for pivot admissibility, inversion,
 and (for float64) a pivot magnitude. Over dual (local) rings the unit test
 looks at re-parts only, which is exactly what makes elimination work
-there. The compiled twin in fast.pyx implements the same three hot
-entry points (matmul, gauss_solve, gauss_rank) with identical semantics.
+there. Rings without a packed form (float64) run on these loops, and the
+parity tests use them as the reference for the packed ones in rings.py.
 """
-
-BACKEND = "pure"
-
-
-def matvec(a, v, ring):
-    zero = ring.zero()
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            acc = acc + x * y
-        out.append(acc)
-    return out
 
 
 def matmul(a, b, ring):

@@ -8,7 +8,7 @@ from __future__ import annotations
 from . import _kernels as K
 from .errors import (NotInvertible, NotInSubspace, RingMismatch,
                      ShapeMismatch, SingularOperator)
-from .rings import DualRing, embed_scalar
+from .rings import Dual, DualRing, embed_scalar
 
 
 class Matrix:
@@ -183,6 +183,13 @@ class Matrix:
         return max((abs(x) for r in self.rows for x in r), default=0.0)
 
 
+def _components(s):
+    """The base scalars of a (nested) dual scalar; a base scalar itself."""
+    if isinstance(s, Dual):
+        return _components(s.re) + _components(s.eps)
+    return [s]
+
+
 def unflatten(ring, n, m, flat):
     return Matrix._new(ring, [list(flat[i * m:(i + 1) * m]) for i in range(n)])
 
@@ -191,7 +198,6 @@ def dual_combine(base_mat, eps_mat):
     """base + eps*tangent, entrywise, over DualRing(base.ring)."""
     base_mat._same(eps_mat)
     ring = DualRing(base_mat.ring)
-    from .rings import Dual
     return Matrix._new(ring, [[Dual(a, b) for a, b in zip(ra, rb)]
                               for ra, rb in zip(base_mat.rows, eps_mat.rows)])
 
@@ -412,7 +418,7 @@ class CoordinateBasis:
         if self.ring.is_exact():
             z = self.ring.zero()
             return all(x == z for x in diff)
-        return all(abs(x) <= 1e-9 for x in diff)
+        return all(abs(f) <= 1e-9 for x in diff for f in _components(x))
 
     def contains(self, x):
         try:

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import calculus, suites
-from .errors import JordankitError
+from .errors import JordankitError, NonFiniteResult
 from .graded import act
 from .jordan import (bergman_operator, loos_bergman, loos_quasi_inverse,
                      quasi_inverse)
@@ -27,7 +27,12 @@ from .symspace import exp_tanh, lts_bracket, sym_mul
 
 
 def _emit(obj, out):
-    out.write(json.dumps(obj, sort_keys=True) + "\n")
+    """Write `obj` as strict JSON; NaN or infinity raises NonFiniteResult."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NonFiniteResult(str(e)) from None
+    out.write(text + "\n")
 
 
 def _parse_ring(text):
@@ -64,7 +69,11 @@ def cmd_verify(args, out):
     except ValueError as e:
         _emit({"error": "UnsupportedRing", "detail": str(e)}, out)
         return 2
-    _emit(report.to_json(), out)
+    try:
+        _emit(report.to_json(), out)
+    except NonFiniteResult as e:
+        _emit({"error": "NonFiniteResult", "detail": str(e)}, out)
+        return 1
     status = "PASS" if report.ok else "FAIL"
     print(f"[{status}] suite {args.suite}: {report.passed} passed, "
           f"{report.failed} failed, {report.skipped} skipped "
@@ -182,6 +191,10 @@ def compute(req, convention="ad"):
 
 def _compute_derivative(req):
     name = req["map"]
+    samples = req.get("samples", 100)
+    if not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, "
+                         f"not {samples!r}")
     ctx = jordan_context_from_json(req.get("context", req))
     ring, n = ctx.ring, ctx.n
     from . import randgen
@@ -251,7 +264,7 @@ def _compute_derivative(req):
         raise ValueError(f"unknown derivative map {name!r}")
 
     report = calculus.derivative_check(f, expected, sampler,
-                                       samples=req.get("samples", 100),
+                                       samples=samples,
                                        tol=req.get("tol", 1e-9))
     return {"op": "derivative", "map": name, "report": report.to_json()}
 
@@ -269,13 +282,13 @@ def cmd_compute(args, out):
         return 2
     try:
         resp = compute(req, convention=args.convention)
+        _emit(resp, out)
     except JordankitError as e:
         _emit({"error": type(e).__name__, "detail": str(e)}, out)
         return 1
     except (ValueError, KeyError, TypeError) as e:
         _emit({"error": "MalformedRequest", "detail": str(e)}, out)
         return 2
-    _emit(resp, out)
     return 0
 
 

@@ -59,3 +59,7 @@ class DomainViolation(JordankitError):
 
 class ShapeMismatch(JordankitError):
     pass
+
+
+class NonFiniteResult(JordankitError):
+    """A float result holds a NaN or an infinity, which JSON cannot carry."""

@@ -62,9 +62,9 @@ class JordanContext:
         return self.space.dim
 
     def contains(self, x):
-        if self.flavor == "full":
-            return x.shape == (self.n, self.n) and x.ring == self.ring
-        return self.space.contains(x)
+        if x.shape != (self.n, self.n) or x.ring != self.ring:
+            return False
+        return self.flavor == "full" or self.space.contains(x)
 
     def require(self, *xs):
         for x in xs:

@@ -5,13 +5,21 @@ Scalars are plain Python values (fractions.Fraction, float, Fp, Dual) so
 the generic matrix kernels can use operator syntax; everything that needs
 ring context (unit tests, inversion, zero/one, JSON) goes through a Ring
 object. All values are immutable.
+
+A ring also multiplies matrices (lists of row lists of its scalars), and
+solves square systems, in its own packed form where it has one: Q on
+integers over a common denominator, F_p on raw residues, and a dual
+ring on the base matrices of its parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite, lcm
+from operator import mul
 
+from ._kernels import generic
 from .errors import NotAUnit, NotDual, RingMismatch
 
 try:
@@ -177,6 +185,24 @@ class Ring:
     def is_exact(self):
         return True
 
+    def matmul(self, a, b):
+        """A B for row lists A (n x k) and B (k x m)."""
+        return generic.matmul(a, b, self)
+
+    def solve(self, a, b):
+        """X with A X = B for square A, or None when elimination finds no
+        unit pivot for some column (A not invertible)."""
+        return generic.gauss_solve(a, b, self)
+
+
+def _integral(vec):
+    """(integers, d) with vec[i] = integers[i] / d, where d is the lcm of
+    the denominators in vec."""
+    d = lcm(*[x.denominator for x in vec])
+    if d == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (d // x.denominator) for x in vec], d
+
 
 @dataclass(frozen=True)
 class RationalRing(Ring):
@@ -201,6 +227,14 @@ class RationalRing(Ring):
         if s == 0:
             raise NotAUnit("0 has no inverse")
         return 1 / s
+
+    def matmul(self, a, b):
+        # Each row of A and each column of B is scaled to integers: one
+        # integer dot product and one rational construction per entry.
+        rows = [_integral(r) for r in a]
+        cols = [_integral(c) for c in zip(*b)]
+        return [[_rational(sum(map(mul, r, c)), d * e) for c, e in cols]
+                for r, d in rows]
 
     def __repr__(self):
         return "Q"
@@ -275,6 +309,13 @@ class PrimeFieldRing(Ring):
             raise NotAUnit(f"0 mod {self.p} has no inverse")
         return Fp(pow(s.v, -1, self.p), self.p)
 
+    def matmul(self, a, b):
+        # Raw residues, reduced once per entry.
+        p = self.p
+        cols = [[x.v for x in c] for c in zip(*b)]
+        return [[Fp(sum(map(mul, r, c)), p) for c in cols]
+                for r in [[x.v for x in r] for r in a]]
+
     def __repr__(self):
         return f"F{self.p}"
 
@@ -315,8 +356,42 @@ class DualRing(Ring):
         """Embed a base-ring scalar."""
         return Dual(s, self.base.zero())
 
+    def matmul(self, a, b):
+        # Jet form: for A = A_re + e A_eps, C_re = A_re B_re and
+        # C_eps = A_re B_eps + A_eps B_re = [A_re | A_eps] [B_eps ; B_re],
+        # two products over the base, which recurses down the tower.
+        are, aeps = _parts(a)
+        bre, beps = _parts(b)
+        cre = self.base.matmul(are, bre)
+        ceps = self.base.matmul([r + e for r, e in zip(are, aeps)],
+                                beps + bre)
+        return [[Dual(x, y) for x, y in zip(r, e)] for r, e in zip(cre, ceps)]
+
+    def solve(self, a, b):
+        # A X = B splits into A_re X_re = B_re and
+        # A_re X_eps = B_eps - A_eps X_re. One base solve against
+        # [B_re | B_eps | A_eps] gives X_re, Y = A_re^-1 B_eps and
+        # Z = A_re^-1 A_eps, and X_eps = Y - Z X_re. A is invertible over
+        # the dual ring exactly when A_re is invertible over the base.
+        are, aeps = _parts(a)
+        bre, beps = _parts(b)
+        m = len(b[0]) if b else 0
+        sol = self.base.solve(are, [r + e + z for r, e, z
+                                    in zip(bre, beps, aeps)])
+        if sol is None:
+            return None
+        xre = [r[:m] for r in sol]
+        zx = self.base.matmul([r[2 * m:] for r in sol], xre)
+        return [[Dual(x, y - w) for x, y, w in zip(xr, r[m:2 * m], wr)]
+                for xr, r, wr in zip(xre, sol, zx)]
+
     def __repr__(self):
         return f"{self.base!r}[e]"
+
+
+def _parts(a):
+    """(re rows, eps rows) of a matrix over a dual ring."""
+    return ([[x.re for x in r] for r in a], [[x.eps for x in r] for r in a])
 
 
 RATIONAL = RationalRing()
@@ -417,7 +492,13 @@ def scalar_from_json(ring, obj):
                 raise ValueError(f"zero denominator in {obj!r}") from None
         raise ValueError(f"bad rational payload {obj!r}")
     if ring.kind == "float64":
-        return float(obj)
+        try:
+            x = float(obj)
+        except OverflowError:
+            x = float("inf")
+        if not isfinite(x):
+            raise ValueError(f"non-finite float64 {obj!r}")
+        return x
     if ring.kind == "prime_field":
         if isinstance(obj, int):
             return Fp(obj, ring.p)

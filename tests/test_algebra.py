@@ -13,7 +13,7 @@ from jordankit.errors import (NotInvertible, NotInSubspace,
 from jordankit.jordan import JordanContext
 from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
                                rand_scalar, trial_rng)
-from jordankit.rings import RATIONAL, DualRing, PrimeFieldRing
+from jordankit.rings import FLOAT64, RATIONAL, DualRing, PrimeFieldRing
 
 Q = RATIONAL
 
@@ -160,6 +160,15 @@ def test_coordinate_basis_membership():
     assert not space.contains(mat([[0, 1], [0, 0]]))
     with pytest.raises(NotInSubspace):
         space.coords(mat([[0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("ring", [DualRing(FLOAT64),
+                                  DualRing(DualRing(FLOAT64))], ids=repr)
+def test_membership_over_float_duals(ring):
+    """Float membership compares every component of a dual difference."""
+    herm = JordanContext(2, ring, "hermitian", Involution())
+    assert herm.space.contains(Matrix.identity(ring, 2))
+    assert not herm.space.contains(Matrix.unit(ring, 2, 0, 1))
 
 
 SUBSPACE_RINGS = [Q, PrimeFieldRing(5), DualRing(Q), DualRing(DualRing(Q))]

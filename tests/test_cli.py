@@ -117,6 +117,36 @@ def test_compute_zero_denominator():
     assert "Traceback" not in err
 
 
+def test_compute_non_finite_result():
+    """exp of 1e308 overflows; the NaN must not reach the output."""
+    req = {"op": "exp", "ring": "float64", "n": 1, "v": [[1e308]],
+           "order": 24}
+    code, out, err = run_cli(["compute"], stdin=json.dumps(req))
+    assert code == 1
+    assert json.loads(out)["error"] == "NonFiniteResult"
+    assert "Traceback" not in err
+
+
+def test_compute_non_finite_input():
+    for x in ('"nan"', "NaN", '"-inf"', "Infinity", "1e400", "9" * 400):
+        text = ('{"op": "quasi_inverse", "ring": "float64", "n": 1, '
+                f'"x": {x}, "y": 1}}')
+        code, out, err = run_cli(["compute"], stdin=text)
+        assert code == 2, x
+        assert json.loads(out)["error"] == "MalformedRequest"
+        assert "Traceback" not in err
+
+
+def test_compute_derivative_needs_samples():
+    for samples in (0, -5):
+        req = {"op": "derivative", "map": "squaring",
+               "context": {"ring": "rational", "n": 2}, "samples": samples}
+        code, out, err = run_cli(["compute"], stdin=json.dumps(req))
+        assert code == 2
+        assert json.loads(out)["error"] == "MalformedRequest"
+        assert "Traceback" not in err
+
+
 def test_compute_sym_mul_and_lts():
     req = {"op": "sym_mul",
            "context": {"variant": "jordan_units", "ring": "rational",

@@ -8,12 +8,13 @@ from jordankit.errors import (NotInSubspace, NotInvertible,
                               NotQuasiInvertible)
 from jordankit.jordan import (JordanContext, bergman_closed,
                               bergman_operator, full_quasi_inverse_oracle,
-                              is_quasi_invertible, jordan_inverse,
+                              is_jordan_invertible, is_quasi_invertible,
+                              jordan_inverse,
                               jordan_product, loos_bergman,
                               loos_quasi_inverse, quad_triple_operator,
                               quasi_inverse, rep_operators, triple_product)
 from jordankit.randgen import rand_in_context, rand_matrix, trial_rng
-from jordankit.rings import RATIONAL
+from jordankit.rings import RATIONAL, PrimeFieldRing
 
 Q = RATIONAL
 
@@ -64,6 +65,19 @@ def test_product_needs_closed_flavor(aherm2):
 def test_hermitian_membership_enforced(herm2):
     with pytest.raises(NotInSubspace):
         jordan_product(herm2, mat([[0, 1], [0, 0]]), herm2.unit())
+
+
+def test_contains_rejects_other_ring_or_shape():
+    """Every flavor answers False, rather than raising, for an element
+    over another ring or of another size."""
+    f5 = PrimeFieldRing(5)
+    for flavor in ("full", "hermitian", "antihermitian"):
+        ctx = JordanContext(2, Q, flavor, Involution())
+        assert not ctx.contains(Matrix.identity(f5, 2))
+        assert not ctx.contains(Matrix.identity(Q, 3))
+    herm = JordanContext(2, Q, "hermitian", Involution())
+    assert not is_jordan_invertible(herm, Matrix.identity(f5, 2))
+    assert is_jordan_invertible(herm, herm.unit())
 
 
 def test_rep_operator_examples(full2):
