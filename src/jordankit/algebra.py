@@ -285,6 +285,12 @@ class LinearOperator:
     def identity(cls, ring, dim):
         return cls(Matrix.identity(ring, dim))
 
+    @classmethod
+    def from_columns(cls, ring, cols):
+        """The operator whose j-th column is `cols[j]`, the image of the
+        j-th basis vector."""
+        return cls(Matrix._new(ring, K.mtranspose(cols)))
+
     @property
     def dim_out(self):
         return self.mat.nrows
@@ -344,10 +350,44 @@ def op_from_action(f, basis, ring):
     `f` maps Matrix -> Matrix; the result's columns are the flattened
     images, so apply_flat works on row-major coordinates.
     """
-    cols = [f(b).flatten() for b in basis]
-    dim_out = len(cols[0]) if cols else 0
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(dim_out)]
-    return LinearOperator(Matrix(ring, rows))
+    return LinearOperator.from_columns(ring, [f(b).flatten() for b in basis])
+
+
+# Operators w -> a w b on A = M_n(K), on row-major coordinates, where
+# vec(a w b) = (a (x) b^T) vec(w): entry [(i,j),(k,l)] is a[i][k] b[l][j].
+
+def left_mult(a):
+    """L_a = a (x) I: w -> a w, entry [(i,j),(k,l)] = a[i][k] delta_jl."""
+    n, z = a.nrows, a.ring.zero()
+    rows = []
+    for ai in a.rows:
+        for j in range(n):
+            row = [z] * (n * n)
+            row[j::n] = ai
+            rows.append(row)
+    return LinearOperator(Matrix._new(a.ring, rows))
+
+
+def right_mult(b):
+    """R_b = I (x) b^T: w -> w b, entry [(i,j),(k,l)] = delta_ik b[l][j]."""
+    n, z = b.nrows, b.ring.zero()
+    bt = K.mtranspose(b.rows)
+    rows = []
+    for i in range(n):
+        for btj in bt:
+            row = [z] * (n * n)
+            row[i * n:(i + 1) * n] = btj
+            rows.append(row)
+    return LinearOperator(Matrix._new(b.ring, rows))
+
+
+def sandwich(a, b):
+    """a (x) b^T: w -> a w b, entry [(i,j),(k,l)] = a[i][k] b[l][j]."""
+    a._same(b)
+    bt = K.mtranspose(b.rows)
+    return LinearOperator(Matrix._new(a.ring, [
+        [aik * blj for aik in ai for blj in btj]
+        for ai in a.rows for btj in bt]))
 
 
 def op_apply(op, x):
@@ -405,20 +445,21 @@ class CoordinateBasis:
             return flat
         c = K.matvec(self._left_inv.rows,
                      [flat[i] for i in self._pivot_rows], self.ring)
-        if self._free_rows and not self._contains_given(flat, c):
-            raise NotInSubspace("element is outside the subspace")
+        if self._free_rows:
+            rows = self._cols.rows
+            free = self._free_rows
+            recon = K.matvec([rows[i] for i in free], c, self.ring)
+            if not self._agree(recon, [flat[i] for i in free]):
+                raise NotInSubspace("element is outside the subspace")
         return c
 
-    def _contains_given(self, flat, c):
-        """Whether the coordinates `c` reconstruct `flat` on the free rows."""
-        rows = self._cols.rows
-        free = self._free_rows
-        recon = K.matvec([rows[i] for i in free], c, self.ring)
-        diff = [a - flat[i] for a, i in zip(recon, free)]
+    def _agree(self, got, want):
+        """Whether two scalar lists are equal: exactly over exact rings,
+        within 1e-9 in every base component over float rings."""
         if self.ring.is_exact():
-            z = self.ring.zero()
-            return all(x == z for x in diff)
-        return all(abs(f) <= 1e-9 for x in diff for f in _components(x))
+            return got == want
+        return all(abs(f) <= 1e-9 for a, b in zip(got, want)
+                   for f in _components(a - b))
 
     def contains(self, x):
         try:
@@ -433,12 +474,28 @@ class CoordinateBasis:
         flat = K.matvec(self._cols.rows, list(c), self.ring)
         return unflatten(self.ring, self.n, self.n, flat)
 
-    def materialize(self, f):
-        """Operator matrix of a linear self-map of the subspace."""
-        d = self.dim
-        cols = [self.coords(f(b)) for b in self.basis]
-        rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-        return LinearOperator(Matrix(self.ring, rows))
+    def materialize(self, op):
+        """Restriction to the subspace of `op`, an operator on all of
+        M_n(K) in row-major coordinates (see `sandwich`).
+
+        The images of the basis are read off in coordinates as in
+        `coords()`, for all basis elements at once; raises NotInSubspace
+        if `op` does not map the subspace into itself.
+        """
+        if self._standard:
+            return op
+        ring = self.ring
+        images = K.matmul(op.mat.rows, self._cols.rows, ring)
+        c = K.matmul(self._left_inv.rows,
+                     [images[i] for i in self._pivot_rows], ring)
+        if self._free_rows:
+            rows = self._cols.rows
+            free = self._free_rows
+            recon = K.matmul([rows[i] for i in free], c, ring)
+            if not self._agree([x for r in recon for x in r],
+                               [x for i in free for x in images[i]]):
+                raise NotInSubspace("operator does not preserve the subspace")
+        return LinearOperator(Matrix._new(ring, c))
 
     def embed(self, ring):
         """The same subspace over an iterated dual extension of its ring.

@@ -2,13 +2,15 @@
 computations with JSON input and output.
 
 Exit codes: 0 full pass / success, 1 suite failure or domain error,
-2 usage error (unknown suite, unsupported ring, malformed request).
+2 usage error (unknown suite, unsupported ring, bad dimension, trial
+count or tolerance, malformed request).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import calculus, suites
@@ -39,6 +41,16 @@ def _parse_ring(text):
     return ring_from_json(text)
 
 
+def _tolerance_error(tol):
+    """Why `tol` cannot be a tolerance, or None if it can: it must be a
+    finite, non-negative number."""
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or (isinstance(tol, float) and not math.isfinite(tol))
+            or tol < 0):
+        return f"tolerance must be a finite non-negative number, not {tol!r}"
+    return None
+
+
 def cmd_list_suites(args, out):
     names = sorted(suites.SUITES)
     _emit({"suites": names}, out)
@@ -59,6 +71,10 @@ def cmd_verify(args, out):
         return 2
     if args.n < 1:
         _emit({"error": "BadDimension", "n": args.n}, out)
+        return 2
+    bad_tol = _tolerance_error(args.tol)
+    if bad_tol:
+        _emit({"error": "BadTolerance", "detail": bad_tol}, out)
         return 2
     cfg = suites.SuiteConfig(suite=args.suite, ring=ring, n=args.n,
                              trials=args.trials, seed=args.seed,
@@ -195,6 +211,10 @@ def _compute_derivative(req):
     if not isinstance(samples, int) or samples < 1:
         raise ValueError(f"samples must be a positive integer, "
                          f"not {samples!r}")
+    tol = req.get("tol", 1e-9)
+    bad_tol = _tolerance_error(tol)
+    if bad_tol:
+        raise ValueError(bad_tol)
     ctx = jordan_context_from_json(req.get("context", req))
     ring, n = ctx.ring, ctx.n
     from . import randgen
@@ -265,7 +285,7 @@ def _compute_derivative(req):
 
     report = calculus.derivative_check(f, expected, sampler,
                                        samples=samples,
-                                       tol=req.get("tol", 1e-9))
+                                       tol=tol)
     return {"op": "derivative", "map": name, "report": report.to_json()}
 
 

@@ -9,7 +9,8 @@ membership in the subgroup they generate.
 
 from __future__ import annotations
 
-from .algebra import LinearOperator, Matrix, matrix_unit_basis, op_solve
+from .algebra import (LinearOperator, Matrix, left_mult, matrix_unit_basis,
+                      op_solve, right_mult, sandwich)
 from .errors import NotInChart, NotInvertible, RingMismatch, ShapeMismatch
 
 
@@ -70,9 +71,6 @@ def gl2_basis(ring, n):
     return matrix_unit_basis(ring, 2 * n)
 
 
-_DEGREE_DIMS = {1: lambda n: n * n, 0: lambda n: 2 * n * n, -1: lambda n: n * n}
-
-
 def degree_basis(ring, n, degree):
     units = matrix_unit_basis(ring, n)
     if degree == 1:
@@ -83,6 +81,24 @@ def degree_basis(ring, n, degree):
         z = Matrix.zeros(ring, n)
         return [diag_embed(u, z) for u in units] + [diag_embed(z, u) for u in units]
     raise ValueError(f"degree {degree} not in the grading")
+
+
+def ad_blocks(v, degree):
+    """The nonzero blocks of ad(v^) for v^ = hat(v) (degree +1) or
+    check(v) (degree -1), keyed by source degree, as matrices on the
+    coordinates of `degree_basis`:
+
+        ad(hat(v)):   g_0 -> g_1    (a, d) -> v d - a v   [-R_v | L_v]
+                      g_-1 -> g_0   w -> (v w, -w v)      [L_v ; -R_v]
+        ad(check(v)): g_1 -> g_0    w -> (-w v, v w)      [-R_v ; L_v]
+                      g_0 -> g_-1   (a, d) -> v a - d v   [L_v | -R_v]
+    """
+    lv, rv = left_mult(v).mat, right_mult(v).mat
+    if degree == 1:
+        return {0: (-rv).hstack(lv), -1: lv.vstack(-rv)}
+    if degree == -1:
+        return {1: (-rv).vstack(lv), 0: lv.hstack(-rv)}
+    raise ValueError("degree must be +1 or -1")
 
 
 def degree_component(X, n, degree):
@@ -213,33 +229,18 @@ class GroupElement:
 
 def ad_operator(g):
     """Ad(g) materialized on the matrix-unit basis of gl_2(A)."""
-    ring, n = g.ring, g.n
     gi = g.inverse_mat()
-    cols = [(g.mat @ b @ gi).flatten() for b in gl2_basis(ring, n)]
-    d = len(cols)
-    return LinearOperator(Matrix(ring, [[cols[j][i] for j in range(d)]
-                                        for i in range(d)]))
-
-
-def ad_element_operator(X):
-    """ad(X) = [X, .] materialized on the matrix-unit basis of gl_2(A)."""
-    ring = X.ring
-    m = X.nrows
-    basis = matrix_unit_basis(ring, m)
-    cols = [(X @ b - b @ X).flatten() for b in basis]
-    d = len(cols)
-    return LinearOperator(Matrix(ring, [[cols[j][i] for j in range(d)]
-                                        for i in range(d)]))
+    return LinearOperator.from_columns(
+        g.ring, [(g.mat @ b @ gi).flatten() for b in gl2_basis(g.ring, g.n)])
 
 
 def grading_block(g, i, j):
     """Component of Ad(g) mapping the degree-j piece to the degree-i piece."""
     ring, n = g.ring, g.n
     gi = g.inverse_mat()
-    cols = [degree_component(g.mat @ b @ gi, n, i) for b in degree_basis(ring, n, j)]
-    rows = len(cols[0])
-    return LinearOperator(Matrix(ring, [[cols[c][r] for c in range(len(cols))]
-                                        for r in range(rows)]))
+    return LinearOperator.from_columns(
+        ring, [degree_component(g.mat @ b @ gi, n, i)
+               for b in degree_basis(ring, n, j)])
 
 
 def denominators(g, x):
@@ -247,22 +248,19 @@ def denominators(g, x):
 
     d is the degree-(1,1) block of Ad((g u)^-1), c the degree-(-1,-1)
     block of Ad(g u), and n the degree-1 part of Ad((g u)^-1) applied to
-    the Euler element, where u = exp_ad(x, +1).
+    the Euler element, where u = exp_ad(x, +1). With h = g u and its
+    inverse in blocks, h^-1 (0 w; 0 0) h has upper-right block
+    (h^-1)_11 w h_22 and h (0 0; w 0) h^-1 has lower-left block
+    h_22 w (h^-1)_11, so d and c are sandwich operators.
     """
     ring, n = g.ring, g.n
     h = g @ GroupElement.exp_ad(x, 1)
     hm = h.mat
     hi = h.inverse_mat()
-    units = matrix_unit_basis(ring, n)
-    dcols = [pr1(hi @ hat(u) @ hm, n).flatten() for u in units]
-    ccols = [prm1(hm @ check(u) @ hi, n).flatten() for u in units]
-    dim = n * n
-    dop = LinearOperator(Matrix(ring, [[dcols[j][i] for j in range(dim)]
-                                       for i in range(dim)]))
-    cop = LinearOperator(Matrix(ring, [[ccols[j][i] for j in range(dim)]
-                                       for i in range(dim)]))
+    hi11 = hi.submatrix(range(n), range(n))
+    h22 = hm.submatrix(range(n, 2 * n), range(n, 2 * n))
     nval = pr1(hi @ euler(ring, n) @ hm, n)
-    return dop, cop, nval
+    return sandwich(hi11, h22), sandwich(h22, hi11), nval
 
 
 def act(g, x):

@@ -12,11 +12,12 @@ loos_bergman / loos_quasi_inverse, which negate the second slot.
 
 from __future__ import annotations
 
-from .algebra import (CoordinateBasis, Matrix, alg_invert, herm_split,
-                      matrix_unit_basis)
+from .algebra import (CoordinateBasis, LinearOperator, Matrix, alg_invert,
+                      herm_split, left_mult, matrix_unit_basis, right_mult,
+                      sandwich)
 from .errors import (NotInSubspace, NotInvertible, NotQuasiInvertible,
                      SingularOperator)
-from .graded import ad_bracket, check, hat, pr1
+from .graded import ad_blocks
 
 FLAVORS = ("full", "hermitian", "antihermitian")
 
@@ -100,9 +101,11 @@ def _require_product_closed(ctx, *xs):
 
 
 def _mult_operator(ctx, x):
-    """L(x) for an x already known to lie in V."""
-    half = ctx.ring.half()
-    return ctx.space.materialize(lambda w: (x @ w + w @ x).scale(half))
+    """L(x) = (L_x + R_x)/2 for an x already known to lie in V; x is
+    halved before its entries are placed, so only n^2 scalars are
+    multiplied."""
+    hx = x.scale(ctx.ring.half())
+    return ctx.space.materialize(left_mult(hx) + right_mult(hx))
 
 
 def _rep_pair(ctx, x):
@@ -140,7 +143,7 @@ def quad_triple_operator(ctx, x):
     """The quadratic operator of the triple system, w -> x w x; defined
     for every flavor (it is (1/2)T(x, ., x))."""
     ctx.require(x)
-    return ctx.space.materialize(lambda w: x @ w @ x)
+    return ctx.space.materialize(sandwich(x, x))
 
 
 def jordan_inverse(ctx, x):
@@ -167,21 +170,18 @@ def triple_product(ctx, x, y, z):
 
 def bergman_operator(ctx, x, y):
     """id + ad(x^)ad(y^) + (1/4) ad(x^)^2 ad(y^)^2, evaluated literally in
-    gl_2(A) and restricted to the degree-1 piece, as an operator on V."""
+    gl_2(A) and restricted to the degree-1 piece, as an operator on V.
+
+    The terms are products of the degree blocks of ad(x^) and ad(y^)
+    (`ad_blocks`): g_1 -> g_0 -> g_1, and g_1 -> g_0 -> g_-1 -> g_0 -> g_1.
+    """
     ctx.require(x, y)
-    n = ctx.n
-    xh = hat(x)
-    yc = check(y)
-    quarter = ctx.ring.invert(ctx.ring.from_int(4))
-
-    def action(w):
-        wh = hat(w)
-        t1 = pr1(ad_bracket(xh, ad_bracket(yc, wh)), n)
-        y2w = ad_bracket(yc, ad_bracket(yc, wh))
-        t2 = pr1(ad_bracket(xh, ad_bracket(xh, y2w)), n)
-        return w + t1 + t2.scale(quarter)
-
-    return ctx.space.materialize(action)
+    ax = ad_blocks(x, 1)
+    ay = ad_blocks(y, -1)
+    quarter = ctx.ring.inv_int(4)
+    b = (Matrix.identity(ctx.ring, ctx.n * ctx.n) + ax[0] @ ay[1]
+         + ((ax[0] @ ax[-1]) @ (ay[0] @ ay[1])).scale(quarter))
+    return ctx.space.materialize(LinearOperator(b))
 
 
 def bergman_closed(ctx, x, y):
@@ -189,9 +189,7 @@ def bergman_closed(ctx, x, y):
     bergman_operator."""
     ctx.require(x, y)
     one = ctx.unit()
-    a = one + x @ y
-    b = one + y @ x
-    return ctx.space.materialize(lambda w: a @ w @ b)
+    return ctx.space.materialize(sandwich(one + x @ y, one + y @ x))
 
 
 def is_quasi_invertible(ctx, x, y):

@@ -24,7 +24,7 @@ from .errors import NotAUnit, NotDual, RingMismatch
 
 try:
     from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional `fast` extra
     _rational = Fraction
 
 

@@ -56,6 +56,17 @@ def test_verify_rejects_bad_dimension():
         assert "Traceback" not in err
 
 
+def test_verify_rejects_bad_tolerance():
+    """A NaN, infinite or negative --tol is a usage error before any
+    trial runs, not a suite run that ends in NonFiniteResult."""
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run_cli(["verify", "--suite", "fundamental",
+                                  "--tol", tol, "--trials", "2"])
+        assert code == 2, tol
+        assert json.loads(out)["error"] == "BadTolerance"
+        assert "Traceback" not in err and "PASS" not in err
+
+
 def test_verify_fp_ring():
     code, out, _ = run_cli(["verify", "--suite", "jordan-pair",
                             "--ring", "fp:5", "--trials", "5"])
@@ -144,6 +155,18 @@ def test_compute_derivative_needs_samples():
         code, out, err = run_cli(["compute"], stdin=json.dumps(req))
         assert code == 2
         assert json.loads(out)["error"] == "MalformedRequest"
+        assert "Traceback" not in err
+
+
+def test_compute_derivative_rejects_bad_tolerance():
+    for tol in (float("nan"), float("inf"), -1, "1e-9", True):
+        req = {"op": "derivative", "map": "squaring",
+               "context": {"ring": "float64", "n": 2}, "samples": 2,
+               "tol": tol}
+        code, out, err = run_cli(["compute"], stdin=json.dumps(req))
+        assert code == 2, tol
+        assert json.loads(out)["error"] == "MalformedRequest"
+        assert "tolerance" in json.loads(out)["detail"]
         assert "Traceback" not in err
 
 
