@@ -6,6 +6,8 @@ and (for float64) a pivot magnitude. Over dual (local) rings the unit test
 looks at re-parts only, which is exactly what makes elimination work
 there. Rings without a packed form (float64) run on these loops, and the
 parity tests use them as the reference for the packed ones in rings.py.
+Solve, rank and pivot search are thin wrappers of one elimination,
+`eliminate`.
 """
 
 
@@ -27,18 +29,28 @@ def matmul(a, b, ring):
     return out
 
 
-def gauss_solve(a, b, ring):
-    """Solve A X = B for square A; returns X rows or None if no unit
-    pivot can be found for some column (A not invertible over `ring`)."""
-    n = len(a)
-    m = len(b[0]) if b else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    width = n + m
-    for col in range(n):
+def eliminate(rows, ring, width=None):
+    """Gauss-Jordan elimination of `rows` in place; returns the pivot
+    columns and the reduced rows.
+
+    Pivots are searched only in the first `width` columns (all of them by
+    default), but every row operation runs over all columns. In each
+    column the pivot is the first unit at or below the next pivot row, or
+    on float64 the unit of largest magnitude. Elimination stops once every
+    row has a pivot.
+    """
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    zero = ring.zero()
+    cols = []
+    for col in range(m if width is None else width):
+        rank = len(cols)
+        if rank == n:
+            break
         piv = -1
         best = None
-        for r in range(col, n):
-            s = aug[r][col]
+        for r in range(rank, n):
+            s = rows[r][col]
             if ring.is_unit(s):
                 mag = ring.pivot_magnitude(s)
                 if mag is None:
@@ -48,23 +60,33 @@ def gauss_solve(a, b, ring):
                     best = mag
                     piv = r
         if piv < 0:
-            return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ring.invert(aug[col][col])
-        prow = aug[col]
-        for j in range(col, width):
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = ring.invert(rows[rank][col])
+        prow = rows[rank]
+        for j in range(col, m):
             prow[j] = inv * prow[j]
         for r in range(n):
-            if r == col:
+            if r == rank:
                 continue
-            f = aug[r][col]
-            if f == ring.zero():
+            f = rows[r][col]
+            if f == zero:
                 continue
-            rrow = aug[r]
-            for j in range(col, width):
+            rrow = rows[r]
+            for j in range(col, m):
                 rrow[j] = rrow[j] - f * prow[j]
-    return [row[n:] for row in aug]
+        cols.append(col)
+    return cols, rows
+
+
+def gauss_solve(a, b, ring):
+    """Solve A X = B for square A; returns X rows or None if no unit
+    pivot can be found for some column (A not invertible over `ring`)."""
+    n = len(a)
+    piv, rows = eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)],
+                          ring, n)
+    return [r[n:] for r in rows] if len(piv) == n else None
 
 
 def gauss_rank(a, ring):
@@ -73,92 +95,12 @@ def gauss_rank(a, ring):
     Callers dealing with dual rings strip to re-parts first, so this only
     ever sees fields or float64.
     """
-    if not a:
-        return 0
-    rows = [list(r) for r in a]
-    n = len(rows)
-    m = len(rows[0])
-    rank = 0
-    for col in range(m):
-        piv = -1
-        best = None
-        for r in range(rank, n):
-            s = rows[r][col]
-            if ring.is_unit(s):
-                mag = ring.pivot_magnitude(s)
-                if mag is None:
-                    piv = r
-                    break
-                if best is None or mag > best:
-                    best = mag
-                    piv = r
-        if piv < 0:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ring.invert(rows[rank][col])
-        prow = rows[rank]
-        for j in range(col, m):
-            prow[j] = inv * prow[j]
-        for r in range(n):
-            if r == rank:
-                continue
-            f = rows[r][col]
-            if f == ring.zero():
-                continue
-            rrow = rows[r]
-            for j in range(col, m):
-                rrow[j] = rrow[j] - f * prow[j]
-        rank += 1
-        if rank == n:
-            break
-    return rank
+    return len(eliminate([list(r) for r in a], ring)[0])
 
 
 def pivot_columns(a, ring):
     """Column indices where elimination finds a unit pivot."""
-    if not a:
-        return []
-    rows = [list(r) for r in a]
-    n = len(rows)
-    m = len(rows[0])
-    rank = 0
-    cols = []
-    for col in range(m):
-        piv = -1
-        best = None
-        for r in range(rank, n):
-            s = rows[r][col]
-            if ring.is_unit(s):
-                mag = ring.pivot_magnitude(s)
-                if mag is None:
-                    piv = r
-                    break
-                if best is None or mag > best:
-                    best = mag
-                    piv = r
-        if piv < 0:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ring.invert(rows[rank][col])
-        prow = rows[rank]
-        for j in range(col, m):
-            prow[j] = inv * prow[j]
-        for r in range(n):
-            if r == rank:
-                continue
-            f = rows[r][col]
-            if f == ring.zero():
-                continue
-            rrow = rows[r]
-            for j in range(col, m):
-                rrow[j] = rrow[j] - f * prow[j]
-        cols.append(col)
-        rank += 1
-        if rank == n:
-            break
-    return cols
+    return eliminate([list(r) for r in a], ring)[0]
 
 
 def madd(a, b):

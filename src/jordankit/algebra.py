@@ -213,11 +213,6 @@ def dual_split(mat):
     return re, ep
 
 
-def alg_invert(x):
-    """Inverse in A = M_n(K); exact over exact rings."""
-    return x.inverse()
-
-
 class Involution:
     """x -> x*: plain transpose, or the adjoint with respect to an
     invertible (skew-)symmetric form B, x* = B^-1 x^T B."""
@@ -257,10 +252,6 @@ class Involution:
         if self.kind == "transpose":
             return "Involution(transpose)"
         return f"Involution(form_adjoint, {self.symmetry})"
-
-
-def involution_apply(iota, x):
-    return iota.apply(x)
 
 
 def herm_split(iota, x):

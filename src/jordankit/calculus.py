@@ -1,6 +1,7 @@
 """Executable difference-quotient calculus: difference quotients,
 dual-number differentials, the chart vector-field bracket, and a checker
-that certifies closed-form derivative laws against dual evaluation.
+that certifies closed-form derivative laws against dual evaluation, and
+the table of those laws shared by the CLI and the check suites.
 
 Map handles are ring-generic by construction: their evaluators receive
 the evaluation ring and inputs over it, and any captured constants are
@@ -12,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import dual_combine, dual_split
+from . import randgen
+from .algebra import dual_combine, dual_split, op_solve
 from .errors import DomainViolation, JordankitError, NotAUnit
+from .graded import denominators, in_chart
+from .jordan import rep_operators
 from .rings import DualRing
 
 
@@ -222,3 +226,82 @@ def derivative_check(f, expected, sampler, samples=100, tol=1e-9):
                 first = {"sample": i}
     return CheckReport(f.name, samples, passed, failed, skipped, exact,
                        max_dev, first)
+
+
+# -- derivative laws ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class DerivativeLaw:
+    """A map handle, the closed form expected(x, v) of its derivative at x
+    in direction v, and sample(rng), which draws (x, v) with x in the
+    map's domain, or returns None when the draw finds no such x."""
+    handle: MapHandle
+    expected: Callable
+    sample: Callable
+
+
+def jordan_inverse_law(ctx):
+    """dj(x) v = -Q(x)^-1 v on the Jordan-invertible elements of ctx."""
+
+    def expected(x, v):
+        _, qx = rep_operators(ctx, x)
+        return -ctx.space.from_coords(qx.solve_flat(ctx.space.coords(v)))
+
+    def sample(rng):
+        x = randgen.rand_filtered(
+            rng, lambda r: randgen.rand_in_context(r, ctx),
+            lambda m: rep_operators(ctx, m)[1].is_invertible())
+        if x is None:
+            return None
+        return x, randgen.rand_in_context(rng, ctx)
+
+    return DerivativeLaw(jordan_inversion(ctx), expected, sample)
+
+
+def alg_inverse_law(ring, n):
+    """di(x) v = -x^-1 v x^-1 on the invertible n x n matrices."""
+
+    def expected(x, v):
+        xi = x.inverse()
+        return -(xi @ v @ xi)
+
+    def sample(rng):
+        x = randgen.rand_invertible(rng, ring, n)
+        if x is None:
+            return None
+        return x, randgen.rand_matrix(rng, ring, n)
+
+    return DerivativeLaw(alg_inversion(), expected, sample)
+
+
+def squaring_law(ring, n):
+    """d(x^2) v = xv + vx."""
+    return DerivativeLaw(squaring(), lambda x, v: x @ v + v @ x,
+                         lambda rng: (randgen.rand_matrix(rng, ring, n),
+                                      randgen.rand_matrix(rng, ring, n)))
+
+
+def act_law(g):
+    """d(g.x) v = d_g(x)^-1 v on the chart of g."""
+
+    def sample(rng):
+        x = randgen.rand_filtered(
+            rng, lambda r: randgen.rand_matrix(r, g.ring, g.n),
+            lambda m: in_chart(g, m))
+        if x is None:
+            return None
+        return x, randgen.rand_matrix(rng, g.ring, g.n)
+
+    return DerivativeLaw(group_action(g),
+                         lambda x, v: op_solve(denominators(g, x)[0], v),
+                         sample)
+
+
+# The laws a derivative request names, each built from the request's
+# Jordan context and, for "act", its group element g.
+DERIVATIVE_LAWS = {
+    "jordan_inverse": lambda ctx, g: jordan_inverse_law(ctx),
+    "alg_inverse": lambda ctx, g: alg_inverse_law(ctx.ring, ctx.n),
+    "squaring": lambda ctx, g: squaring_law(ctx.ring, ctx.n),
+    "act": lambda ctx, g: act_law(g),
+}

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from . import calculus, suites
+from . import calculus, randgen, suites
 from .errors import JordankitError, NonFiniteResult
 from .graded import act
 from .jordan import (bergman_operator, loos_bergman, loos_quasi_inverse,
@@ -216,76 +216,16 @@ def _compute_derivative(req):
     if bad_tol:
         raise ValueError(bad_tol)
     ctx = jordan_context_from_json(req.get("context", req))
-    ring, n = ctx.ring, ctx.n
-    from . import randgen
-
-    if name == "jordan_inverse":
-        from .jordan import rep_operators
-        f = calculus.jordan_inversion(ctx)
-
-        def expected(x, v):
-            _, qx = rep_operators(ctx, x)
-            return -ctx.space.from_coords(qx.solve_flat(ctx.space.coords(v)))
-
-        def sampler(i):
-            rng = randgen.trial_rng(req.get("seed", 1), i)
-            x = randgen.rand_filtered(
-                rng, lambda r: randgen.rand_in_context(r, ctx),
-                lambda m: rep_operators(ctx, m)[1].is_invertible())
-            if x is None:
-                return None
-            return x, randgen.rand_in_context(rng, ctx)
-
-    elif name == "alg_inverse":
-        from .algebra import alg_invert
-        f = calculus.alg_inversion()
-
-        def expected(x, v):
-            xi = alg_invert(x)
-            return -(xi @ v @ xi)
-
-        def sampler(i):
-            rng = randgen.trial_rng(req.get("seed", 1), i)
-            x = randgen.rand_invertible(rng, ring, n)
-            if x is None:
-                return None
-            return x, randgen.rand_matrix(rng, ring, n)
-
-    elif name == "squaring":
-        f = calculus.squaring()
-
-        def expected(x, v):
-            return x @ v + v @ x
-
-        def sampler(i):
-            rng = randgen.trial_rng(req.get("seed", 1), i)
-            return (randgen.rand_matrix(rng, ring, n),
-                    randgen.rand_matrix(rng, ring, n))
-
-    elif name == "act":
-        from .graded import denominators, in_chart
-        from .algebra import op_solve
-        g = group_from_json(ring, n, req["g"])
-        f = calculus.group_action(g)
-
-        def expected(x, v):
-            return op_solve(denominators(g, x)[0], v)
-
-        def sampler(i):
-            rng = randgen.trial_rng(req.get("seed", 1), i)
-            x = randgen.rand_filtered(
-                rng, lambda r: randgen.rand_matrix(r, ring, n),
-                lambda m: in_chart(g, m))
-            if x is None:
-                return None
-            return x, randgen.rand_matrix(rng, ring, n)
-
-    else:
+    laws = calculus.DERIVATIVE_LAWS
+    if not isinstance(name, str) or name not in laws:
         raise ValueError(f"unknown derivative map {name!r}")
-
-    report = calculus.derivative_check(f, expected, sampler,
-                                       samples=samples,
-                                       tol=tol)
+    g = group_from_json(ctx.ring, ctx.n, req["g"]) if name == "act" else None
+    law = laws[name](ctx, g)
+    seed = req.get("seed", 1)
+    report = calculus.derivative_check(
+        law.handle, law.expected,
+        lambda i: law.sample(randgen.trial_rng(seed, i)),
+        samples=samples, tol=tol)
     return {"op": "derivative", "map": name, "report": report.to_json()}
 
 

@@ -12,9 +12,9 @@ loos_bergman / loos_quasi_inverse, which negate the second slot.
 
 from __future__ import annotations
 
-from .algebra import (CoordinateBasis, LinearOperator, Matrix, alg_invert,
-                      herm_split, left_mult, matrix_unit_basis, right_mult,
-                      sandwich)
+from . import _kernels as K
+from .algebra import (CoordinateBasis, LinearOperator, Matrix, herm_split,
+                      left_mult, matrix_unit_basis, right_mult, sandwich)
 from .errors import (NotInSubspace, NotInvertible, NotQuasiInvertible,
                      SingularOperator)
 from .graded import ad_blocks
@@ -46,17 +46,11 @@ class JordanContext:
             return CoordinateBasis(self.ring, self.n, units)
         idx = 0 if self.flavor == "hermitian" else 1
         candidates = [herm_split(self.involution, u)[idx] for u in units]
-        basis = []
-        probe = []
-        from . import _kernels as K
-        for cand in candidates:
-            if cand.is_zero():
-                continue
-            trial = probe + [list(cand.flatten())]
-            if len(K.pivot_columns(trial, self.ring)) == len(trial):
-                basis.append(cand)
-                probe = trial
-        return CoordinateBasis(self.ring, self.n, basis)
+        # The pivot columns of the matrix whose columns are the candidates
+        # are the candidates independent of all earlier ones.
+        piv = K.pivot_columns(K.mtranspose([c.flatten() for c in candidates]),
+                              self.ring)
+        return CoordinateBasis(self.ring, self.n, [candidates[j] for j in piv])
 
     @property
     def dim(self):
@@ -226,4 +220,4 @@ def loos_quasi_inverse(ctx, x, w):
 
 def full_quasi_inverse_oracle(ctx, x, y):
     """x(1+yx)^-1 computed directly in A; full flavor oracle."""
-    return x @ alg_invert(ctx.unit() + y @ x)
+    return x @ (ctx.unit() + y @ x).inverse()

@@ -136,20 +136,14 @@ def phi_group(j, iota, g):
 
 
 def standard_complement(E):
-    """Greedy complement of E spanned by standard basis vectors."""
+    """The complement of E spanned by the first standard basis vectors
+    independent of E and of each other: the pivot columns after the
+    first n of [E | I_2n]."""
     ring, n = E.ring, E.n
-    cols = [list(E.rep.column(j)) for j in range(n)]
-    chosen = []
-    for k in range(2 * n):
-        if len(chosen) == n:
-            break
-        e = [ring.zero()] * (2 * n)
-        e[k] = ring.one()
-        trial = cols + chosen + [e]
-        if len(K.pivot_columns(trial, ring)) == len(trial):
-            chosen.append(e)
-    rep = Matrix(ring, [[chosen[j][i] for j in range(n)] for i in range(2 * n)])
-    return ProjectivePoint(rep, n)
+    eye = Matrix.identity(ring, 2 * n)
+    piv = K.pivot_columns(E.rep.hstack(eye).rows, ring)
+    return ProjectivePoint(
+        eye.submatrix(range(2 * n), [k - n for k in piv if k >= n]), n)
 
 
 def projection_onto(E, F):
@@ -242,10 +236,6 @@ class Polarity:
     def __repr__(self):
         tag = "linear" if self.mode == "linear" else f"semilinear(j={self.j})"
         return f"Polarity({tag}{', modified' if self.H is not None else ''})"
-
-
-def polarity_apply(spec, E):
-    return spec.apply(E)
 
 
 def nonisotropic(spec, E):

@@ -398,19 +398,6 @@ RATIONAL = RationalRing()
 FLOAT64 = Float64Ring()
 
 
-def scalar_is_unit(ring, s):
-    return ring.is_unit(s)
-
-
-def scalar_invert(ring, s):
-    return ring.invert(s)
-
-
-def dual_lift(ring, a, b):
-    """a + b*eps in DualRing(ring); a, b must live in `ring`."""
-    return DualRing(ring), Dual(a, b)
-
-
 def dual_parts(ring, s):
     if ring.kind != "dual":
         raise NotDual(f"{ring!r} is not a dual ring")
@@ -425,17 +412,6 @@ def embed_scalar(s, src, dst):
         raise RingMismatch(f"{dst!r} is not an extension of {src!r}")
     return Dual(embed_scalar(s, src, dst.base), dst.base.zero())
 
-
-def base_chain(ring):
-    """[ring, ring.base, ...] down to the non-dual base."""
-    out = [ring]
-    while ring.kind == "dual":
-        ring = ring.base
-        out.append(ring)
-    return out
-
-
-# --- JSON encodings -------------------------------------------------------
 
 def ring_to_json(ring):
     if ring.kind == "rational":

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import calculus, jordan, randgen
-from .algebra import (Involution, Matrix, alg_invert, dual_combine,
-                      dual_split)
+from .algebra import Involution, Matrix, dual_combine, dual_split
 from .errors import NotInChart, NotInSpace, NotQuasiInvertible
 from .graded import (GroupElement, act, ad_bracket, check, denominators,
                      hat, in_chart, pr1)
@@ -486,7 +485,7 @@ def check_phi_chart(ring, n, trials, seed):
             return False
         if flags["antihermitian"] != (zs == -z):
             return False
-        unit = z.is_invertible() and zs == alg_invert(z)
+        unit = z.is_invertible() and zs == z.inverse()
         return flags["unitary"] == unit
 
     return run_check("phi-chart", trials, seed, trial)
@@ -576,7 +575,7 @@ def check_thm34_agreement(ring, n, trials, seed):
                 out = space.mul_chart(x, y)
             except (NotInSpace, NotInChart):
                 continue
-            return out == x @ alg_invert(y) @ x
+            return out == x @ y.inverse() @ x
         return None
 
     return run_check("thm34-agreement", trials, seed, trial)
@@ -930,50 +929,40 @@ def check_deriv_act(ring, n, trials, seed):
             if not in_chart(g, x):
                 continue
             v = randgen.rand_matrix(rng, ring, n)
-            f = calculus.group_action(g)
-            got = calculus.dual_derivative(f, x, v)
-            from .algebra import op_solve
-            want = op_solve(denominators(g, x)[0], v)
-            return got == want
+            law = calculus.act_law(g)
+            return (calculus.dual_derivative(law.handle, x, v)
+                    == law.expected(x, v))
         return None
 
     return run_check("deriv-act", trials, seed, trial)
+
+
+def _check_law(name, law, trials, seed):
+    """Exact agreement of the dual derivative with the law's closed form
+    at the law's sample from each trial's stream."""
+
+    def trial(rng, i):
+        pair = law.sample(rng)
+        if pair is None:
+            return None
+        return (calculus.dual_derivative(law.handle, *pair)
+                == law.expected(*pair))
+
+    return run_check(name, trials, seed, trial)
 
 
 def check_deriv_jordan_inverse(ring, n, trials, seed, flavor="hermitian"):
     """dj(x) v = -Q(x)^-1 v."""
     ctx = JordanContext(n, ring, flavor,
                         None if flavor == "full" else Involution())
-    f = calculus.jordan_inversion(ctx)
-
-    def trial(rng, i):
-        x = randgen.rand_filtered(
-            rng, lambda r: randgen.rand_in_context(r, ctx),
-            lambda m: rep_operators(ctx, m)[1].is_invertible())
-        if x is None:
-            return None
-        v = randgen.rand_in_context(rng, ctx)
-        got = calculus.dual_derivative(f, x, v)
-        _, qx = rep_operators(ctx, x)
-        want = -ctx.space.from_coords(qx.solve_flat(ctx.space.coords(v)))
-        return got == want
-
-    return run_check(f"deriv-jordan-inverse[{flavor}]", trials, seed, trial)
+    return _check_law(f"deriv-jordan-inverse[{flavor}]",
+                      calculus.jordan_inverse_law(ctx), trials, seed)
 
 
 def check_deriv_alg_inverse(ring, n, trials, seed):
     """di(x) v = -x^-1 v x^-1."""
-    f = calculus.alg_inversion()
-
-    def trial(rng, i):
-        x = randgen.rand_invertible(rng, ring, n)
-        if x is None:
-            return None
-        v = randgen.rand_matrix(rng, ring, n)
-        xi = alg_invert(x)
-        return calculus.dual_derivative(f, x, v) == -(xi @ v @ xi)
-
-    return run_check("deriv-alg-inverse", trials, seed, trial)
+    return _check_law("deriv-alg-inverse", calculus.alg_inverse_law(ring, n),
+                      trials, seed)
 
 
 def check_deriv_quasi_at_zero(ring, n, trials, seed):
@@ -1117,12 +1106,12 @@ def check_c1_forms(ring, n, trials, seed):
         if calculus.dual_derivative(sq, x, h) != x @ h + h @ x:
             return False
         inv = calculus.alg_inversion()
-        xi = alg_invert(x)
+        xi = x.inverse()
         for t in ts:
             xt = x + h.scale(t)
             if not xt.is_invertible():
                 continue
-            want = -(xi @ h @ alg_invert(xt))
+            want = -(xi @ h @ xt.inverse())
             if calculus.diff_quotient(inv, x, h, t) != want:
                 return False
         if calculus.dual_derivative(inv, x, h) != -(xi @ h @ xi):

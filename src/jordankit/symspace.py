@@ -7,7 +7,7 @@ vector fields, transvections and the truncated tanh exponential.
 
 from __future__ import annotations
 
-from .algebra import Matrix, alg_invert, dual_combine, dual_split, herm_split
+from .algebra import Matrix, dual_combine, dual_split, herm_split
 from .errors import (NotInSpace, NotInvertible, NotTransversal,
                      SeriesNotInvertible, SingularOperator)
 from .jordan import (jordan_inverse, mult_operator, quad_triple_operator,
@@ -108,7 +108,7 @@ class GroupSpace:
     def mul(self, x, y):
         if not (self.contains(x) and self.contains(y)):
             raise NotInSpace("arguments must lie in the group")
-        return x @ alg_invert(y) @ x
+        return x @ y.inverse() @ x
 
     mul_chart = mul
 
@@ -199,10 +199,6 @@ class ProjectiveSpace:
 def sym_mul(ctx, x, y):
     """m(x, y) = sigma_x(y)."""
     return ctx.mul(x, y)
-
-
-def point_symmetry(ctx, x):
-    return lambda y: ctx.mul(x, y)
 
 
 def transvection(ctx, x, y):

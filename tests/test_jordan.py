@@ -3,7 +3,7 @@ quasi-inverses, with the associative oracles."""
 
 import pytest
 
-from jordankit.algebra import Involution, Matrix, alg_invert
+from jordankit.algebra import Involution, Matrix
 from jordankit.errors import (NotInSubspace, NotInvertible,
                               NotQuasiInvertible)
 from jordankit.jordan import (JordanContext, bergman_closed,
@@ -116,7 +116,7 @@ def test_jordan_inverse_matches_algebra_inverse(full2):
         x = rand_matrix(rng, Q, 2)
         if not x.is_invertible():
             continue
-        assert jordan_inverse(full2, x) == alg_invert(x)
+        assert jordan_inverse(full2, x) == x.inverse()
 
 
 def test_triple_examples(full2):
@@ -213,7 +213,7 @@ def test_loos_convention_round_trip(full2):
         assert loos_bergman(full2, x, w) == bergman_operator(full2, x, -w)
         # closed Loos form: x (1 - w x)^-1
         assert loos_quasi_inverse(full2, x, w) \
-            == x @ alg_invert(full2.unit() - w @ x)
+            == x @ (full2.unit() - w @ x).inverse()
 
 
 def test_symplectic_involution_flavors():

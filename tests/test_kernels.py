@@ -1,6 +1,9 @@
 """Kernel parity: the packed products and the dual solve that the rings
 provide must agree with the generic loops, over every ring that has a
-packed form, on square, rectangular, row and column shapes."""
+packed form, on square, rectangular, row and column shapes. The one
+generic elimination must give consistent ranks, pivots and solutions,
+and the bases picked by one pivot search must equal the ones picked by
+adding one candidate at a time."""
 
 import random
 from fractions import Fraction
@@ -9,6 +12,10 @@ import pytest
 
 from jordankit import _kernels as K
 from jordankit._kernels import generic
+from jordankit.algebra import Involution, Matrix, herm_split, matrix_unit_basis
+from jordankit.jordan import JordanContext
+from jordankit.projline import standard_complement
+from jordankit.randgen import rand_point, trial_rng
 from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing,
                              PrimeFieldRing, _rational)
 
@@ -163,9 +170,118 @@ def test_dual_pivoting_uses_re_part():
     assert x[0][0] * one_plus == ring.one()
 
 
+# name -> (integer rows, pivot columns); every determinant involved is
+# prime to 5, so the pivots are the same over Q, F_5 and float64.
+ELIM_CASES = {
+    "empty": ([], []),
+    "zero": ([[0, 0], [0, 0]], []),
+    "rectangular-dependent": ([[1, 2, 3], [2, 4, 6]], [0]),
+    "rectangular": ([[1, 2, 3], [2, 4, 7]], [0, 2]),
+    "dependent-rows": ([[1, 2, 3], [2, 4, 6], [1, 1, 1]], [0, 1]),
+    "singular": ([[1, 2], [2, 4]], [0]),
+    "zero-first-column": ([[0, 1, 2], [0, 3, 7]], [1, 2]),
+    "tall": ([[0, 1], [0, 2], [1, 0]], [0, 1]),
+    "invertible": ([[2, 1, 0], [1, 1, 1], [0, 1, 3]], [0, 1, 2]),
+}
+QE = DualRing(RATIONAL)
+
+
+def _lift_rows(ints, ring, rng):
+    """Integer rows over `ring`; over Q[e] the eps-parts are random, so
+    only the re-parts decide pivots."""
+    if ring == QE:
+        return [[Dual(RATIONAL.from_int(k), rand_scalar(rng, RATIONAL))
+                 for k in row] for row in ints]
+    return [[ring.from_int(k) for k in row] for row in ints]
+
+
 def test_rank_of_rectangular():
-    ring = RATIONAL
-    rows = [[ring.from_int(k) for k in row]
-            for row in [[1, 2, 3], [2, 4, 6]]]
-    assert K.gauss_rank(rows, ring) == 1
-    assert K.pivot_columns(rows, ring) == [0]
+    rng = random.Random(779)
+    for ring in (RATIONAL, F5, FLOAT64, QE):
+        for ints, pivots in ELIM_CASES.values():
+            _check_elimination(ring, ints, pivots, rng)
+
+
+def _check_elimination(ring, ints, pivots, rng):
+    """Pivots, rank, reduced form and (for square input) the solve of one
+    case agree with each other and with the expected pivot columns."""
+    rows = _lift_rows(ints, ring, rng)
+    assert K.pivot_columns(rows, ring) == pivots
+    re_ring = RATIONAL if ring == QE else ring
+    re_rows = [[x.re for x in r] for r in rows] if ring == QE else rows
+    assert K.gauss_rank(re_rows, re_ring) == len(pivots)
+    if ints:
+        assert Matrix(ring, rows).rank() == len(pivots)
+    piv, reduced = generic.eliminate([list(r) for r in rows], ring)
+    assert piv == pivots
+    same = _rows_close if ring == FLOAT64 else list.__eq__
+    # Reduced form: unit columns at the pivots, no unit below the rank.
+    assert same([[r[col] for r in reduced] for col in piv],
+                [[ring.one() if k == i else ring.zero()
+                  for k in range(len(rows))] for i in range(len(piv))])
+    assert not any(ring.is_unit(x) for r in reduced[len(piv):] for x in r)
+    width = len(ints[0]) if ints else 0
+    if len(rows) != width:
+        return
+    b = _lift_rows([[k + 1, 2 - k] for k in range(width)], ring, rng)
+    x = K.gauss_solve(rows, b, ring)
+    assert generic.gauss_solve(rows, b, ring) == x
+    if len(pivots) < width:
+        assert x is None
+    else:
+        assert same(generic.matmul(rows, x, ring), b)
+
+
+def _greedy_selection(vectors, ring):
+    """Reference: indices of the vectors kept when each is added in turn
+    and kept only if it raises the rank of those kept so far."""
+    kept = []
+    for k, v in enumerate(vectors):
+        trial = [vectors[j] for j in kept] + [v]
+        if len(K.pivot_columns(trial, ring)) == len(trial):
+            kept.append(k)
+    return kept
+
+
+def _restricted_contexts(ring):
+    """Hermitian and antihermitian parts for the transpose at n = 1..4,
+    for the symplectic adjoint at n = 2, 4, and at n = 3 for the adjoint
+    of a symmetric form of determinant 1 whose candidates have other
+    pivot columns than pivot rows."""
+    for n in (1, 2, 3, 4):
+        yield n, Involution()
+    form = [[2, -1, 0], [-1, -1, 1], [0, 1, -1]]
+    yield 3, Involution("form_adjoint", Matrix.from_ints(ring, form))
+    for n in (2, 4):
+        h = n // 2
+        form = [[0] * h + [int(i == j) for j in range(h)] for i in range(h)]
+        form += [[-int(i == j) for j in range(h)] + [0] * h for i in range(h)]
+        yield n, Involution("form_adjoint", Matrix.from_ints(ring, form),
+                            "skew")
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, F5, PrimeFieldRing(7), FLOAT64,
+                                  QE], ids=repr)
+def test_restricted_basis_matches_greedy_selection(ring):
+    for n, iota in _restricted_contexts(ring):
+        for idx, flavor in enumerate(("hermitian", "antihermitian")):
+            cands = [herm_split(iota, u)[idx]
+                     for u in matrix_unit_basis(ring, n)]
+            want = [cands[k] for k in _greedy_selection(
+                [c.flatten() for c in cands], ring)]
+            assert JordanContext(n, ring, flavor, iota).space.basis == want
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, F5, FLOAT64], ids=repr)
+def test_standard_complement_matches_greedy_selection(ring):
+    rng = trial_rng(31, 0)
+    for n in (1, 2, 3):
+        eye = Matrix.identity(ring, 2 * n)
+        for _ in range(15):
+            e = rand_point(rng, ring, n)
+            vectors = ([e.rep.column(j) for j in range(n)]
+                       + [eye.column(k) for k in range(2 * n)])
+            kept = _greedy_selection([list(v) for v in vectors], ring)
+            assert kept[:n] == list(range(n))
+            want = eye.submatrix(range(2 * n), [k - n for k in kept[n:]])
+            assert standard_complement(e).rep == want

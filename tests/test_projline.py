@@ -10,9 +10,8 @@ from jordankit.projline import (Polarity, ProjectivePoint, act_frac,
                                 base_minus, base_plus, chart_coords,
                                 classify_point, gamma_chart, in_chart,
                                 modification_matrix, mu_dilation,
-                                phi_involution, polarity_apply,
-                                nonisotropic, standard_complement,
-                                transversal)
+                                nonisotropic, phi_involution,
+                                standard_complement, transversal)
 from jordankit.randgen import (rand_group_word, rand_matrix, rand_point,
                                trial_rng)
 from jordankit.rings import RATIONAL, PrimeFieldRing
@@ -185,7 +184,7 @@ def test_gamma_units_exhaustive_f5():
 
 def test_polarity_semilinear_j3():
     pol = Polarity("semilinear", j=3, ring=Q, n=1)
-    assert polarity_apply(pol, base_plus(Q, 1)) == base_minus(Q, 1)
+    assert pol.apply(base_plus(Q, 1)) == base_minus(Q, 1)
     assert nonisotropic(pol, base_plus(Q, 1))
     e = gamma_chart(mat([[2]]))
     assert pol.apply(pol.apply(e)) == e

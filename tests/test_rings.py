@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from jordankit.errors import NotAUnit, NotDual, RingMismatch
 from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing, Fp,
-                             PrimeFieldRing, dual_lift, dual_parts,
-                             embed_scalar, ring_from_json, ring_to_json,
-                             scalar_from_json, scalar_invert, scalar_is_unit,
+                             PrimeFieldRing, dual_parts, embed_scalar,
+                             ring_from_json, ring_to_json, scalar_from_json,
                              scalar_to_json)
 
 F5 = PrimeFieldRing(5)
@@ -16,33 +15,33 @@ QE = DualRing(RATIONAL)
 
 
 def test_unit_predicates():
-    assert scalar_is_unit(RATIONAL, RATIONAL.from_int(2))
-    assert not scalar_is_unit(RATIONAL, RATIONAL.zero())
+    assert RATIONAL.is_unit(RATIONAL.from_int(2))
+    assert not RATIONAL.is_unit(RATIONAL.zero())
     # eps itself is nilpotent, never a unit
     eps = Dual(RATIONAL.zero(), RATIONAL.one())
-    assert not scalar_is_unit(QE, eps)
-    assert scalar_is_unit(F5, F5.from_int(3))
-    assert not scalar_is_unit(FLOAT64, 1e-15)
-    assert scalar_is_unit(FLOAT64, 1e-3)
+    assert not QE.is_unit(eps)
+    assert F5.is_unit(F5.from_int(3))
+    assert not FLOAT64.is_unit(1e-15)
+    assert FLOAT64.is_unit(1e-3)
 
 
 def test_invert_examples():
-    assert scalar_invert(RATIONAL, RATIONAL.from_int(2)) == RATIONAL.from_fraction(
+    assert RATIONAL.invert(RATIONAL.from_int(2)) == RATIONAL.from_fraction(
         __import__("fractions").Fraction(1, 2))
     # brute-force oracle over the residues of F_5
     inv3 = [k for k in range(5) if (3 * k) % 5 == 1]
     assert inv3 == [2]
-    assert scalar_invert(F5, F5.from_int(3)) == Fp(2, 5)
+    assert F5.invert(F5.from_int(3)) == Fp(2, 5)
     s = Dual(RATIONAL.one(), RATIONAL.from_int(2))  # 1 + 2 eps
-    t = scalar_invert(QE, s)
+    t = QE.invert(s)
     assert t == Dual(RATIONAL.one(), RATIONAL.from_int(-2))
     assert s * t == QE.one()
     with pytest.raises(NotAUnit):
-        scalar_invert(RATIONAL, RATIONAL.zero())
+        RATIONAL.invert(RATIONAL.zero())
 
 
 def test_dual_lift_round_trip():
-    ring, s = dual_lift(RATIONAL, RATIONAL.from_int(3), RATIONAL.one())
+    ring, s = DualRing(RATIONAL), Dual(RATIONAL.from_int(3), RATIONAL.one())
     assert ring == QE
     assert dual_parts(ring, s) == (RATIONAL.from_int(3), RATIONAL.one())
     with pytest.raises(NotDual):
@@ -101,14 +100,14 @@ def test_double_inversion(a):
     s = _q(a)
     if s == 0:
         return
-    assert scalar_invert(RATIONAL, scalar_invert(RATIONAL, s)) == s
+    assert RATIONAL.invert(RATIONAL.invert(s)) == s
 
 
 def test_double_inversion_fp_exhaustive():
     for k in range(1, 5):
         s = Fp(k, 5)
-        assert scalar_invert(F5, scalar_invert(F5, s)) == s
-        assert s * scalar_invert(F5, s) == F5.one()
+        assert F5.invert(F5.invert(s)) == s
+        assert s * F5.invert(s) == F5.one()
 
 
 @settings(max_examples=200, deadline=None)
