@@ -144,11 +144,8 @@ class Matrix:
 
     def rank(self):
         """Rank; over dual rings this is the re-part rank."""
-        ring, rows = self.ring, self.rows
-        while isinstance(ring, DualRing):
-            rows = [[x.re for x in r] for r in rows]
-            ring = ring.base
-        return K.gauss_rank(rows, ring)
+        base = self.base_part()
+        return K.gauss_rank(base.rows, base.ring)
 
     def hstack(self, other):
         self._same(other)
@@ -170,6 +167,16 @@ class Matrix:
 
     def column(self, j):
         return [r[j] for r in self.rows]
+
+    def base_part(self):
+        """The projection to the ring at the bottom of a dual tower: re-parts
+        taken down to it; the matrix itself over any other ring. Taking
+        re-parts is a ring homomorphism."""
+        ring, rows = self.ring, self.rows
+        while isinstance(ring, DualRing):
+            rows = [[x.re for x in r] for r in rows]
+            ring = ring.base
+        return self if ring is self.ring else Matrix._new(ring, rows)
 
     def embed(self, dst_ring):
         """Structurally embed into an iterated dual extension."""
@@ -243,6 +250,12 @@ class Involution:
         if self.kind == "transpose":
             return self
         return Involution("form_adjoint", self.form.embed(ring), self.symmetry)
+
+    def base_part(self):
+        """The involution of the form's base part (see Matrix.base_part)."""
+        if self.kind == "transpose":
+            return self
+        return Involution("form_adjoint", self.form.base_part(), self.symmetry)
 
     def __eq__(self, other):
         return (isinstance(other, Involution) and self.kind == other.kind

@@ -153,11 +153,21 @@ def tangent_map(f, x, v):
 
 
 def lie_bracket_fields(xfield, yfield, x):
-    """[X, Y](x) = dY(x)X(x) - dX(x)Y(x) for chart vector fields."""
+    """[X, Y](x) = dY(x)X(x) - dX(x)Y(x) for chart vector fields.
+
+    Three evaluations: Y(x), then X at x + eps Y(x), whose re-part is X(x)
+    (handles are ring-generic and taking re-parts is a ring homomorphism),
+    then Y at x + eps X(x). A field undefined at x raises its own error,
+    not DomainViolation: when the dual evaluation of X fails, X(x) is
+    evaluated on its own to tell the two apart."""
     ring = x.ring
-    xv = xfield(ring, x)
     yv = yfield(ring, x)
-    return dual_derivative(yfield, x, xv) - dual_derivative(xfield, x, yv)
+    try:
+        xv, dxy = tangent_map(xfield, x, yv)
+    except DomainViolation:
+        xfield(ring, x)
+        raise
+    return dual_derivative(yfield, x, xv) - dxy
 
 
 def field_bracket(xfield, yfield):

@@ -18,6 +18,7 @@ from .algebra import (CoordinateBasis, LinearOperator, Matrix, herm_split,
 from .errors import (NotInSubspace, NotInvertible, NotQuasiInvertible,
                      SingularOperator)
 from .graded import ad_blocks
+from .rings import DualRing
 
 FLAVORS = ("full", "hermitian", "antihermitian")
 
@@ -26,7 +27,8 @@ class JordanContext:
     """Ambient subspace V of A = M_n(K): all of A, Herm(A, iota) or
     Aherm(A, iota), with a fixed coordinate basis."""
 
-    __slots__ = ("n", "ring", "flavor", "involution", "space", "_lifts")
+    __slots__ = ("n", "ring", "flavor", "involution", "space", "_lifts",
+                 "_root")
 
     def __init__(self, n, ring, flavor="full", involution=None, _space=None):
         if flavor not in FLAVORS:
@@ -39,6 +41,7 @@ class JordanContext:
         self.involution = involution
         self.space = _space if _space is not None else self._build_space()
         self._lifts = {}
+        self._root = None if isinstance(ring, DualRing) else self
 
     def _build_space(self):
         units = matrix_unit_basis(self.ring, self.n)
@@ -82,7 +85,23 @@ class JordanContext:
             inv = self.involution.embed(ring) if self.involution else None
             lifted = self._lifts[ring] = JordanContext(
                 self.n, ring, self.flavor, inv, _space=self.space.embed(ring))
+            lifted._root = self.root
         return lifted
+
+    @property
+    def root(self):
+        """The same context over the ring at the bottom of the dual tower;
+        the context itself over any other ring. Taking re-parts is a ring
+        homomorphism and dual pivots are decided on re-parts, so for x in
+        V each operator of x here has as re-part the operator of
+        x.base_part() there."""
+        if self._root is None:
+            ring = self.ring
+            while isinstance(ring, DualRing):
+                ring = ring.base
+            inv = self.involution.base_part() if self.involution else None
+            self._root = JordanContext(self.n, ring, self.flavor, inv)
+        return self._root
 
     def __repr__(self):
         return f"JordanContext(n={self.n}, {self.ring!r}, {self.flavor})"
@@ -138,6 +157,17 @@ def quad_triple_operator(ctx, x):
     for every flavor (it is (1/2)T(x, ., x))."""
     ctx.require(x)
     return ctx.space.materialize(sandwich(x, x))
+
+
+def quad_apply(ctx, x, v):
+    """Q(x)v = 2 x o (x o v) - (x o x) o v, the quadratic representation by
+    its definition: Jordan products of n x n matrices, without
+    materializing Q(x)."""
+    _require_product_closed(ctx, x, v)
+    half = ctx.ring.half()
+    xv = (x @ v + v @ x).scale(half)
+    xx = x @ x
+    return x @ xv + xv @ x - (xx @ v + v @ xx).scale(half)
 
 
 def jordan_inverse(ctx, x):
@@ -203,7 +233,10 @@ def quasi_inverse(ctx, x, y):
         c = b.solve_flat(ctx.space.coords(nom))
     except SingularOperator as e:
         raise NotQuasiInvertible("Bergman operator is singular") from e
-    if not bergman_operator(ctx, y, x).is_invertible():
+    # B(x,y) is invertible exactly when B(y,x) is (Loos, Jordan Pairs,
+    # 1975), so only float rounding can make the second rank disagree.
+    if (not ctx.ring.is_exact()
+            and not bergman_operator(ctx, y, x).is_invertible()):
         raise NotQuasiInvertible("Bergman operator is singular")
     return ctx.space.from_coords(c)
 

@@ -236,7 +236,3 @@ class Polarity:
     def __repr__(self):
         tag = "linear" if self.mode == "linear" else f"semilinear(j={self.j})"
         return f"Polarity({tag}{', modified' if self.H is not None else ''})"
-
-
-def nonisotropic(spec, E):
-    return spec.nonisotropic(E)

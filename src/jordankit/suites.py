@@ -41,7 +41,9 @@ class CheckResult:
 
     @property
     def ok(self):
-        return self.failed == 0
+        """No trial failed, and some trial ran: a check whose trials all
+        skipped has shown nothing."""
+        return self.failed == 0 and not 0 < self.trials == self.skipped
 
     def to_json(self):
         out = {"check": self.name, "trials": self.trials,
@@ -1098,23 +1100,24 @@ def check_c1_forms(ring, n, trials, seed):
         h = randgen.rand_matrix(rng, ring, n)
         ts = [ring.from_int(1), ring.half(),
               ring.invert(ring.from_int(4))]
-        sq = calculus.squaring()
+        sq = calculus.squaring_law(ring, n)
+        dsq = sq.expected(x, h)
         for t in ts:
-            want = x @ h + h @ x + (h @ h).scale(t)
-            if calculus.diff_quotient(sq, x, h, t) != want:
+            want = dsq + (h @ h).scale(t)
+            if calculus.diff_quotient(sq.handle, x, h, t) != want:
                 return False
-        if calculus.dual_derivative(sq, x, h) != x @ h + h @ x:
+        if calculus.dual_derivative(sq.handle, x, h) != dsq:
             return False
-        inv = calculus.alg_inversion()
+        inv = calculus.alg_inverse_law(ring, n)
         xi = x.inverse()
         for t in ts:
             xt = x + h.scale(t)
             if not xt.is_invertible():
                 continue
             want = -(xi @ h @ xt.inverse())
-            if calculus.diff_quotient(inv, x, h, t) != want:
+            if calculus.diff_quotient(inv.handle, x, h, t) != want:
                 return False
-        if calculus.dual_derivative(inv, x, h) != -(xi @ h @ xi):
+        if calculus.dual_derivative(inv.handle, x, h) != inv.expected(x, h):
             return False
         v = randgen.rand_matrix(rng, ring, n)
         tr = calculus.group_action(GroupElement.exp_ad(v, 1))
@@ -1177,7 +1180,7 @@ class SuiteReport:
 
     @property
     def ok(self):
-        return self.failed == 0
+        return all(c.ok for c in self.checks)
 
     def first_counterexample(self):
         for c in self.checks:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from .algebra import Matrix, dual_combine, dual_split, herm_split
 from .errors import (NotInSpace, NotInvertible, NotTransversal,
                      SeriesNotInvertible, SingularOperator)
-from .jordan import (jordan_inverse, mult_operator, quad_triple_operator,
-                     rep_operators, triple_product)
+from .jordan import (jordan_inverse, mult_operator, quad_apply,
+                     quad_triple_operator, rep_operators, triple_product)
 from .projline import (ProjectivePoint, chart_coords, gamma_chart,
                        mu_dilation)
 from .rings import DualRing
@@ -39,15 +39,24 @@ class JordanUnitsSpace:
         return is_jordan_invertible(self.jctx, x)
 
     def mul(self, x, y):
-        _, qx = rep_operators(self.jctx, x)
+        """Q(x) y^-1. Q(x) is invertible exactly when its re-part, the Q of
+        x.base_part() over the bottom ring, is; that is the only Q(x)
+        materialized. Over a dual ring Q(x) is applied by Jordan products."""
+        jctx, root = self.jctx, self.jctx.root
+        if root is jctx:
+            _, qx = rep_operators(jctx, x)
+        else:
+            jctx.require(x)
+            _, qx = rep_operators(root, x.base_part())
         if not qx.is_invertible():
             raise NotInSpace("left argument is not invertible")
         try:
-            yi = jordan_inverse(self.jctx, y)
+            yi = jordan_inverse(jctx, y)
         except NotInvertible as e:
             raise NotInSpace("right argument is not invertible") from e
-        return self.jctx.space.from_coords(
-            qx.apply_flat(self.jctx.space.coords(yi)))
+        if root is not jctx:
+            return quad_apply(jctx, x, yi)
+        return jctx.space.from_coords(qx.apply_flat(jctx.space.coords(yi)))
 
     mul_chart = mul
 

@@ -4,11 +4,11 @@ import pytest
 
 from jordankit import calculus
 from jordankit.algebra import Matrix
-from jordankit.errors import DomainViolation, NotAUnit
+from jordankit.errors import DomainViolation, NotAUnit, NotInvertible
 from jordankit.graded import GroupElement
 from jordankit.jordan import JordanContext
 from jordankit.randgen import rand_invertible, rand_matrix, trial_rng
-from jordankit.rings import RATIONAL
+from jordankit.rings import FLOAT64, RATIONAL, DualRing, PrimeFieldRing
 
 Q = RATIONAL
 
@@ -109,6 +109,90 @@ def test_field_bracket_nests():
     ab = a @ b - b @ a
     want_op = -(ab @ a - a @ ab)  # [[A,B],A] operator with field signs
     assert outer(Q, x) == -(want_op @ x)
+
+
+def bracket_reference(xfield, yfield, x):
+    """The bracket by four evaluations: X(x) and Y(x) on their own, then
+    one dual derivative of each field."""
+    ring = x.ring
+    xv = xfield(ring, x)
+    yv = yfield(ring, x)
+    return (calculus.dual_derivative(yfield, x, xv)
+            - calculus.dual_derivative(xfield, x, yv))
+
+
+def reference_field(xfield, yfield):
+    return calculus.MapHandle(
+        "ref", 1, lambda ring, p: bracket_reference(xfield, yfield, p))
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q),
+                                  FLOAT64], ids=str)
+def test_bracket_equals_four_evaluation_reference(ring):
+    """Bit-identical on every ring, float64 included: the re-part of the
+    dual evaluation of X runs the operations of X(x) in the same order."""
+    for i in range(6):
+        rng = trial_rng(21, i)
+        # the fields of check_bracket_fields: linear fields on columns
+        a, b = rand_matrix(rng, ring, 2), rand_matrix(rng, ring, 2)
+        fa = calculus.linear_map(a, "A")
+        fb = calculus.linear_map(b, "B")
+        col = rand_matrix(rng, ring, 2, 1)
+        assert (calculus.lie_bracket_fields(fa, fb, col)
+                == bracket_reference(fa, fb, col))
+        # non-linear fields on invertible matrices, single and nested
+        x = rand_invertible(rng, ring, 2)
+        sq = calculus.squaring()
+        inv = calculus.alg_inversion()
+        lin = calculus.linear_map(a)
+        assert (calculus.lie_bracket_fields(sq, inv, x)
+                == bracket_reference(sq, inv, x))
+        got = calculus.field_bracket(calculus.field_bracket(inv, lin), sq)
+        want = reference_field(reference_field(inv, lin), sq)
+        assert got(ring, x) == want(ring, x)
+
+
+def counted(handle, log):
+    def ev(ring, x):
+        log.append((handle.name, ring.depth))
+        return handle(ring, x)
+    return calculus.MapHandle(handle.name, 1, ev)
+
+
+def test_bracket_evaluates_three_times():
+    log = []
+    rng = trial_rng(22, 0)
+    x = rand_invertible(rng, Q, 2)
+    sq = counted(calculus.squaring(), log)
+    inv = counted(calculus.alg_inversion(), log)
+    lin = counted(calculus.linear_map(rand_matrix(rng, Q, 2)), log)
+    calculus.lie_bracket_fields(sq, inv, x)
+    assert log == [("alg_inversion", 0), ("squaring", 1),
+                   ("alg_inversion", 1)]
+    # the nested bracket's inner field is evaluated once, over the duals
+    log.clear()
+    calculus.field_bracket(calculus.field_bracket(sq, inv), lin)(Q, x)
+    assert log == [("linear", 0), ("alg_inversion", 1), ("squaring", 2),
+                   ("alg_inversion", 2), ("linear", 1)]
+
+
+def test_bracket_field_undefined_at_x_raises_its_own_error():
+    x = mat([[1, 1], [1, 1]])
+    inv = calculus.alg_inversion()
+    sq = calculus.squaring()
+    for xf, yf in ((inv, sq), (sq, inv), (inv, inv)):
+        with pytest.raises(NotInvertible):
+            calculus.lie_bracket_fields(xf, yf, x)
+    # a field defined at x but not at x + eps v is a domain violation
+
+    def base_only(ring, p):
+        if ring.kind == "dual":
+            raise NotInvertible("no dual extension")
+        return p
+    odd = calculus.MapHandle("base_only", 1, base_only)
+    for xf, yf in ((odd, sq), (sq, odd)):
+        with pytest.raises(DomainViolation):
+            calculus.lie_bracket_fields(xf, yf, x)
 
 
 def test_tangent_map_and_chain_rule():

@@ -5,16 +5,17 @@ import pytest
 
 from jordankit.algebra import Involution, Matrix
 from jordankit.errors import (NotInSubspace, NotInvertible,
-                              NotQuasiInvertible)
+                              NotQuasiInvertible, SingularOperator)
 from jordankit.jordan import (JordanContext, bergman_closed,
                               bergman_operator, full_quasi_inverse_oracle,
                               is_jordan_invertible, is_quasi_invertible,
                               jordan_inverse,
                               jordan_product, loos_bergman,
-                              loos_quasi_inverse, quad_triple_operator,
-                              quasi_inverse, rep_operators, triple_product)
+                              loos_quasi_inverse, quad_apply,
+                              quad_triple_operator, quasi_inverse,
+                              rep_operators, triple_product)
 from jordankit.randgen import rand_in_context, rand_matrix, trial_rng
-from jordankit.rings import RATIONAL, PrimeFieldRing
+from jordankit.rings import RATIONAL, DualRing, PrimeFieldRing
 
 Q = RATIONAL
 
@@ -198,6 +199,75 @@ def test_quasi_inverse_stays_hermitian(herm2):
             continue
         hits += 1
         assert herm2.contains(quasi_inverse(herm2, x, y))
+
+
+def quasi_inverse_two_ranks(ctx, x, y):
+    """The quasi-inverse with both Bergman operators checked: solve with
+    B(x,y), then rank B(y,x) as well, on every ring."""
+    try:
+        c = bergman_operator(ctx, x, y).solve_flat(
+            ctx.space.coords(x + x @ y @ x))
+    except SingularOperator as e:
+        raise NotQuasiInvertible("Bergman operator is singular") from e
+    if not bergman_operator(ctx, y, x).is_invertible():
+        raise NotQuasiInvertible("Bergman operator is singular")
+    return ctx.space.from_coords(c)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NotQuasiInvertible as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q)],
+                         ids=str)
+def test_quasi_inverse_equals_two_rank_reference(ring):
+    rng = trial_rng(16, 0)
+    refused = 0
+    for n in (1, 2):
+        for flavor in ("full", "hermitian", "antihermitian"):
+            ctx = JordanContext(n, ring, flavor, Involution())
+            for _ in range(40):
+                x = rand_in_context(rng, ctx, lo=-1, hi=1)
+                y = rand_in_context(rng, ctx, lo=-1, hi=1)
+                got = outcome(quasi_inverse, ctx, x, y)
+                assert got == outcome(quasi_inverse_two_ranks, ctx, x, y)
+                refused += got is NotQuasiInvertible
+    assert 0 < refused < 240
+
+
+def tower_context(n, ring, flavor, depth):
+    ctx = JordanContext(n, ring, flavor, Involution())
+    for _ in range(depth):
+        ring = DualRing(ring)
+    return ctx.at_ring(ring)
+
+
+@pytest.mark.parametrize("ring, depth", [(Q, 0), (PrimeFieldRing(5), 0),
+                                         (Q, 1), (Q, 3)],
+                         ids=["Q", "F5", "Q[e]", "Q[e][e][e]"])
+def test_quad_apply_equals_materialized_q(ring, depth):
+    rng = trial_rng(17, depth)
+    for n in (1, 2, 3):
+        for flavor in ("full", "hermitian"):
+            ctx = tower_context(n, ring, flavor, depth)
+            for _ in range(2 if depth == 3 else 4):
+                x = rand_in_context(rng, ctx)
+                v = rand_in_context(rng, ctx)
+                _, qx = rep_operators(ctx, x)
+                want = ctx.space.from_coords(
+                    qx.apply_flat(ctx.space.coords(v)))
+                assert quad_apply(ctx, x, v) == want
+
+
+def test_quad_apply_needs_product_closed_flavor(aherm2, herm2):
+    x = rand_in_context(trial_rng(18, 0), aherm2)
+    with pytest.raises(NotInSubspace):
+        quad_apply(aherm2, x, x)
+    with pytest.raises(NotInSubspace):
+        quad_apply(herm2, herm2.unit(), mat([[0, 1], [0, 0]]))
 
 
 def test_loos_convention_round_trip(full2):

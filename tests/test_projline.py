@@ -10,8 +10,8 @@ from jordankit.projline import (Polarity, ProjectivePoint, act_frac,
                                 base_minus, base_plus, chart_coords,
                                 classify_point, gamma_chart, in_chart,
                                 modification_matrix, mu_dilation,
-                                nonisotropic, phi_involution,
-                                standard_complement, transversal)
+                                phi_involution, standard_complement,
+                                transversal)
 from jordankit.randgen import (rand_group_word, rand_matrix, rand_point,
                                trial_rng)
 from jordankit.rings import RATIONAL, PrimeFieldRing
@@ -165,9 +165,9 @@ def test_classify_examples():
 
 def test_polarity_linear_i11():
     pol = Polarity("linear", S=GroupElement.i11(Q, 1))
-    assert nonisotropic(pol, gamma_chart(mat([[2]])))
-    assert not nonisotropic(pol, gamma_chart(mat([[0]])))
-    assert not nonisotropic(pol, base_plus(Q, 1))
+    assert pol.nonisotropic(gamma_chart(mat([[2]])))
+    assert not pol.nonisotropic(gamma_chart(mat([[0]])))
+    assert not pol.nonisotropic(base_plus(Q, 1))
 
 
 def test_gamma_units_exhaustive_f5():
@@ -185,7 +185,7 @@ def test_gamma_units_exhaustive_f5():
 def test_polarity_semilinear_j3():
     pol = Polarity("semilinear", j=3, ring=Q, n=1)
     assert pol.apply(base_plus(Q, 1)) == base_minus(Q, 1)
-    assert nonisotropic(pol, base_plus(Q, 1))
+    assert pol.nonisotropic(base_plus(Q, 1))
     e = gamma_chart(mat([[2]]))
     assert pol.apply(pol.apply(e)) == e
 

@@ -45,3 +45,13 @@ def test_size_three_core_identities():
     r3 = suites.check_fundamental_formula(RATIONAL, 3, 10, 33, "hermitian")
     for r in (r1, r2, r3):
         assert r.ok, r.name
+
+
+def test_check_whose_trials_all_skip_fails():
+    assert not suites.run_check("x", 3, 0, lambda r, i: None).ok
+    assert suites.run_check("x", 0, 0, lambda r, i: None).ok
+    some = suites.run_check("x", 3, 0, lambda r, i: None if i else True)
+    assert some.ok and some.skipped == 2
+    rep = suites.SuiteReport("s", [some, suites.run_check(
+        "y", 2, 0, lambda r, i: None)])
+    assert rep.failed == 0 and not rep.ok

@@ -1,16 +1,18 @@
 """Symmetric spaces: the three contexts, canonical fields, Lts, exp."""
 
+import itertools
 import math
 
 import pytest
 
 from jordankit.algebra import Involution, Matrix, dual_combine, dual_split
 from jordankit.errors import NotInSpace
-from jordankit.jordan import JordanContext, jordan_product
+from jordankit.jordan import (JordanContext, jordan_inverse, jordan_product,
+                              rep_operators)
 from jordankit.projline import chart_coords, gamma_chart
 from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
                                rand_orthogonal2, trial_rng)
-from jordankit.rings import FLOAT64, RATIONAL, DualRing
+from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing
 from jordankit.suites import (group_space, numeric_lts, proj_space_i11,
                               proj_space_jmat, proj_space_swap, unitary_space,
                               units_space)
@@ -75,6 +77,68 @@ def test_lifts_are_built_once_per_ring():
         assert space.at_ring(DualRing(Q)) is lifted
         assert lifted.jctx is space.jctx.at_ring(d1)
         assert lifted.at_ring(d2) is lifted.at_ring(DualRing(DualRing(Q)))
+
+
+def units_mul_reference(space, x, y):
+    """Q(x) y^-1 with Q(x) materialized and ranked over the space's ring."""
+    jctx = space.jctx
+    _, qx = rep_operators(jctx, x)
+    if not qx.is_invertible():
+        raise NotInSpace("left argument is not invertible")
+    yi = jordan_inverse(jctx, y)
+    return jctx.space.from_coords(qx.apply_flat(jctx.space.coords(yi)))
+
+
+def dual_units_spaces():
+    """Unit spaces over dual rings: lifted ones, and ones built directly
+    over Q[e], with a form whose eps-part is not zero."""
+    d1, d2 = DualRing(Q), DualRing(DualRing(Q))
+    form = dual_combine(mat([[2, 1], [1, 1]]), mat([[1, 0], [0, 3]]))
+    iota = Involution("form_adjoint", form, "symmetric")
+    return [units_space(Q, 2).at_ring(d1), units_space(Q, 3).at_ring(d2),
+            JordanUnitsSpace(JordanContext(2, Q).at_ring(d1)),
+            JordanUnitsSpace(JordanContext(2, d1, "hermitian", Involution())),
+            JordanUnitsSpace(JordanContext(2, d1, "hermitian", iota))]
+
+
+def test_units_mul_over_duals_matches_materialized_q():
+    rng = trial_rng(19, 0)
+    for space in dual_units_spaces():
+        hits = 0
+        while hits < 4:
+            x = rand_in_context(rng, space.jctx)
+            y = rand_in_context(rng, space.jctx)
+            if not (space.contains(x) and space.contains(y)):
+                continue
+            hits += 1
+            assert space.mul(x, y) == units_mul_reference(space, x, y)
+
+
+def singular_element(jctx):
+    """A non-zero element of the context whose base part is singular."""
+    for c in itertools.product((0, 1, -1), repeat=jctx.dim):
+        m = jctx.space.from_coords([jctx.ring.from_int(k) for k in c])
+        if any(c) and not m.base_part().is_invertible():
+            return m
+    raise AssertionError("no singular element with coordinates in {-1, 0, 1}")
+
+
+def test_units_mul_decides_left_invertibility_on_re_parts():
+    """x = s + eps r with s singular over the bottom ring: its re-part is
+    singular and its eps-part is not zero, so x is not in the space; the
+    materialized dual Q(x) decides the same."""
+    for space in dual_units_spaces():
+        jctx = space.jctx
+        ring = jctx.ring
+        r = rand_in_context(trial_rng(20, 0), jctx)
+        x = singular_element(jctx) + r.scale(
+            Dual(ring.base.zero(), ring.base.one()))
+        assert not dual_split(x)[1].is_zero()
+        assert not dual_split(x)[1].is_zero()
+        with pytest.raises(NotInSpace):
+            space.mul(x, space.o)
+        with pytest.raises(NotInSpace):
+            units_mul_reference(space, x, space.o)
 
 
 def test_quadratic_rep_point():
