@@ -251,11 +251,13 @@ class Involution:
             return self
         return Involution("form_adjoint", self.form.embed(ring), self.symmetry)
 
-    def base_part(self):
-        """The involution of the form's base part (see Matrix.base_part)."""
+    def re_part(self):
+        """The involution of the form's re-part, over the ring one level
+        below the form's dual ring."""
         if self.kind == "transpose":
             return self
-        return Involution("form_adjoint", self.form.base_part(), self.symmetry)
+        return Involution("form_adjoint", dual_split(self.form)[0],
+                          self.symmetry)
 
     def __eq__(self, other):
         return (isinstance(other, Involution) and self.kind == other.kind

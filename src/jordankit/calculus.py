@@ -189,13 +189,15 @@ class CheckReport:
 
     @property
     def ok(self):
-        return self.failed == 0
+        """No sample failed, and some sample ran: a check whose samples all
+        skipped has shown nothing (the rule of suites.CheckResult)."""
+        return self.failed == 0 and not 0 < self.samples == self.skipped
 
     def to_json(self):
         out = {"check": self.name, "samples": self.samples,
                "passed": self.passed, "failed": self.failed,
                "skipped": self.skipped, "exact": self.exact,
-               "max_deviation": self.max_deviation}
+               "max_deviation": self.max_deviation, "ok": self.ok}
         if self.first_failure is not None:
             out["first_counterexample"] = self.first_failure
         return out

@@ -3,7 +3,8 @@ computations with JSON input and output.
 
 Exit codes: 0 full pass / success, 1 suite failure or domain error,
 2 usage error (unknown suite, unsupported ring, bad dimension, trial
-count or tolerance, malformed request).
+count, tolerance or order, an option the suite does not read, malformed
+request).
 """
 
 from __future__ import annotations
@@ -72,14 +73,24 @@ def cmd_verify(args, out):
     if args.n < 1:
         _emit({"error": "BadDimension", "n": args.n}, out)
         return 2
-    bad_tol = _tolerance_error(args.tol)
+    bad_tol = args.tol is not None and _tolerance_error(args.tol)
     if bad_tol:
         _emit({"error": "BadTolerance", "detail": bad_tol}, out)
         return 2
+    if args.order is not None and args.order < 1:
+        _emit({"error": "BadOrder", "order": args.order}, out)
+        return 2
+    # An option the suite does not read would pass without effect; no
+    # suite reads --convention.
+    given = {o: getattr(args, o) for o in ("tol", "order", "convention")
+             if getattr(args, o) is not None}
+    unused = sorted(set(given) - set(suites.SUITE_OPTIONS.get(args.suite, ())))
+    if unused:
+        _emit({"error": "UnusedOption", "suite": args.suite,
+               "options": ["--" + o for o in unused]}, out)
+        return 2
     cfg = suites.SuiteConfig(suite=args.suite, ring=ring, n=args.n,
-                             trials=args.trials, seed=args.seed,
-                             tol=args.tol, order=args.order,
-                             convention=args.convention)
+                             trials=args.trials, seed=args.seed, **given)
     try:
         report = suites.run_suite(cfg)
     except ValueError as e:
@@ -266,9 +277,10 @@ def build_parser():
     v.add_argument("--n", type=int, default=2)
     v.add_argument("--trials", type=int, default=50)
     v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--tol", type=float, default=1e-9)
-    v.add_argument("--order", type=int, default=24)
-    v.add_argument("--convention", choices=("ad", "loos"), default="ad")
+    v.add_argument("--tol", type=float, help="exp-tanh only (default 1e-9)")
+    v.add_argument("--order", type=int, help="exp-tanh only (default 24)")
+    v.add_argument("--convention", choices=("ad", "loos"),
+                   help="read by no suite; refused when given")
     v.add_argument("--out", dest="outfile")
 
     c = sub.add_parser("compute", help="one-shot computation from JSON")

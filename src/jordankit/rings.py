@@ -478,6 +478,8 @@ def scalar_from_json(ring, obj):
     if ring.kind == "prime_field":
         if isinstance(obj, int):
             return Fp(obj, ring.p)
+        if not (isinstance(obj, dict) and isinstance(obj.get("fp"), int)):
+            raise ValueError(f"bad prime-field payload {obj!r}")
         if obj.get("p", ring.p) != ring.p:
             raise RingMismatch(f"payload mod {obj['p']} in F_{ring.p}")
         return Fp(obj["fp"], ring.p)

@@ -54,8 +54,16 @@ def involution_to_json(iota):
             "symmetry": iota.symmetry}
 
 
+def _require_object(obj, what):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {obj!r}")
+
+
 def involution_from_json(ring, obj):
-    if obj is None or obj.get("kind", "transpose") == "transpose":
+    if obj is None:
+        return Involution()
+    _require_object(obj, "involution")
+    if obj.get("kind", "transpose") == "transpose":
         return Involution()
     return Involution("form_adjoint",
                       matrix_from_json(ring, obj["B"]),
@@ -129,6 +137,7 @@ def polarity_from_json(ring, n, obj):
 
 
 def jordan_context_from_json(obj):
+    _require_object(obj, "context")
     ring = ring_from_json(obj.get("ring", "rational"))
     n = obj.get("n", 1)
     flavor = obj.get("flavor", "full")

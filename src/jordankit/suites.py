@@ -1156,7 +1156,6 @@ class SuiteConfig:
     seed: int = 1
     tol: float = 1e-9
     order: int = 24
-    convention: str = "ad"
 
 
 @dataclass
@@ -1346,6 +1345,9 @@ SUITES = {
     "mu": (_suite_mu, ("rational", "prime_field")),
 }
 
+# The SuiteConfig options each suite reads beyond ring, n, trials and seed.
+SUITE_OPTIONS = {"exp-tanh": ("tol", "order")}
+
 
 def run_suite(cfg):
     import time
@@ -1356,7 +1358,8 @@ def run_suite(cfg):
             f"suite {cfg.suite!r} does not support ring kind {cfg.ring.kind!r}")
     conf = {"ring": ring_to_json(cfg.ring), "n": cfg.n, "trials": cfg.trials,
             "seed": cfg.seed, "tol": cfg.tol, "order": cfg.order,
-            "convention": cfg.convention}
+            # every check uses the ad sign convention (see jordan.py)
+            "convention": "ad"}
     t0 = time.perf_counter()
     checks = builder(cfg)
     return SuiteReport(cfg.suite, checks, time.perf_counter() - t0, conf)

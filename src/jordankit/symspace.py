@@ -10,7 +10,7 @@ from __future__ import annotations
 from .algebra import Matrix, dual_combine, dual_split, herm_split
 from .errors import (NotInSpace, NotInvertible, NotTransversal,
                      SeriesNotInvertible, SingularOperator)
-from .jordan import (jordan_inverse, mult_operator, quad_apply,
+from .jordan import (_quad_apply, jordan_inverse, mult_operator,
                      quad_triple_operator, rep_operators, triple_product)
 from .projline import (ProjectivePoint, chart_coords, gamma_chart,
                        mu_dilation)
@@ -55,7 +55,7 @@ class JordanUnitsSpace:
         except NotInvertible as e:
             raise NotInSpace("right argument is not invertible") from e
         if root is not jctx:
-            return quad_apply(jctx, x, yi)
+            return _quad_apply(jctx, x, yi)
         return jctx.space.from_coords(qx.apply_flat(jctx.space.coords(yi)))
 
     mul_chart = mul

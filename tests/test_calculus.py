@@ -225,13 +225,21 @@ def test_derivative_check_reports():
     rep = calculus.derivative_check(inv, expected, sampler, samples=30)
     assert rep.ok and rep.passed == 30 and rep.exact
     j = rep.to_json()
-    assert j["check"] == "alg_inversion" and j["failed"] == 0
+    assert j["check"] == "alg_inversion" and j["failed"] == 0 and j["ok"]
 
     def wrong(x, v):
         return expected(x, v).scale(Q.from_int(2))
 
     rep2 = calculus.derivative_check(inv, wrong, sampler, samples=5)
     assert not rep2.ok and rep2.first_failure is not None
+
+
+def test_derivative_check_with_every_sample_skipped_fails():
+    """A check whose samples all skipped has shown nothing."""
+    rep = calculus.derivative_check(calculus.squaring(), lambda x, v: x,
+                                    lambda i: None, samples=5)
+    assert rep.skipped == 5 and rep.passed == 0 and not rep.ok
+    assert rep.to_json()["ok"] is False
 
 
 def test_schwarz_second_derivatives():

@@ -1,8 +1,14 @@
 """CLI surface: exit codes, JSON formats, determinism, conventions."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jordankit import cli
 from jordankit.algebra import Matrix
@@ -15,6 +21,16 @@ def run_cli(args, stdin=None):
     proc = subprocess.run([sys.executable, "-m", "jordankit.cli"] + args,
                           input=stdin, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_process(args, stdin=""):
+    """run_cli in this interpreter; an exception that escapes main() fails
+    the test the way a traceback on stderr would."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_list_suites():
@@ -248,7 +264,7 @@ def test_compute_derivative_report():
     code, out, _ = run_cli(["compute"], stdin=json.dumps(req))
     assert code == 0
     rep = json.loads(out)["report"]
-    assert rep["failed"] == 0 and rep["exact"] is True
+    assert rep["failed"] == 0 and rep["exact"] is True and rep["ok"] is True
 
 
 def test_compute_over_dual_ring():
@@ -285,3 +301,186 @@ def test_convention_round_trip():
         ad = cli.compute(dict(req), convention="ad")
         assert loos["result"] == ad["result"]
         assert loos["convention"] == "loos"
+
+
+def test_verify_refuses_options_no_check_reads():
+    """--convention is read by no suite, --tol and --order only by
+    exp-tanh: given anywhere else, each is a usage error before any trial
+    runs."""
+    for extra, suite in ((["--convention", "loos"], "bergman"),
+                         (["--convention", "ad"], "fundamental"),
+                         (["--tol", "1e-9"], "fundamental"),
+                         (["--order", "12"], "lts"),
+                         (["--convention", "loos"], "exp-tanh")):
+        code, out, err = run_in_process(["verify", "--suite", suite,
+                                         "--trials", "2"] + extra)
+        assert code == 2, extra
+        assert json.loads(out) == {"error": "UnusedOption", "suite": suite,
+                                   "options": [extra[0]]}
+        assert "Traceback" not in err and "PASS" not in err
+
+
+def test_verify_exp_tanh_reads_tol_and_order():
+    code, out, _ = run_cli(["verify", "--suite", "exp-tanh", "--ring",
+                            "float64", "--trials", "2", "--tol", "1e-8",
+                            "--order", "20"])
+    assert code == 0
+    conf = json.loads(out)["config"]
+    assert conf["tol"] == 1e-8 and conf["order"] == 20
+
+
+def test_verify_rejects_bad_order():
+    code, out, err = run_in_process(["verify", "--suite", "exp-tanh",
+                                     "--ring", "float64", "--trials", "2",
+                                     "--order", "0"])
+    assert code == 2
+    assert json.loads(out) == {"error": "BadOrder", "order": 0}
+    assert "Traceback" not in err
+
+
+def test_verify_config_without_options_keeps_defaults():
+    code, out, _ = run_cli(["verify", "--suite", "fundamental",
+                            "--trials", "2", "--seed", "3"])
+    assert code == 0
+    assert json.dumps(json.loads(out)["config"], sort_keys=True) == (
+        '{"convention": "ad", "n": 2, "order": 24, '
+        '"ring": {"kind": "rational"}, "seed": 3, "tol": 1e-09, '
+        '"trials": 2}')
+
+
+
+# -- the compute contract under fuzzed requests -------------------------------
+
+def _strict(const):
+    raise ValueError(f"non-standard JSON constant {const}")
+
+
+# Sizes, sample counts and truncation orders stay small: the contract is
+# about how a request ends, and every example must be cheap.
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.floats(), st.text(max_size=3), st.just([]),
+                  st.just({}))
+
+
+def _mostly(usual, rare, odds=15):
+    """`usual` with probability odds/(odds+1), else `rare`."""
+    return st.integers(0, odds).flatmap(lambda k: rare if k == 0 else usual)
+
+
+def _maybe(valid):
+    """Mostly a value of the schema, sometimes a value of another type."""
+    return _mostly(valid, _junk)
+
+
+_scalar = _mostly(st.integers(-3, 3), st.one_of(
+    st.floats(-3, 3), st.sampled_from(["1/2", "-3", "1/0", "x", "1e400"]),
+    st.fixed_dictionaries({"fp": st.integers(-6, 6),
+                           "p": st.sampled_from([5, 7])}),
+    st.fixed_dictionaries({"re": st.integers(-3, 3),
+                           "eps": st.integers(-3, 3)}),
+    _junk), odds=7)
+_ring = _maybe(st.one_of(
+    st.sampled_from(["rational", "rational", "float64", "fp:5", "fp:7",
+                     "fp:4", "fp:x", "real"]),
+    st.fixed_dictionaries({"kind": st.sampled_from(
+        ["rational", "float64", "prime_field", "nope"]),
+        "p": _maybe(st.integers(-2, 12))}),
+    st.fixed_dictionaries({"kind": st.just("dual"),
+                           "base": st.sampled_from(["rational", "fp:5",
+                                                    "float64"])})))
+
+
+def _rows(nrows, ncols):
+    return st.lists(st.lists(_scalar, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def _schema(n):
+    """Request fields of the compute schema for elements of size n."""
+    matrix = _maybe(st.one_of(_rows(n, n), _rows(n, n), _rows(n + 1, n),
+                              _scalar))
+    point = _maybe(st.fixed_dictionaries(
+        {"ring": _ring, "rep": st.one_of(_rows(2 * n, n), _rows(2 * n, n),
+                                         _rows(n, n))},
+        optional={"n": st.integers(-1, 3)}))
+    involution = _maybe(st.one_of(
+        st.just({"kind": "transpose"}),
+        st.fixed_dictionaries({"kind": st.just("form_adjoint"),
+                               "B": matrix},
+                              optional={"symmetry": st.sampled_from(
+                                  ["symmetric", "skew", "odd"])})))
+    group = _maybe(st.one_of(
+        st.sampled_from(["C", "F", "J", "I11", "K"]),
+        st.fixed_dictionaries({"blocks": st.lists(
+            st.lists(matrix, min_size=2, max_size=2),
+            min_size=2, max_size=2)}),
+        st.fixed_dictionaries({"word": st.lists(
+            st.fixed_dictionaries({"deg": st.integers(-2, 2), "v": matrix}),
+            max_size=2)})))
+    jordan = {"ring": _ring, "n": _maybe(st.just(n)),
+              "flavor": st.sampled_from(["full", "hermitian",
+                                         "antihermitian", "odd"]),
+              "involution": involution}
+    context = _maybe(st.fixed_dictionaries(
+        {"variant": st.sampled_from(["jordan_units", "projective", "group",
+                                     "nope"])},
+        optional=dict(jordan, kind=st.sampled_from(["full_linear", "unitary",
+                                                    "odd"]),
+                      polarity=_maybe(st.fixed_dictionaries(
+                          {"mode": st.sampled_from(["linear", "semilinear",
+                                                    "odd"])},
+                          optional={"S": group, "j": st.integers(0, 5),
+                                    "involution": involution,
+                                    "H": matrix})),
+                      o=st.one_of(point, matrix))))
+    convention = {"convention": st.sampled_from(["ad", "loos", "odd"])}
+
+    def op(name, required, optional=None):
+        return st.fixed_dictionaries(dict(required, op=st.just(name)),
+                                     optional=optional or {})
+
+    return st.one_of(
+        op("quasi_inverse", {"x": matrix, "y": matrix},
+           dict(jordan, **convention)),
+        op("bergman", {"x": matrix, "y": matrix}, dict(jordan, **convention)),
+        op("act", {"g": group, "x": matrix},
+           {"ring": _ring, "n": jordan["n"]}),
+        op("act_frac", {"E": point, "g": group}),
+        op("sym_mul", {"context": context, "x": st.one_of(point, matrix),
+                       "y": st.one_of(point, matrix)}),
+        op("lts", {"context": context, "u": matrix, "v": matrix,
+                   "w": matrix}),
+        op("exp", {"v": matrix}, {"ring": _ring, "n": jordan["n"],
+                                  "context": context,
+                                  "order": _maybe(st.integers(-1, 8))}),
+        op("cayley", {}, {"ring": _ring, "n": jordan["n"]}),
+        op("phi", {"E": point}, {"involution": involution,
+                                 "j": _maybe(st.integers(0, 5))}),
+        op("classify", {"E": point}, {"involution": involution}),
+        op("mu", {"x": point, "a": point, "y": point, "r": _scalar}),
+        op("derivative",
+           {"map": _maybe(st.sampled_from(["jordan_inverse", "alg_inverse",
+                                            "squaring", "act", "nope"]))},
+           {"context": _maybe(st.fixed_dictionaries({}, optional=jordan)),
+            "samples": _maybe(st.integers(-1, 3)),
+            "tol": _maybe(st.floats()), "seed": _maybe(st.integers(0, 3)),
+            "g": group}),
+        op("nope", {}))
+
+
+_request = st.integers(1, 3).flatmap(_schema)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(req=_maybe(_request))
+def test_compute_contract_under_fuzzed_requests(req):
+    """Every request ends in a result (exit 0), a named domain error
+    (exit 1) or a usage error (exit 2), as one line of strict JSON and
+    without a traceback."""
+    code, out, err = run_in_process(["compute"], json.dumps(req))
+    assert code in (0, 1, 2)
+    resp = json.loads(out, parse_constant=_strict)
+    assert (code == 0) == ("error" not in resp)
+    assert "Traceback" not in err

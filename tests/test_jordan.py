@@ -1,9 +1,11 @@
 """Jordan products, representations, inverses, Bergman operators and
 quasi-inverses, with the associative oracles."""
 
+import struct
+
 import pytest
 
-from jordankit.algebra import Involution, Matrix
+from jordankit.algebra import Involution, Matrix, dual_combine, dual_split
 from jordankit.errors import (NotInSubspace, NotInvertible,
                               NotQuasiInvertible, SingularOperator)
 from jordankit.jordan import (JordanContext, bergman_closed,
@@ -15,7 +17,8 @@ from jordankit.jordan import (JordanContext, bergman_closed,
                               quad_triple_operator, quasi_inverse,
                               rep_operators, triple_product)
 from jordankit.randgen import rand_in_context, rand_matrix, trial_rng
-from jordankit.rings import RATIONAL, DualRing, PrimeFieldRing
+from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing,
+                             embed_scalar)
 
 Q = RATIONAL
 
@@ -316,3 +319,140 @@ def test_fundamental_formula_small(full2):
         qxy = full2.space.from_coords(qx.apply_flat(full2.space.coords(y)))
         _, lhs = rep_operators(full2, qxy)
         assert lhs == qx.compose(qy).compose(qx)
+
+
+# -- inverses of embedded elements, one ring down ---------------------------
+
+F7 = PrimeFieldRing(7)
+
+
+def literal_inverse(ctx, x):
+    """x^-1 with Q(x) materialized and solved over the ring of x."""
+    _, qx = rep_operators(ctx, x)
+    try:
+        c = qx.solve_flat(ctx.space.coords(x))
+    except SingularOperator as e:
+        raise NotInvertible("quadratic representation is singular") from e
+    return ctx.space.from_coords(c)
+
+
+def literal_invertible(ctx, x):
+    return ctx.contains(x) and rep_operators(ctx, x)[1].is_invertible()
+
+
+def bits(m):
+    """The IEEE bit patterns of every base component of a float matrix
+    (so -0.0 and 0.0 differ)."""
+    def comps(s):
+        return comps(s.re) + comps(s.eps) if isinstance(s, Dual) else [s]
+    return [struct.pack("<d", c) for r in m.rows for s in r
+            for c in comps(s)]
+
+
+def rand_coord(rng, ring):
+    """A random scalar whose every base component is non-zero; floats are
+    not integers, so the inverses round."""
+    if isinstance(ring, DualRing):
+        return Dual(rand_coord(rng, ring.base), rand_coord(rng, ring.base))
+    if ring.kind == "float64":
+        return rng.choice((-1, 1)) * rng.uniform(0.3, 2.0)
+    return ring.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+
+
+def embedded_element(rng, ctx):
+    """An element of V whose top eps-part is zero, from coordinates over
+    the ring one level down (the lifted contexts have such a basis)."""
+    base = ctx.ring.base
+    return ctx.space.from_coords([embed_scalar(rand_coord(rng, base), base,
+                                               ctx.ring)
+                                  for _ in range(ctx.dim)])
+
+
+def assert_inverse_parity(ctx, x):
+    """jordan_inverse and is_jordan_invertible against the literal dual
+    path: the same value or NotInvertible. Over floats the values agree
+    bit for bit, except that for an x with zero eps-part the literal
+    solve may leave -0.0 where the embedded inverse has 0.0; there the
+    re-parts agree bit for bit and both eps-parts are zero."""
+    assert is_jordan_invertible(ctx, x) == literal_invertible(ctx, x)
+    try:
+        want = literal_inverse(ctx, x)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            jordan_inverse(ctx, x)
+        return
+    got = jordan_inverse(ctx, x)
+    assert got == want
+    if not ctx.ring.is_exact():
+        if dual_split(x)[1].is_zero():
+            got, want = dual_split(got)[0], dual_split(want)[0]
+        assert bits(got) == bits(want)
+
+
+PARITY_RINGS = {"Q[e]": DualRing(Q), "Q[e][e]": DualRing(DualRing(Q)),
+                "Q[e][e][e]": DualRing(DualRing(DualRing(Q))),
+                "F7[e]": DualRing(F7), "R64[e]": DualRing(FLOAT64)}
+
+
+@pytest.mark.parametrize("name", list(PARITY_RINGS))
+def test_jordan_inverse_of_embedded_elements_matches_literal(name):
+    """Lifted contexts of every unital flavor: elements with zero top
+    eps-part (inverted one ring down), the same elements with an eps-part
+    in one coordinate only (inverted literally), and a singular embedded
+    element."""
+    ring = PARITY_RINGS[name]
+    bottom = ring
+    while isinstance(bottom, DualRing):
+        bottom = bottom.base
+    rng = trial_rng(31, len(name))
+    reps = 1 if name == "Q[e][e][e]" else 3
+    symplectic = Involution("form_adjoint",
+                            Matrix.from_ints(bottom, [[0, 1], [-1, 0]]),
+                            "skew")
+    for n, flavor, iota in ((1, "full", None), (2, "full", None),
+                            (2, "hermitian", Involution()),
+                            (3, "hermitian", Involution()),
+                            (2, "hermitian", symplectic)):
+        ctx = JordanContext(n, bottom, flavor, iota).at_ring(ring)
+        one_eps = Dual(ring.base.zero(), ring.base.one())
+        for _ in range(reps):
+            x = embedded_element(rng, ctx)
+            assert dual_split(x)[1].is_zero()
+            assert_inverse_parity(ctx, x)
+            bump = [ring.zero()] * ctx.dim
+            bump[rng.randrange(ctx.dim)] = one_eps
+            y = x + ctx.space.from_coords(bump)
+            assert not dual_split(y)[1].is_zero()
+            assert_inverse_parity(ctx, y)
+        singular = (ctx.zero() if ctx.dim == 1
+                    else Matrix.unit(ring, n, 0, 0))
+        assert not is_jordan_invertible(ctx, singular)
+        with pytest.raises(NotInvertible):
+            jordan_inverse(ctx, singular)
+        assert_inverse_parity(ctx, singular)
+
+
+def test_jordan_inverse_one_ring_down_on_eps_varying_form():
+    """A context built directly over Q[e][e] whose form has a non-zero
+    inner eps-part: its hermitian part is not the root's lifted to Q[e],
+    so the lower context must be this context's own re-part."""
+    d1 = DualRing(Q)
+    d2 = DualRing(d1)
+    form = dual_combine(mat([[2, 1], [1, 1]]), mat([[1, 0], [0, 3]]))
+    inner = JordanContext(2, d1, "hermitian",
+                          Involution("form_adjoint", form, "symmetric"))
+    ctx = JordanContext(2, d2, "hermitian",
+                        Involution("form_adjoint", form.embed(d2),
+                                   "symmetric"))
+    rng = trial_rng(32, 0)
+    lifted_root = ctx.root.at_ring(d1)
+    seen_off_root = False
+    for _ in range(6):
+        x0 = inner.space.from_coords([rand_coord(rng, d1)
+                                      for _ in range(inner.dim)])
+        x = x0.embed(d2)
+        assert ctx.contains(x)
+        seen_off_root |= not lifted_root.contains(x0)
+        assert_inverse_parity(ctx, x)
+        assert jordan_inverse(ctx, x) == jordan_inverse(inner, x0).embed(d2)
+    assert seen_off_root

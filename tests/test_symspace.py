@@ -194,6 +194,24 @@ def test_tilde_field_examples():
         assert tilde_field(space2, v, p) == jordan_product(space2.jctx, v, p)
 
 
+def test_tilde_field_on_dual_unit_spaces_is_jordan_product():
+    """X_v(p) = v o p on the unit space. The outer product of tilde_field
+    inverts the embedded p^-1 one ring down; over lifted and directly
+    built dual spaces (one with a form whose eps-part is not zero, so its
+    lift to the next dual ring has a non-zero inner eps-part) the field is
+    still v o p."""
+    rng = trial_rng(21, 0)
+    for space in dual_units_spaces():
+        hits = 0
+        while hits < 3:
+            v = rand_in_context(rng, space.jctx)
+            p = rand_in_context(rng, space.jctx)
+            if not space.contains(p):
+                continue
+            hits += 1
+            assert tilde_field(space, v, p) == jordan_product(space.jctx, v, p)
+
+
 def test_m4_via_duals_all_contexts():
     rng = trial_rng(5, 0)
     dring = DualRing(Q)
