@@ -1,13 +1,14 @@
 """Matrix kernels keyed on the scalar ring.
 
-`matmul`, `matvec` and `gauss_solve` hand the work to the ring, which
-multiplies in its own packed form where it has one (Q, F_p and dual
-towers; see rings.py) and runs the generic loops of generic.py otherwise.
-Rank and pivot search always run the generic elimination.
+Every kernel here hands the work to the ring, which computes in its own
+packed form where it has one (Q, F_p and dual towers; see rings.py) and
+runs the generic loops of generic.py otherwise. Products use packed forms
+on all three; rank and pivot search eliminate integer rows over Q and
+F_p, and the re-parts over a dual ring; solve is packed only over dual
+rings, whose base solve runs the generic elimination.
 """
 
-from .generic import (gauss_rank, madd, meye, mneg, mscale, msub,
-                      mtranspose, pivot_columns)
+from .generic import madd, meye, mneg, mscale, msub, mtranspose
 
 BACKEND = "packed"
 
@@ -27,3 +28,14 @@ def gauss_solve(a, b, ring):
     """Solve A X = B for square A; returns X rows or None if no unit
     pivot can be found for some column (A not invertible over `ring`)."""
     return ring.solve(a, b)
+
+
+def gauss_rank(a, ring):
+    """Number of unit pivots found by row elimination; over a dual ring,
+    the rank of the re-part."""
+    return len(ring.pivot_columns(a))
+
+
+def pivot_columns(a, ring):
+    """Column indices where row elimination finds a unit pivot."""
+    return ring.pivot_columns(a)

@@ -5,9 +5,9 @@ supplies zero/one, the unit test used for pivot admissibility, inversion,
 and (for float64) a pivot magnitude. Over dual (local) rings the unit test
 looks at re-parts only, which is exactly what makes elimination work
 there. Rings without a packed form (float64) run on these loops, and the
-parity tests use them as the reference for the packed ones in rings.py.
-Solve, rank and pivot search are thin wrappers of one elimination,
-`eliminate`.
+parity tests use them as the reference for the packed ones in rings.py:
+the products, the dual solve, and the integer pivot search over Q and F_p.
+Solve and pivot search are thin wrappers of one elimination, `eliminate`.
 """
 
 
@@ -87,20 +87,6 @@ def gauss_solve(a, b, ring):
     piv, rows = eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)],
                           ring, n)
     return [r[n:] for r in rows] if len(piv) == n else None
-
-
-def gauss_rank(a, ring):
-    """Number of unit pivots found by row elimination.
-
-    Callers dealing with dual rings strip to re-parts first, so this only
-    ever sees fields or float64.
-    """
-    return len(eliminate([list(r) for r in a], ring)[0])
-
-
-def pivot_columns(a, ring):
-    """Column indices where elimination finds a unit pivot."""
-    return eliminate([list(r) for r in a], ring)[0]
 
 
 def madd(a, b):

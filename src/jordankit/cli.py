@@ -70,7 +70,7 @@ def cmd_verify(args, out):
     if args.trials < 1:
         _emit({"error": "BadTrialCount", "trials": args.trials}, out)
         return 2
-    if args.n < 1:
+    if args.n is not None and args.n < 1:
         _emit({"error": "BadDimension", "n": args.n}, out)
         return 2
     bad_tol = args.tol is not None and _tolerance_error(args.tol)
@@ -82,15 +82,15 @@ def cmd_verify(args, out):
         return 2
     # An option the suite does not read would pass without effect; no
     # suite reads --convention.
-    given = {o: getattr(args, o) for o in ("tol", "order", "convention")
+    given = {o: getattr(args, o) for o in ("n", "tol", "order", "convention")
              if getattr(args, o) is not None}
-    unused = sorted(set(given) - set(suites.SUITE_OPTIONS.get(args.suite, ())))
+    unused = sorted(set(given) - set(suites.SUITE_OPTIONS[args.suite]))
     if unused:
         _emit({"error": "UnusedOption", "suite": args.suite,
                "options": ["--" + o for o in unused]}, out)
         return 2
-    cfg = suites.SuiteConfig(suite=args.suite, ring=ring, n=args.n,
-                             trials=args.trials, seed=args.seed, **given)
+    cfg = suites.SuiteConfig(suite=args.suite, ring=ring, trials=args.trials,
+                             seed=args.seed, **given)
     try:
         report = suites.run_suite(cfg)
     except ValueError as e:
@@ -274,7 +274,9 @@ def build_parser():
     v.add_argument("--suite", required=True)
     v.add_argument("--ring", default="rational",
                    help="rational | float64 | fp:P")
-    v.add_argument("--n", type=int, default=2)
+    v.add_argument("--n", type=int,
+                   help="matrix size (default 2); not read by exp-tanh "
+                        "or unitary")
     v.add_argument("--trials", type=int, default=50)
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--tol", type=float, help="exp-tanh only (default 1e-9)")

@@ -6,10 +6,13 @@ the generic matrix kernels can use operator syntax; everything that needs
 ring context (unit tests, inversion, zero/one, JSON) goes through a Ring
 object. All values are immutable.
 
-A ring also multiplies matrices (lists of row lists of its scalars), and
-solves square systems, in its own packed form where it has one: Q on
-integers over a common denominator, F_p on raw residues, and a dual
-ring on the base matrices of its parts.
+A ring also multiplies matrices (lists of row lists of its scalars),
+solves square systems and finds pivot columns, in its own packed form
+where it has one: Q on integers over a common denominator, F_p on raw
+residues, and a dual ring on the base matrices of its parts. Pivot search
+on Q and F_p is a forward elimination on integer rows (`_pivots`); a dual
+ring searches the re-parts over its base, since only re-parts decide
+pivots there. Solve over Q and F_p still runs the generic elimination.
 """
 
 from __future__ import annotations
@@ -194,6 +197,57 @@ class Ring:
         unit pivot for some column (A not invertible)."""
         return generic.gauss_solve(a, b, self)
 
+    def pivot_columns(self, a):
+        """Columns in which row elimination of A finds a unit pivot; the
+        pivot is the first unit at or below the next pivot row (on
+        float64, the unit of largest magnitude)."""
+        return generic.eliminate([list(r) for r in a], self)[0]
+
+
+def _pivots(rows, p=None):
+    """Pivot columns of integer rows: in each column the pivot is the
+    first non-zero entry at or below the next pivot row.
+
+    The elimination runs forward only and never forms a fraction. Over Z
+    (`p` None) it is fraction-free (Bareiss, Math. Comp. 1968): each
+    update p_k a - f b is divided exactly by the previous pivot, so every
+    entry stays a minor of the input. Modulo a prime p the update is
+    reduced mod p instead. Each pass keeps only the columns to the right
+    of the current one.
+    """
+    cols = []
+    prev = 1
+    rows = [r for r in rows if any(r)]
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        for i, r in enumerate(rows):
+            if r[0]:
+                break
+        else:
+            rows = [r[1:] for r in rows]
+            continue
+        cols.append(col)
+        if len(rows) == 1:
+            break
+        # Swap the pivot row up, as the generic elimination does.
+        prow = rows[i]
+        rows[i] = rows[0]
+        pv = prow[0]
+        prow = prow[1:]
+        rest = rows[1:]
+        if p is not None:
+            rows = [[(pv * a - f * b) % p for a, b in zip(r[1:], prow)]
+                    if (f := r[0]) else r[1:] for r in rest]
+        elif pv == prev:
+            # With pv = prev, a row with f = 0 is unchanged.
+            rows = [[(pv * a - f * b) // prev for a, b in zip(r[1:], prow)]
+                    if (f := r[0]) else r[1:] for r in rest]
+        else:
+            rows = [[(pv * a - r[0] * b) // prev
+                     for a, b in zip(r[1:], prow)] for r in rest]
+        prev = pv
+    return cols
+
 
 def _integral(vec):
     """(integers, d) with vec[i] = integers[i] / d, where d is the lcm of
@@ -235,6 +289,10 @@ class RationalRing(Ring):
         cols = [_integral(c) for c in zip(*b)]
         return [[_rational(sum(map(mul, r, c)), d * e) for c, e in cols]
                 for r, d in rows]
+
+    def pivot_columns(self, a):
+        # A row scaled by a non-zero integer keeps its pivots.
+        return _pivots([_integral(r)[0] for r in a])
 
     def __repr__(self):
         return "Q"
@@ -316,6 +374,9 @@ class PrimeFieldRing(Ring):
         return [[Fp(sum(map(mul, r, c)), p) for c in cols]
                 for r in [[x.v for x in r] for r in a]]
 
+    def pivot_columns(self, a):
+        return _pivots([[x.v for x in r] for r in a], self.p)
+
     def __repr__(self):
         return f"F{self.p}"
 
@@ -384,6 +445,12 @@ class DualRing(Ring):
         zx = self.base.matmul([r[2 * m:] for r in sol], xre)
         return [[Dual(x, y - w) for x, y, w in zip(xr, r[m:2 * m], wr)]
                 for xr, r, wr in zip(xre, sol, zx)]
+
+    def pivot_columns(self, a):
+        # An entry is a unit exactly when its re-part is, and the re-parts
+        # of an elimination over K[e] are the elimination of the re-parts
+        # over K, so the pivots are those of A_re.
+        return self.base.pivot_columns([[x.re for x in r] for r in a])
 
     def __repr__(self):
         return f"{self.base!r}[e]"

@@ -107,9 +107,18 @@ def point_to_json(E):
 
 
 def point_from_json(obj, ring=None, n=None):
+    """The point of a 2n x n rep, n being the rep's column count unless
+    given. A rep of another shape is malformed input (ValueError); a
+    rank-deficient one is the domain error ShapeMismatch."""
     ring = ring_from_json(obj["ring"]) if ring is None else ring
     rep = matrix_from_json(ring, obj["rep"])
-    return ProjectivePoint(rep, n if n is not None else rep.ncols)
+    n = rep.ncols if n is None else n
+    if n < 1:
+        raise ValueError("point rep has no columns")
+    if rep.shape != (2 * n, n):
+        raise ValueError(f"point rep must be {2 * n} x {n}, "
+                         f"got {rep.nrows} x {rep.ncols}")
+    return ProjectivePoint(rep, n)
 
 
 def polarity_to_json(spec):

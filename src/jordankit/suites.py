@@ -80,20 +80,15 @@ def run_check(name, trials, seed, trial_fn):
 
 # -- context builders --------------------------------------------------------
 
-def full_ctx(ring, n):
-    return JordanContext(n, ring, "full")
-
-
-def herm_ctx(ring, n):
-    return JordanContext(n, ring, "hermitian", Involution())
-
-
-def aherm_ctx(ring, n):
-    return JordanContext(n, ring, "antihermitian", Involution())
+def jordan_ctx(ring, n, flavor="full"):
+    """The Jordan context of `flavor`; the restricted flavors use the
+    transpose involution."""
+    return JordanContext(n, ring, flavor,
+                         None if flavor == "full" else Involution())
 
 
 def units_space(ring, n):
-    return JordanUnitsSpace(herm_ctx(ring, n))
+    return JordanUnitsSpace(jordan_ctx(ring, n, "hermitian"))
 
 
 def group_space(ring, n):
@@ -107,30 +102,28 @@ def unitary_space(ring, n=2):
 def proj_space_swap(ring, n, flavor="full"):
     """Projective symmetric space of the polarity E -> F.E at Gamma_0;
     its Lts at the base point is T(u,v,w) - T(v,u,w)."""
-    jctx = JordanContext(n, ring, flavor,
-                         None if flavor == "full" else Involution())
+    jctx = jordan_ctx(ring, n, flavor)
     return ProjectiveSpace(Polarity("linear", S=GroupElement.swap(ring, n)), jctx)
 
 
 def proj_space_i11(ring, n):
     """Projective symmetric space of E -> I_{1,1}.E at Gamma_1: the
     invertible elements with m(x,y) = x y^-1 x."""
-    jctx = JordanContext(n, ring, "full")
+    jctx = jordan_ctx(ring, n)
     o = gamma_chart(Matrix.identity(ring, n))
     return ProjectiveSpace(Polarity("linear", S=GroupElement.i11(ring, n)),
                            jctx, o)
 
 
 def proj_space_jmat(ring, n):
-    jctx = JordanContext(n, ring, "full")
+    jctx = jordan_ctx(ring, n)
     return ProjectiveSpace(Polarity("linear", S=GroupElement.jmat(ring, n)), jctx)
 
 
 # -- jordan-algebra checks ---------------------------------------------------
 
 def check_jordan_identity(ring, n, trials, seed, flavor="full"):
-    ctx = JordanContext(n, ring, flavor,
-                        None if flavor == "full" else Involution())
+    ctx = jordan_ctx(ring, n, flavor)
 
     def trial(rng, i):
         x = randgen.rand_in_context(rng, ctx)
@@ -144,8 +137,7 @@ def check_jordan_identity(ring, n, trials, seed, flavor="full"):
 
 
 def check_fundamental_formula(ring, n, trials, seed, flavor="full"):
-    ctx = JordanContext(n, ring, flavor,
-                        None if flavor == "full" else Involution())
+    ctx = jordan_ctx(ring, n, flavor)
 
     def trial(rng, i):
         x = randgen.rand_in_context(rng, ctx)
@@ -161,8 +153,7 @@ def check_fundamental_formula(ring, n, trials, seed, flavor="full"):
 
 
 def check_l_inverse(ring, n, trials, seed, flavor="hermitian"):
-    ctx = JordanContext(n, ring, flavor,
-                        None if flavor == "full" else Involution())
+    ctx = jordan_ctx(ring, n, flavor)
 
     def trial(rng, i):
         x = randgen.rand_filtered(
@@ -183,8 +174,7 @@ def check_l_inverse(ring, n, trials, seed, flavor="hermitian"):
 def check_rep_oracle(ring, n, trials, seed, flavor="full"):
     """Q(x) from 2L^2 - L(x^2) agrees with the associative oracle xwx,
     and Q(x,x) = 2 Q(x)."""
-    ctx = JordanContext(n, ring, flavor,
-                        None if flavor == "full" else Involution())
+    ctx = jordan_ctx(ring, n, flavor)
 
     def trial(rng, i):
         x = randgen.rand_in_context(rng, ctx)
@@ -200,8 +190,7 @@ def check_rep_oracle(ring, n, trials, seed, flavor="full"):
 
 def check_pair_identities(ring, n, trials, seed, flavor="full"):
     """Outer symmetry and the five-term identity of the triple product."""
-    ctx = JordanContext(n, ring, flavor,
-                        None if flavor == "full" else Involution())
+    ctx = jordan_ctx(ring, n, flavor)
 
     def t(a, b, c):
         return triple_product(ctx, a, b, c)
@@ -220,7 +209,7 @@ def check_pair_identities(ring, n, trials, seed, flavor="full"):
 
 def check_triple_vs_gl2(ring, n, trials, seed):
     """T(x,y,z) equals the double bracket [[x^, y^], z^] in gl_2(A)."""
-    ctx = full_ctx(ring, n)
+    ctx = jordan_ctx(ring, n)
 
     def trial(rng, i):
         x, y, z = (randgen.rand_matrix(rng, ring, n) for _ in range(3))
@@ -231,8 +220,7 @@ def check_triple_vs_gl2(ring, n, trials, seed):
 
 
 def check_bergman_coherence(ring, n, trials, seed, flavor="full"):
-    ctx = JordanContext(n, ring, flavor,
-                        None if flavor == "full" else Involution())
+    ctx = jordan_ctx(ring, n, flavor)
 
     def trial(rng, i):
         x = randgen.rand_in_context(rng, ctx)
@@ -244,7 +232,7 @@ def check_bergman_coherence(ring, n, trials, seed, flavor="full"):
 
 def check_quasi_full_oracle(ring, n, trials, seed):
     """Quasi-inverse equals x(1+yx)^-1 in the full flavor."""
-    ctx = full_ctx(ring, n)
+    ctx = jordan_ctx(ring, n)
 
     def trial(rng, i):
         pair = randgen.rand_quasi_invertible(rng, ctx)
@@ -259,7 +247,7 @@ def check_quasi_full_oracle(ring, n, trials, seed):
 def check_quasi_vs_act(ring, n, trials, seed):
     """quasi_inverse(x, y) = act(exp_ad(y, -1), x), including agreement
     of the failure predicates."""
-    ctx = full_ctx(ring, n)
+    ctx = jordan_ctx(ring, n)
 
     def trial(rng, i):
         x = randgen.rand_matrix(rng, ring, n)
@@ -955,8 +943,7 @@ def _check_law(name, law, trials, seed):
 
 def check_deriv_jordan_inverse(ring, n, trials, seed, flavor="hermitian"):
     """dj(x) v = -Q(x)^-1 v."""
-    ctx = JordanContext(n, ring, flavor,
-                        None if flavor == "full" else Involution())
+    ctx = jordan_ctx(ring, n, flavor)
     return _check_law(f"deriv-jordan-inverse[{flavor}]",
                       calculus.jordan_inverse_law(ctx), trials, seed)
 
@@ -969,7 +956,7 @@ def check_deriv_alg_inverse(ring, n, trials, seed):
 
 def check_deriv_quasi_at_zero(ring, n, trials, seed):
     """The x-derivative of the quasi-inverse at x = 0 is the identity."""
-    ctx = full_ctx(ring, n)
+    ctx = jordan_ctx(ring, n)
 
     def trial(rng, i):
         y = randgen.rand_matrix(rng, ring, n)
@@ -982,7 +969,7 @@ def check_deriv_quasi_at_zero(ring, n, trials, seed):
 
 
 def check_differential_linearity(ring, n, trials, seed):
-    ctx = full_ctx(ring, n)
+    ctx = jordan_ctx(ring, n)
 
     def handles(rng):
         y = randgen.rand_matrix(rng, ring, n)
@@ -1060,7 +1047,7 @@ def check_schwarz(ring, n, trials, seed):
 
 def check_quotient_rule(ring, n, trials, seed):
     """For F(x) = B(x,a)^-1 v: dF(x)h = -B^-1 (d_h B) B^-1 v."""
-    ctx = full_ctx(ring, n)
+    ctx = jordan_ctx(ring, n)
     dring = DualRing(ring)
 
     def trial(rng, i):
@@ -1345,8 +1332,10 @@ SUITES = {
     "mu": (_suite_mu, ("rational", "prime_field")),
 }
 
-# The SuiteConfig options each suite reads beyond ring, n, trials and seed.
-SUITE_OPTIONS = {"exp-tanh": ("tol", "order")}
+# The SuiteConfig options each suite reads beyond ring, trials and seed.
+# exp-tanh and unitary fix their own n.
+SUITE_OPTIONS = {name: ("n",) for name in SUITES}
+SUITE_OPTIONS.update({"exp-tanh": ("tol", "order"), "unitary": ()})
 
 
 def run_suite(cfg):

@@ -249,6 +249,52 @@ def test_compute_remaining_ops():
     assert got == gamma_chart(Matrix.from_ints(RATIONAL, [[6]]))
 
 
+def _point(rep):
+    return {"ring": {"kind": "rational"}, "rep": rep}
+
+
+def _mu(x, a, y):
+    return {"op": "mu", "r": "2", "x": _point(x), "a": _point(a),
+            "y": _point(y)}
+
+
+def test_compute_malformed_point_is_usage_error():
+    """A rep that is not 2n x n, or whose n differs from the n the request
+    implies, is a malformed request (exit 2)."""
+    square = [["1", "0"], ["0", "1"]]
+    reqs = [
+        {"op": "classify", "E": _point(square)},
+        {"op": "classify", "E": _point([["1"], ["0"], ["2"]])},
+        {"op": "classify", "E": _point([])},
+        {"op": "phi", "j": 1, "E": _point(square)},
+        {"op": "phi", "j": 2, "E": _point([["1"]])},
+        {"op": "mu", "r": "2", "x": _point(square),
+         "a": _point([["1"], ["0"]]), "y": _point([["3"], ["1"]])},
+        # n = 1 from x; a is a point of the n = 2 line
+        _mu([["0"], ["1"]], [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]],
+            [["3"], ["1"]]),
+        _mu([["0"], ["1"]], [["1"], ["0"]], [["3"], ["1"], ["0"]]),
+    ]
+    for req in reqs:
+        code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
+        assert code == 2, req
+        assert json.loads(out)["error"] == "MalformedRequest", req
+        assert "Traceback" not in err
+
+
+def test_compute_rank_deficient_point_is_domain_error():
+    reqs = [
+        {"op": "classify", "E": _point([["0"], ["0"]])},
+        {"op": "phi", "j": 1,
+         "E": _point([["1", "2"], ["2", "4"], ["0", "0"], ["0", "0"]])},
+        _mu([["0"], ["1"]], [["0"], ["0"]], [["3"], ["1"]]),
+    ]
+    for req in reqs:
+        code, out, _ = run_in_process(["compute"], stdin=json.dumps(req))
+        assert code == 1, req
+        assert json.loads(out)["error"] == "ShapeMismatch", req
+
+
 def test_compute_derivative_alias():
     req = {"op": "derivative_check", "map": "squaring",
            "context": {"ring": "rational", "n": 2}, "samples": 10}
@@ -318,6 +364,24 @@ def test_verify_refuses_options_no_check_reads():
         assert json.loads(out) == {"error": "UnusedOption", "suite": suite,
                                    "options": [extra[0]]}
         assert "Traceback" not in err and "PASS" not in err
+
+
+def test_verify_refuses_n_on_suites_with_fixed_n():
+    """exp-tanh and unitary fix their own n, so an explicit --n is refused
+    before any trial runs; without it their reports still echo n = 2."""
+    for suite, ring in (("exp-tanh", "float64"), ("unitary", "rational")):
+        for n in ("2", "3"):
+            code, out, err = run_in_process(["verify", "--suite", suite,
+                                             "--ring", ring, "--trials", "2",
+                                             "--n", n])
+            assert code == 2
+            assert json.loads(out) == {"error": "UnusedOption",
+                                       "suite": suite, "options": ["--n"]}
+            assert "PASS" not in err
+        code, out, _ = run_in_process(["verify", "--suite", suite, "--ring",
+                                       ring, "--trials", "2"])
+        assert code == 0
+        assert json.loads(out)["config"]["n"] == 2
 
 
 def test_verify_exp_tanh_reads_tol_and_order():

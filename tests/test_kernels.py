@@ -1,14 +1,16 @@
-"""Kernel parity: the packed products and the dual solve that the rings
-provide must agree with the generic loops, over every ring that has a
-packed form, on square, rectangular, row and column shapes. The one
-generic elimination must give consistent ranks, pivots and solutions,
-and the bases picked by one pivot search must equal the ones picked by
-adding one candidate at a time."""
+"""Kernel parity: the packed products, the dual solve and the integer
+pivot search that the rings provide must agree with the generic loops,
+over every ring that has a packed form, on square, rectangular, row and
+column shapes. The one generic elimination must give consistent ranks,
+pivots and solutions, and the bases picked by one pivot search must equal
+the ones picked by adding one candidate at a time."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordankit import _kernels as K
 from jordankit._kernels import generic
@@ -24,6 +26,7 @@ EXACT_RINGS = [RATIONAL, F5, DualRing(PrimeFieldRing(7)), DualRing(RATIONAL),
                DualRing(DualRing(RATIONAL)),
                DualRing(DualRing(DualRing(RATIONAL)))]
 R64E = DualRing(FLOAT64)
+QE = DualRing(RATIONAL)
 DENOMS = (1, 1, 2, 3, 7, 10, 12, 10**20)
 # (rows of A, inner dimension, columns of B)
 SHAPES = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (1, 4, 1), (1, 3, 4),
@@ -170,6 +173,121 @@ def test_dual_pivoting_uses_re_part():
     assert x[0][0] * one_plus == ring.one()
 
 
+def _generic_pivots(a, ring):
+    return generic.eliminate([list(r) for r in a], ring)[0]
+
+
+# (rows, columns, rank bound) of the pivot-search cases: square, wide,
+# tall, row and column shapes, k x 0, full rank and rank-deficient.
+PIVOT_SHAPES = [(1, 1, 1), (3, 0, 0), (2, 2, 0), (3, 3, 3), (3, 3, 2),
+                (4, 4, 4), (4, 4, 1), (2, 6, 2), (3, 7, 2), (6, 2, 2),
+                (7, 3, 1), (1, 5, 1), (5, 1, 1), (5, 5, 3), (4, 8, 3)]
+PIVOT_RINGS = [RATIONAL, PrimeFieldRing(3), F5, PrimeFieldRing(7),
+               PrimeFieldRing(2**31 - 1), DualRing(PrimeFieldRing(7)), QE,
+               DualRing(QE), R64E]
+
+
+def _pure_eps(rng, ring):
+    """A non-zero scalar with zero re-part: never a pivot."""
+    return Dual(ring.base.zero(), rand_scalar(rng, ring.base) + ring.base.one())
+
+
+def _pivot_cases(ring, seed=780):
+    """Products of random n x r and r x m factors (rank at most r), then a
+    zero row, a zero column and, over a dual ring, a row of entries with
+    zero re-part put in at random places."""
+    rng = random.Random(seed)
+    for n, m, r in PIVOT_SHAPES:
+        for _ in range(4):
+            if r:
+                a = generic.matmul(rand_rows(rng, ring, n, r),
+                                   rand_rows(rng, ring, r, m), ring)
+            else:
+                a = [[ring.zero()] * m for _ in range(n)]
+            yield a
+            if not m:
+                continue
+            a = [list(row) for row in a]
+            a.insert(rng.randint(0, n), [ring.zero()] * m)
+            col = rng.randrange(m)
+            for row in a:
+                row[col] = ring.zero()
+            if isinstance(ring, DualRing):
+                a.insert(rng.randint(0, len(a)),
+                         [_pure_eps(rng, ring) for _ in range(m)])
+            yield a
+
+
+@pytest.mark.parametrize("ring", PIVOT_RINGS, ids=repr)
+def test_pivot_search_parity(ring):
+    """Pivot columns and rank equal those of the generic elimination over
+    the same ring, compared exactly; the cases include rank deficiency."""
+    deficient = 0
+    for a in _pivot_cases(ring):
+        want = _generic_pivots(a, ring)
+        assert K.pivot_columns(a, ring) == want
+        assert K.gauss_rank(a, ring) == len(want)
+        deficient += len(want) < min(len(a), len(a[0]))
+    assert K.pivot_columns([], ring) == [] and K.gauss_rank([], ring) == 0
+    assert deficient >= 10
+
+
+def test_rational_pivots_with_large_denominators():
+    """Entries with denominators up to 10^20 and numerators of either sign
+    and up to 10^30: a cancellation that only exact arithmetic sees."""
+    rng = random.Random(781)
+    big = Fraction(10**30 + 1, 10**20)
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[_rational(Fraction(rng.randint(-10**30, 10**30),
+                                 rng.choice(DENOMS)))
+              if rng.random() < 0.7 else RATIONAL.zero()
+              for _ in range(m)] for _ in range(n)]
+        # A row that differs from a multiple of row 0 by a tiny amount
+        # in one column, and an exact multiple of row 0.
+        a.append([big * x for x in a[0]])
+        a.append([big * x + (_rational(Fraction(1, 10**20)) if j == m - 1
+                             else 0) for j, x in enumerate(a[0])])
+        want = _generic_pivots(a, RATIONAL)
+        assert K.pivot_columns(a, RATIONAL) == want
+        assert K.gauss_rank(a, RATIONAL) == len(want)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 2**31 - 1])
+def test_prime_field_pivots_from_unreduced_integers(p):
+    """Entries built from integers outside [0, p), negative ones and
+    multiples of p among them, pivot as their residues do."""
+    ring = PrimeFieldRing(p)
+    rng = random.Random(782)
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        a = [[ring.from_int(rng.choice([0, p, -p, 2 * p + 1, -1])
+                            + p * rng.randint(-3, 3) * rng.randint(0, 2**40))
+              for _ in range(m)] for _ in range(n)]
+        want = _generic_pivots(a, ring)
+        assert K.pivot_columns(a, ring) == want
+        assert K.gauss_rank(a, ring) == len(want)
+
+
+_SMALL_RINGS = [RATIONAL, PrimeFieldRing(3), PrimeFieldRing(7)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ring=st.sampled_from(_SMALL_RINGS),
+       entries=st.integers(0, 5).flatmap(lambda m: st.lists(
+           st.lists(st.tuples(st.integers(-3, 3),
+                              st.sampled_from([1, 2, 3, 10**20])),
+                    min_size=m, max_size=m), max_size=5)))
+def test_pivot_search_matches_generic_property(ring, entries):
+    if ring == RATIONAL:
+        a = [[_rational(Fraction(k, d)) for k, d in row] for row in entries]
+    else:
+        a = [[ring.from_int(k * d) for k, d in row] for row in entries]
+    want = _generic_pivots(a, ring)
+    assert K.pivot_columns(a, ring) == want
+    assert K.gauss_rank(a, ring) == len(want)
+
+
 # name -> (integer rows, pivot columns); every determinant involved is
 # prime to 5, so the pivots are the same over Q, F_5 and float64.
 ELIM_CASES = {
@@ -183,7 +301,6 @@ ELIM_CASES = {
     "tall": ([[0, 1], [0, 2], [1, 0]], [0, 1]),
     "invertible": ([[2, 1, 0], [1, 1, 1], [0, 1, 3]], [0, 1, 2]),
 }
-QE = DualRing(RATIONAL)
 
 
 def _lift_rows(ints, ring, rng):
