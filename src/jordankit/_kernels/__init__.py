@@ -4,8 +4,10 @@ Every kernel here hands the work to the ring, which computes in its own
 packed form where it has one (Q, F_p and dual towers; see rings.py) and
 runs the generic loops of generic.py otherwise. Products use packed forms
 on all three; rank and pivot search eliminate integer rows over Q and
-F_p, and the re-parts over a dual ring; solve is packed only over dual
-rings, whose base solve runs the generic elimination.
+F_p, and the mask-0 jet coordinates over a dual ring. Solve is packed
+only over dual rings: one root solve of the mask-0 part (fraction-free on
+integers over Q and F_p) against every jet, then back-substitution by
+mask.
 """
 
 from .generic import madd, meye, mneg, mscale, msub, mtranspose

@@ -8,7 +8,7 @@ from __future__ import annotations
 from . import _kernels as K
 from .errors import (NotInvertible, NotInSubspace, RingMismatch,
                      ShapeMismatch, SingularOperator)
-from .rings import Dual, DualRing, embed_scalar
+from .rings import Dual, DualRing, embedding
 
 
 class Matrix:
@@ -169,21 +169,19 @@ class Matrix:
         return [r[j] for r in self.rows]
 
     def base_part(self):
-        """The projection to the ring at the bottom of a dual tower: re-parts
-        taken down to it; the matrix itself over any other ring. Taking
-        re-parts is a ring homomorphism."""
-        ring, rows = self.ring, self.rows
-        while isinstance(ring, DualRing):
-            rows = [[x.re for x in r] for r in rows]
-            ring = ring.base
-        return self if ring is self.ring else Matrix._new(ring, rows)
+        """The projection to the ring at the bottom of a dual tower: the
+        mask-0 coordinate of every entry; the matrix itself over any other
+        ring. Taking re-parts is a ring homomorphism."""
+        ring = self.ring
+        if ring.kind != "dual":
+            return self
+        return Matrix._new(ring.root,
+                           [[x._root(0) for x in r] for r in self.rows])
 
     def embed(self, dst_ring):
         """Structurally embed into an iterated dual extension."""
-        src = self.ring
-        return Matrix._new(dst_ring,
-                           [[embed_scalar(x, src, dst_ring) for x in r]
-                            for r in self.rows])
+        f = embedding(self.ring, dst_ring)
+        return Matrix._new(dst_ring, [list(map(f, r)) for r in self.rows])
 
     def max_abs(self):
         """Largest |entry| (float matrices only)."""
@@ -191,9 +189,9 @@ class Matrix:
 
 
 def _components(s):
-    """The base scalars of a (nested) dual scalar; a base scalar itself."""
+    """The root-field coordinates of a dual scalar; a root scalar itself."""
     if isinstance(s, Dual):
-        return _components(s.re) + _components(s.eps)
+        return [s._root(m) for m in range(len(s.v))]
     return [s]
 
 

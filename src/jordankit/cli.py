@@ -110,9 +110,14 @@ def cmd_verify(args, out):
 
 def _jordan_args(req):
     ctx = jordan_context_from_json(req)
-    x = matrix_from_json(ctx.ring, req["x"])
-    y = matrix_from_json(ctx.ring, req["y"])
+    x = matrix_from_json(ctx.ring, req["x"], ctx.n)
+    y = matrix_from_json(ctx.ring, req["y"], ctx.n)
     return ctx, x, y
+
+
+def _space_n(space):
+    """The matrix size of a symmetric space's elements and tangents."""
+    return getattr(space, "jctx", space).n
 
 
 def _element_out(ctx, m):
@@ -147,7 +152,7 @@ def compute(req, convention="ad"):
         ring = ring_from_json(req.get("ring", "rational"))
         n = req.get("n", 1)
         g = group_from_json(ring, n, req["g"])
-        x = matrix_from_json(ring, req["x"])
+        x = matrix_from_json(ring, req["x"], n)
         out = act(g, x)
         return {"op": op, "result": matrix_to_json(out) if n > 1
                 else scalar_to_json(ring, out[0, 0])}
@@ -163,15 +168,15 @@ def compute(req, convention="ad"):
             x = point_from_json(req["x"], space.ring, space.jctx.n)
             y = point_from_json(req["y"], space.ring, space.jctx.n)
             return {"op": op, "result": point_to_json(sym_mul(space, x, y))}
-        x = matrix_from_json(space.ring, req["x"])
-        y = matrix_from_json(space.ring, req["y"])
+        n = _space_n(space)
+        x = matrix_from_json(space.ring, req["x"], n)
+        y = matrix_from_json(space.ring, req["y"], n)
         return {"op": op, "result": matrix_to_json(sym_mul(space, x, y))}
 
     if op == "lts":
         space = symspace_context_from_json(req["context"])
-        u = matrix_from_json(space.ring, req["u"])
-        v = matrix_from_json(space.ring, req["v"])
-        w = matrix_from_json(space.ring, req["w"])
+        n = _space_n(space)
+        u, v, w = (matrix_from_json(space.ring, req[k], n) for k in "uvw")
         return {"op": op, "result": matrix_to_json(lts_bracket(space, u, v, w))}
 
     if op == "exp":
@@ -181,7 +186,7 @@ def compute(req, convention="ad"):
             ring = ring_from_json(req.get("ring", "float64"))
             n = req.get("n", 1)
             space = suites.proj_space_swap(ring, n, flavor="hermitian")
-        v = matrix_from_json(space.ring, req["v"])
+        v = matrix_from_json(space.ring, req["v"], _space_n(space))
         e = exp_tanh(space, v, req.get("order", 24))
         return {"op": op, "result": point_to_json(e),
                 "chart": matrix_to_json(chart_coords(e))}
@@ -194,13 +199,13 @@ def compute(req, convention="ad"):
 
     if op == "phi":
         e = point_from_json(req["E"])
-        iota = involution_from_json(e.ring, req.get("involution"))
+        iota = involution_from_json(e.ring, req.get("involution"), e.n)
         out = phi_involution(req.get("j", 1), iota, e)
         return {"op": op, "result": point_to_json(out)}
 
     if op == "classify":
         e = point_from_json(req["E"])
-        iota = involution_from_json(e.ring, req.get("involution"))
+        iota = involution_from_json(e.ring, req.get("involution"), e.n)
         return {"op": op, "result": classify_point(iota, e)}
 
     if op == "mu":

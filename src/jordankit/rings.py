@@ -1,26 +1,31 @@
-"""Scalar ring tower: rationals, odd prime fields, float64, and nested
-dual-number extensions R[eps] with eps^2 = 0.
+"""Scalar ring tower: rationals, odd prime fields, float64, and iterated
+dual-number extensions K[e1..ek] with each e_i^2 = 0.
 
 Scalars are plain Python values (fractions.Fraction, float, Fp, Dual) so
 the generic matrix kernels can use operator syntax; everything that needs
 ring context (unit tests, inversion, zero/one, JSON) goes through a Ring
-object. All values are immutable.
+object. All values are immutable. A scalar of K[e1..ek] is one flat jet:
+its 2^k coordinates by nilpotent mask, in the packed form of the root
+field K (see Dual); `Dual(re, eps)`, `.re` and `.eps` are its nested view.
 
 A ring also multiplies matrices (lists of row lists of its scalars),
 solves square systems and finds pivot columns, in its own packed form
 where it has one: Q on integers over a common denominator, F_p on raw
-residues, and a dual ring on the base matrices of its parts. Pivot search
-on Q and F_p is a forward elimination on integer rows (`_pivots`); a dual
-ring searches the re-parts over its base, since only re-parts decide
-pivots there. Solve over Q and F_p still runs the generic elimination.
+residues, and a dual ring on the packed jet coordinates, with one root
+solve or pivot search of the mask-0 part (`_solve_packed`,
+`_pivots_packed`). Pivot search on Q and F_p is a forward elimination on
+integer rows (`_pivots`), and the dual solve over them a fraction-free
+Gauss-Jordan elimination on integer rows (`_bareiss`). Solve on plain Q
+and F_p matrices still runs the generic elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
-from operator import mul
+from functools import cache, reduce
+from math import gcd, isfinite, lcm
+from operator import add, mul, sub
 
 from ._kernels import generic
 from .errors import NotAUnit, NotDual, RingMismatch
@@ -94,62 +99,198 @@ class Fp:
         return f"{self.v}#%{self.p}"
 
 
-class Dual:
-    """a + b*eps over some base ring, eps^2 = 0.
+@cache
+def _subsets(size):
+    """For each mask m < size, the masks s that are subsets of m, in
+    increasing order."""
+    return [[s for s in range(m + 1) if s & m == s] for m in range(size)]
 
-    Parts may themselves be Dual values (nested extensions with
-    independent nilpotents).
+
+@cache
+def _convolution(size):
+    """The subset convolution c_m = sum of a_s b_(m^s) over the subsets s
+    of m, for coordinate tuples a and b of `size` entries: the jet product
+    before reduction to the root's packed form.
+
+    It is compiled to one straight-line expression per mask, which runs
+    several times faster than a loop over the (s, m^s) pairs; the terms
+    are added in increasing s.
+    """
+    terms = [" + ".join(f"a[{s}] * b[{m ^ s}]" for s in sub)
+             for m, sub in enumerate(_subsets(size))]
+    namespace = {}
+    exec(f"def conv(a, b):\n    return ({', '.join(terms)},)\n",
+         namespace)
+    return namespace["conv"]
+
+
+class Dual:
+    """A scalar of K[e1..ek], each e_i^2 = 0, held as its 2^k jet
+    coordinates (Griewank & Walther, Evaluating Derivatives, 2008).
+
+    Coordinate m of `v` is the coefficient of the product of the e_i whose
+    bits are set in m. The top bit is the outermost nilpotent, so a scalar
+    over DualRing(B) is re + eps e, with re the lower half of the
+    coordinates and eps the upper half. The coordinates are kept in the
+    packed form of the root field, told by `p`:
+    - Q (`p` 0): integers over one positive denominator `d`, with
+      gcd(d, *v) = 1, so `==` and `hash` are exact;
+    - F_p (`p` the modulus): residues in [0, p), `d` 1;
+    - float64 (`p` None): floats, `d` 1.
+    A product is a subset convolution of the coordinates.
+
+    `Dual(re, eps)` builds a scalar from its parts, which are both root
+    scalars or both scalars of one depth; `.re`, `.eps`, the repr and the
+    JSON form are this nested view.
     """
 
-    __slots__ = ("re", "eps")
+    __slots__ = ("v", "d", "p")
 
-    def __init__(self, re, eps):
-        self.re = re
-        self.eps = eps
+    def __new__(cls, re, eps):
+        a, b = _as_jet(re), _as_jet(eps)
+        a._other(b)
+        if a.d == b.d:
+            return _jet(a.v + b.v, a.d, a.p)
+        # Both parts are reduced, so over the lcm of their denominators
+        # the whole is too.
+        (va, vb), d = _pack([a, b])
+        return _jet(va + vb, d, a.p)
 
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.re + other.re, self.eps + other.eps)
-        if isinstance(other, int):
-            return Dual(self.re + other, self.eps)
+    def _other(self, o):
+        """o's coordinates; o must be a jet over the same ring."""
+        if o.p != self.p or len(o.v) != len(self.v):
+            raise RingMismatch("dual scalars over different rings")
+        return o.v
+
+    def _root(self, m):
+        """Coordinate m as a scalar of the root field."""
+        p = self.p
+        if p == 0:
+            return _rational(self.v[m], self.d)
+        return self.v[m] if p is None else Fp(self.v[m], p)
+
+    def _pad(self, k):
+        """The same scalar with k more coordinates, all zero: its
+        embedding into a larger dual tower."""
+        zero = 0.0 if self.p is None else 0
+        return _jet(self.v + (zero,) * k, self.d, self.p)
+
+    def _half(self, i):
+        h = len(self.v) // 2
+        if h == 1:
+            return self._root(i)
+        return _reduced(self.v[i * h:(i + 1) * h], self.d, self.p)
+
+    @property
+    def re(self):
+        return self._half(0)
+
+    @property
+    def eps(self):
+        return self._half(1)
+
+    def _add(self, o, op):
+        """self + o or self - o, as op is add or sub."""
+        v, d, p = self.v, self.d, self.p
+        if type(o) is Dual:
+            w, e = self._other(o), o.d
+            if d == e:
+                return _reduced(tuple(map(op, v, w)), d, p)
+            return _reduced(tuple([op(x * e, y * d) for x, y in zip(v, w)]),
+                            d * e, p)
+        if isinstance(o, int):
+            return _reduced((op(v[0], o * d),) + v[1:], d, p)
         return NotImplemented
+
+    def __add__(self, o):
+        return self._add(o, add)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.re - other.re, self.eps - other.eps)
-        if isinstance(other, int):
-            return Dual(self.re - other, self.eps)
+    def __sub__(self, o):
+        return self._add(o, sub)
+
+    def __rsub__(self, o):
+        if isinstance(o, int):
+            return -self + o
         return NotImplemented
 
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return Dual(other - self.re, -self.eps)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.re * other.re, self.re * other.eps + self.eps * other.re)
-        if isinstance(other, int):
-            return Dual(self.re * other, self.eps * other)
+    def __mul__(self, o):
+        v, p = self.v, self.p
+        if type(o) is Dual:
+            w = self._other(o)
+            return _reduced(_convolution(len(v))(v, w), self.d * o.d, p)
+        if isinstance(o, int):
+            return _reduced(tuple([x * o for x in v]), self.d, p)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Dual(-self.re, -self.eps)
+        return _reduced(tuple([-x for x in self.v]), self.d, self.p)
 
-    def __eq__(self, other):
-        if isinstance(other, Dual):
-            return self.re == other.re and self.eps == other.eps
+    def __eq__(self, o):
+        if isinstance(o, Dual):
+            return self.v == o.v and self.d == o.d and self.p == o.p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.eps))
+        return hash((self.v, self.d, self.p))
 
     def __repr__(self):
         return f"({self.re!r}+{self.eps!r}e)"
+
+
+def _jet(v, d, p):
+    """The jet with coordinates v over d, already in packed form."""
+    s = object.__new__(Dual)
+    s.v = v
+    s.d = d
+    s.p = p
+    return s
+
+
+def _reduced(v, d, p):
+    """The jet with the tuple of coordinates v over d > 0, brought to
+    packed form: over Q divided by gcd(d, *v), over F_p taken mod p."""
+    if p == 0:
+        g = gcd(d, *v)
+        if g != 1:
+            return _jet(tuple([x // g for x in v]), d // g, 0)
+    elif p is not None:
+        if d != 1:
+            inv = pow(d, -1, p)
+            v = [x * inv for x in v]
+        return _jet(tuple([x % p for x in v]), 1, p)
+    return _jet(v, d, p)
+
+
+def _as_jet(s):
+    """A dual scalar as is; a root scalar as a jet of one coordinate."""
+    if type(s) is Dual:
+        return s
+    if isinstance(s, Fp):
+        return _jet((s.v,), 1, s.p)
+    if isinstance(s, float):
+        return _jet((s,), 1, None)
+    return _jet((s.numerator,), s.denominator, 0)
+
+
+def _pack(xs):
+    """(coordinates, d): the jets xs over one denominator d (1 off Q)."""
+    d = lcm(*[x.d for x in xs])
+    return [x.v if x.d == d else tuple([c * (d // x.d) for c in x.v])
+            for x in xs], d
+
+
+def _idot(x, y):
+    return sum(map(mul, x, y))
+
+
+def _fdot(x, y):
+    # Left to right from 0.0, as the generic loops add (sum() may
+    # compensate float rounding).
+    return reduce(add, map(mul, x, y), 0.0)
 
 
 @dataclass(frozen=True)
@@ -249,6 +390,36 @@ def _pivots(rows, p=None):
     return cols
 
 
+def _bareiss(a, b):
+    """(N, d) with A X = B for X = N / d, d > 0, or None when A is
+    singular; A is a square and B a rectangular list of integer rows.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968):
+    each update p a - f b is divided exactly by the previous pivot, so
+    every entry stays a minor of [A | B], and the left block ends as
+    d times the identity.
+    """
+    n = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        for i in range(k, n):
+            if rows[i][k]:
+                break
+        else:
+            return None
+        rows[k], rows[i] = rows[i], rows[k]
+        prow = rows[k]
+        pv = prow[k]
+        rows = [r if i == k else [(pv * x - r[k] * y) // prev
+                                  for x, y in zip(r, prow)]
+                for i, r in enumerate(rows)]
+        prev = pv
+    if prev < 0:
+        return [[-x for x in r[n:]] for r in rows], -prev
+    return [r[n:] for r in rows], prev
+
+
 def _integral(vec):
     """(integers, d) with vec[i] = integers[i] / d, where d is the lcm of
     the denominators in vec."""
@@ -294,6 +465,11 @@ class RationalRing(Ring):
         # A row scaled by a non-zero integer keeps its pivots.
         return _pivots([_integral(r)[0] for r in a])
 
+    # The packed form of Q is integers: the root operations of a dual
+    # tower over Q, on its integer-scaled rows.
+    _pivots_packed = staticmethod(_pivots)
+    _solve_packed = staticmethod(_bareiss)
+
     def __repr__(self):
         return "Q"
 
@@ -325,6 +501,13 @@ class Float64Ring(Ring):
 
     def is_exact(self):
         return False
+
+    def _pivots_packed(self, a):
+        return self.pivot_columns(a)
+
+    def _solve_packed(self, a, b):
+        x = self.solve(a, b)
+        return None if x is None else (x, 1)
 
     def __repr__(self):
         return "R64"
@@ -377,88 +560,148 @@ class PrimeFieldRing(Ring):
     def pivot_columns(self, a):
         return _pivots([[x.v for x in r] for r in a], self.p)
 
+    def _pivots_packed(self, a):
+        return _pivots(a, self.p)
+
+    def _solve_packed(self, a, b):
+        # Exact over Z; A is invertible mod p when det A is prime to p.
+        out = _bareiss(a, b)
+        return None if out is None or out[1] % self.p == 0 else out
+
     def __repr__(self):
         return f"F{self.p}"
 
 
 @dataclass(frozen=True)
 class DualRing(Ring):
+    """K[e1..ek]: the dual extension of `base`, whose scalars are jets
+    (see Dual) over the root field K at the bottom of the tower."""
+
     base: Ring
     kind = "dual"
+
+    def __post_init__(self):
+        base = self.base
+        inner = base.kind == "dual"
+        root = base.root if inner else base
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "size", 2 * base.size if inner else 2)
+        # The jets' root tag (see Dual) and the dot product of their
+        # packed coordinates.
+        object.__setattr__(self, "_p", _as_jet(root.zero()).p)
+        object.__setattr__(self, "_dot",
+                           _fdot if root.kind == "float64" else _idot)
 
     @property
     def depth(self):
         return 1 + self.base.depth
 
+    def _from_root(self, s):
+        return _as_jet(s)._pad(self.size - 1)
+
     def zero(self):
-        return Dual(self.base.zero(), self.base.zero())
+        return self._from_root(self.root.zero())
 
     def one(self):
-        return Dual(self.base.one(), self.base.zero())
+        return self._from_root(self.root.one())
 
     def from_int(self, k):
-        return Dual(self.base.from_int(k), self.base.zero())
+        return self._from_root(self.root.from_int(k))
 
     def is_unit(self, s):
-        return self.base.is_unit(s.re)
+        return self.root.is_unit(s._root(0))
 
     def invert(self, s):
-        # (a + b eps)^-1 = a^-1 - a^-1 b a^-1 eps; scalars commute.
-        ia = self.base.invert(s.re)
-        return Dual(ia, -(ia * s.eps * ia))
+        x = self.solve([[s]], [[self.one()]])
+        if x is None:
+            raise NotAUnit(f"{s!r} has no unit re-part")
+        return x[0][0]
 
     def pivot_magnitude(self, s):
-        return self.base.pivot_magnitude(s.re)
+        return self.root.pivot_magnitude(s._root(0))
 
     def is_exact(self):
-        return self.base.is_exact()
+        return self.root.is_exact()
 
     def lift(self, s):
         """Embed a base-ring scalar."""
-        return Dual(s, self.base.zero())
+        return _as_jet(s)._pad(self.size // 2)
 
     def matmul(self, a, b):
-        # Jet form: for A = A_re + e A_eps, C_re = A_re B_re and
-        # C_eps = A_re B_eps + A_eps B_re = [A_re | A_eps] [B_eps ; B_re],
-        # two products over the base, which recurses down the tower.
-        are, aeps = _parts(a)
-        bre, beps = _parts(b)
-        cre = self.base.matmul(are, bre)
-        ceps = self.base.matmul([r + e for r, e in zip(are, aeps)],
-                                beps + bre)
-        return [[Dual(x, y) for x, y in zip(r, e)] for r, e in zip(cre, ceps)]
+        # C_m is the sum of A_s B_(m^s) over the subsets s of m. Each row
+        # of A and each column of B is scaled once to the root's packed
+        # form and laid out per mask m as the concatenation of its
+        # coordinates s (rows) or m^s (columns) over those s, so every
+        # output coordinate is one dot product.
+        if not b or not b[0]:
+            return [[] for _ in a]
+        subsets = _subsets(self.size)
+        rows = []
+        for r in a:
+            v, d = _pack(r)
+            by_mask = list(zip(*v))
+            rows.append(([sum([by_mask[s] for s in sub], ())
+                          for sub in subsets], d))
+        cols = []
+        for c in zip(*b):
+            v, e = _pack(c)
+            by_mask = list(zip(*v))
+            cols.append(([sum([by_mask[m ^ s] for s in sub], ())
+                          for m, sub in enumerate(subsets)], e))
+        dot, p = self._dot, self._p
+        return [[_reduced(tuple(map(dot, rv, cv)), d * e, p)
+                 for cv, e in cols] for rv, d in rows]
 
     def solve(self, a, b):
-        # A X = B splits into A_re X_re = B_re and
-        # A_re X_eps = B_eps - A_eps X_re. One base solve against
-        # [B_re | B_eps | A_eps] gives X_re, Y = A_re^-1 B_eps and
-        # Z = A_re^-1 A_eps, and X_eps = Y - Z X_re. A is invertible over
-        # the dual ring exactly when A_re is invertible over the base.
-        are, aeps = _parts(a)
-        bre, beps = _parts(b)
+        # A X = B splits by mask: A_0 X_m = B_m - sum of A_s X_(m^s) over
+        # the non-empty s in m. Each row of [A | B] is scaled to the root's
+        # packed form, and one root solve against
+        # [B_0 | .. | B_last | A_1 | .. | A_last] gives Y_m = N_m / D and
+        # Z_s = M_s / D. By increasing mask, X_m = P_m / D^(|m|+1) with
+        # P_m = D^|m| N_m - sum of D^(|s|-1) M_s P_(m^s), all in packed
+        # form (D = 1 off Q). A is invertible over the dual ring exactly
+        # when A_0 is over the root.
+        size, depth = self.size, self.depth
+        n = len(a)
         m = len(b[0]) if b else 0
-        sol = self.base.solve(are, [r + e + z for r, e, z
-                                    in zip(bre, beps, aeps)])
-        if sol is None:
+        rows = [_pack(ra + rb)[0] for ra, rb in zip(a, b)]
+        out = self.root._solve_packed(
+            [[c[0] for c in r[:n]] for r in rows],
+            [[c[k] for k in range(size) for c in r[n:]]
+             + [c[s] for s in range(1, size) for c in r[:n]] for r in rows])
+        if out is None:
             return None
-        xre = [r[:m] for r in sol]
-        zx = self.base.matmul([r[2 * m:] for r in sol], xre)
-        return [[Dual(x, y - w) for x, y, w in zip(xr, r[m:2 * m], wr)]
-                for xr, r, wr in zip(xre, sol, zx)]
+        sol, den = out
+        pw = [den ** j for j in range(depth + 2)]
+        bits = [bin(k).count("1") for k in range(size)]
+        dot = self._dot
+        xs = [[r[:m] for r in sol]]
+        off = size * m
+        for mask, sub in enumerate(_subsets(size)[1:], 1):
+            sub = sub[1:]
+            z = [[x * pw[bits[s] - 1] for s in sub
+                  for x in r[off + (s - 1) * n:off + s * n]] for r in sol]
+            cols = list(zip(*[row for s in sub for row in xs[mask ^ s]]))
+            scale = pw[bits[mask]]
+            xs.append([[y * scale - dot(zr, c)
+                        for y, c in zip(r[mask * m:(mask + 1) * m], cols)]
+                       for r, zr in zip(sol, z)])
+        # Coordinate k of an entry is its P_k over D^(depth+1).
+        scales = [pw[depth - c] for c in bits]
+        return [[_reduced(tuple([x[i][j] * c for x, c in zip(xs, scales)]),
+                          pw[depth + 1], self._p) for j in range(m)]
+                for i in range(n)]
 
     def pivot_columns(self, a):
-        # An entry is a unit exactly when its re-part is, and the re-parts
-        # of an elimination over K[e] are the elimination of the re-parts
-        # over K, so the pivots are those of A_re.
-        return self.base.pivot_columns([[x.re for x in r] for r in a])
+        # An entry is a unit exactly when its mask-0 coordinate is, and
+        # the mask-0 part of an elimination over K[e1..ek] is the
+        # elimination of the mask-0 parts over K, so the pivots are those
+        # of A_0. A row scaled to the packed form keeps its pivots.
+        return self.root._pivots_packed(
+            [[c[0] for c in _pack(r)[0]] for r in a])
 
     def __repr__(self):
         return f"{self.base!r}[e]"
-
-
-def _parts(a):
-    """(re rows, eps rows) of a matrix over a dual ring."""
-    return ([[x.re for x in r] for r in a], [[x.eps for x in r] for r in a])
 
 
 RATIONAL = RationalRing()
@@ -471,13 +714,23 @@ def dual_parts(ring, s):
     return s.re, s.eps
 
 
+def embedding(src, dst):
+    """The map that embeds scalars of `src` into `dst`, an iterated dual
+    over `src`: zero-padding of their jet coordinates."""
+    ring = dst
+    while ring != src:
+        if ring.kind != "dual":
+            raise RingMismatch(f"{dst!r} is not an extension of {src!r}")
+        ring = ring.base
+    if dst == src:
+        return lambda s: s
+    k = dst.size - (src.size if src.kind == "dual" else 1)
+    return lambda s: _as_jet(s)._pad(k)
+
+
 def embed_scalar(s, src, dst):
     """Embed a scalar from `src` into `dst`, an iterated dual over `src`."""
-    if dst == src:
-        return s
-    if dst.kind != "dual":
-        raise RingMismatch(f"{dst!r} is not an extension of {src!r}")
-    return Dual(embed_scalar(s, src, dst.base), dst.base.zero())
+    return embedding(src, dst)(s)
 
 
 def ring_to_json(ring):

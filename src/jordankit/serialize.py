@@ -22,16 +22,21 @@ def matrix_to_json(m):
     return [[scalar_to_json(m.ring, x) for x in row] for row in m.rows]
 
 
-def matrix_from_json(ring, obj, n=None, m=None):
-    if not isinstance(obj, list):
-        # scalar shorthand for 1 x 1 matrices
-        return Matrix(ring, [[scalar_from_json(ring, obj)]])
-    rows = [[scalar_from_json(ring, x) for x in row] for row in obj]
-    out = Matrix(ring, rows)
-    if n is not None and out.shape != (n, m if m is not None else n):
-        from .errors import ShapeMismatch
-        raise ShapeMismatch(f"expected {n} rows, got {out.nrows}")
-    return out
+def matrix_from_json(ring, obj, n=None):
+    """The matrix of a list of rows, or of a scalar for a 1 x 1 matrix.
+    Ragged rows, and a shape other than n x n when n is given, are
+    malformed input (ValueError)."""
+    rows = obj if isinstance(obj, list) else [[obj]]
+    if not all(isinstance(r, list) for r in rows):
+        raise ValueError(f"matrix rows must be lists, not {obj!r}")
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    if any(len(r) != shape[1] for r in rows):
+        raise ValueError("ragged matrix rows")
+    if n is not None and shape != (n, n):
+        raise ValueError(f"expected a {n} x {n} matrix, "
+                         f"got {shape[0]} x {shape[1]}")
+    return Matrix(ring, [[scalar_from_json(ring, x) for x in r]
+                         for r in rows])
 
 
 def element_to_json(x):
@@ -42,9 +47,9 @@ def element_to_json(x):
             "entries": matrix_to_json(x)}
 
 
-def element_from_json(obj, ring=None):
+def element_from_json(obj, ring=None, n=None):
     ring = ring_from_json(obj["ring"]) if ring is None else ring
-    return matrix_from_json(ring, obj["entries"])
+    return matrix_from_json(ring, obj["entries"], n)
 
 
 def involution_to_json(iota):
@@ -59,14 +64,14 @@ def _require_object(obj, what):
         raise ValueError(f"{what} must be a JSON object, not {obj!r}")
 
 
-def involution_from_json(ring, obj):
+def involution_from_json(ring, obj, n=None):
     if obj is None:
         return Involution()
     _require_object(obj, "involution")
     if obj.get("kind", "transpose") == "transpose":
         return Involution()
     return Involution("form_adjoint",
-                      matrix_from_json(ring, obj["B"]),
+                      matrix_from_json(ring, obj["B"], n),
                       obj.get("symmetry", "symmetric"))
 
 
@@ -87,15 +92,15 @@ def group_from_json(ring, n, obj):
     if "standard" in obj:
         return STANDARD_GROUP[obj["standard"]](ring, n)
     if "blocks" in obj:
-        (a, b), (c, d) = [[matrix_from_json(ring, m) for m in row]
+        (a, b), (c, d) = [[matrix_from_json(ring, m, n) for m in row]
                           for row in obj["blocks"]]
         word = None
         if "word" in obj:
-            word = tuple((w["deg"], matrix_from_json(ring, w["v"]))
+            word = tuple((w["deg"], matrix_from_json(ring, w["v"], n))
                          for w in obj["word"])
         return GroupElement.from_blocks(a, b, c, d, word=word)
     if "word" in obj:
-        word = tuple((w["deg"], matrix_from_json(ring, w["v"]))
+        word = tuple((w["deg"], matrix_from_json(ring, w["v"], n))
                      for w in obj["word"])
         return GroupElement.from_word(ring, n, word)
     raise ValueError("group element needs blocks, a word, or a standard name")
@@ -135,12 +140,12 @@ def polarity_to_json(spec):
 def polarity_from_json(ring, n, obj):
     mode = obj["mode"]
     s = group_from_json(ring, n, obj["S"]) if "S" in obj else None
-    h = matrix_from_json(ring, obj["H"]) if "H" in obj else None
+    h = matrix_from_json(ring, obj["H"], n) if "H" in obj else None
     if mode == "linear":
         if s is None:
             s = GroupElement.identity(ring, n)
         return Polarity("linear", S=s, H=h)
-    iota = involution_from_json(ring, obj.get("involution"))
+    iota = involution_from_json(ring, obj.get("involution"), n)
     return Polarity("semilinear", S=s, j=obj["j"], involution=iota, H=h,
                     ring=ring, n=n)
 
@@ -152,7 +157,7 @@ def jordan_context_from_json(obj):
     flavor = obj.get("flavor", "full")
     iota = None
     if flavor != "full":
-        iota = involution_from_json(ring, obj.get("involution"))
+        iota = involution_from_json(ring, obj.get("involution"), n)
     return JordanContext(n, ring, flavor, iota)
 
 
@@ -160,13 +165,14 @@ def symspace_context_from_json(obj):
     variant = obj["variant"]
     if variant == "jordan_units":
         jctx = jordan_context_from_json(obj)
-        o = element_from_json(obj["o"], jctx.ring) if "o" in obj else None
+        o = (element_from_json(obj["o"], jctx.ring, jctx.n) if "o" in obj
+             else None)
         return JordanUnitsSpace(jctx, o)
     if variant == "group":
         ring = ring_from_json(obj.get("ring", "rational"))
         n = obj.get("n", 1)
         kind = obj.get("kind", "full_linear")
-        iota = involution_from_json(ring, obj.get("involution")) \
+        iota = involution_from_json(ring, obj.get("involution"), n) \
             if kind == "unitary" else None
         return GroupSpace(n, ring, kind, iota)
     if variant == "projective":

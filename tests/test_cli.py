@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -282,6 +283,51 @@ def test_compute_malformed_point_is_usage_error():
         assert "Traceback" not in err
 
 
+def test_compute_malformed_matrix_is_usage_error():
+    """Ragged rows, or a matrix payload that is not n x n for the n the
+    request implies, are a malformed request (exit 2) for every op that
+    reads a matrix, not a domain error from inside the computation."""
+    eye = [["1", "0"], ["0", "1"]]
+    jordan = {"ring": "rational", "n": 2}
+    units = {"variant": "jordan_units", "ring": "rational", "n": 2,
+             "flavor": "hermitian"}
+    group = {"variant": "group", "ring": "rational", "n": 2}
+    line = _point([["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]])
+    for bad in ([["1", "0"], ["0"]], [["1", "0"]], [["1"], ["0"]], "3",
+                [["1", "0"], "01"]):
+        form = {"kind": "form_adjoint", "B": bad}
+        reqs = [
+            dict(jordan, op="quasi_inverse", x=eye, y=bad),
+            dict(jordan, op="bergman", x=bad, y=eye),
+            dict(jordan, op="bergman", flavor="hermitian", involution=form,
+                 x=eye, y=eye),
+            {"op": "act", "ring": "rational", "n": 2, "g": "C", "x": bad},
+            {"op": "act", "ring": "rational", "n": 2, "x": eye,
+             "g": {"blocks": [[eye, bad], [eye, eye]]}},
+            {"op": "act_frac", "E": line,
+             "g": {"word": [{"deg": 1, "v": bad}]}},
+            {"op": "sym_mul", "context": group, "x": eye, "y": bad},
+            {"op": "sym_mul", "context": dict(units, o={
+                "n": 2, "ring": "rational", "entries": bad}),
+             "x": eye, "y": eye},
+            {"op": "lts", "context": units, "u": eye, "v": bad, "w": eye},
+            {"op": "exp", "ring": "float64", "n": 2, "v": bad},
+            {"op": "classify", "E": line, "involution": form},
+            {"op": "derivative", "map": "squaring", "samples": 1,
+             "context": dict(jordan, flavor="hermitian", involution=form)},
+        ]
+        for req in reqs:
+            code, out, err = run_in_process(["compute"],
+                                            stdin=json.dumps(req))
+            assert code == 2, req
+            assert json.loads(out)["error"] == "MalformedRequest", req
+            assert "Traceback" not in err
+    ragged_rep = [["1", "0"], ["0", "1"], ["0"], ["0", "0"]]
+    code, out, _ = run_in_process(["compute"], stdin=json.dumps(
+        {"op": "classify", "E": _point(ragged_rep)}))
+    assert code == 2 and json.loads(out)["error"] == "MalformedRequest"
+
+
 def test_compute_rank_deficient_point_is_domain_error():
     reqs = [
         {"op": "classify", "E": _point([["0"], ["0"]])},
@@ -322,6 +368,21 @@ def test_compute_over_dual_ring():
            "n": 1, "x": {"re": 1, "eps": 1}, "y": {"re": 1, "eps": 0}}
     resp = cli.compute(req)
     assert resp["result"] == {"re": "1/2", "eps": "1/4"}
+
+
+def test_dual_ring_responses_are_unchanged():
+    """Compute responses over Q[e], Q[e][e], F7[e] and R64[e] stay byte
+    for byte the recorded ones: sym_mul on all three contexts,
+    quasi_inverse, bergman, lts and derivative. Each entry of the data
+    file is a request and the line `jordankit compute` printed for it."""
+    path = Path(__file__).parent / "data" / "dual_compute_golden.json"
+    cases = json.loads(path.read_text(encoding="utf-8"))
+    assert len(cases) >= 20
+    for case in cases:
+        code, out, _ = run_in_process(["compute"],
+                                      stdin=json.dumps(case["request"]))
+        assert code == 0, case["request"]
+        assert out == case["response"] + "\n", case["request"]
 
 
 def test_convention_round_trip():
@@ -459,13 +520,19 @@ def _rows(nrows, ncols):
                     min_size=nrows, max_size=nrows)
 
 
+def _ragged(nrows, ncols):
+    """nrows rows of ncols entries, but the last one entry longer."""
+    return st.tuples(_rows(nrows, ncols), _scalar).map(
+        lambda t: t[0][:-1] + [t[0][-1] + [t[1]]])
+
+
 def _schema(n):
     """Request fields of the compute schema for elements of size n."""
     matrix = _maybe(st.one_of(_rows(n, n), _rows(n, n), _rows(n + 1, n),
-                              _scalar))
+                              _ragged(n, n), _scalar))
     point = _maybe(st.fixed_dictionaries(
         {"ring": _ring, "rep": st.one_of(_rows(2 * n, n), _rows(2 * n, n),
-                                         _rows(n, n))},
+                                         _rows(n, n), _ragged(2 * n, n))},
         optional={"n": st.integers(-1, 3)}))
     involution = _maybe(st.one_of(
         st.just({"kind": "transpose"}),

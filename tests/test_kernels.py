@@ -1,9 +1,11 @@
 """Kernel parity: the packed products, the dual solve and the integer
 pivot search that the rings provide must agree with the generic loops,
-over every ring that has a packed form, on square, rectangular, row and
-column shapes. The one generic elimination must give consistent ranks,
-pivots and solutions, and the bases picked by one pivot search must equal
-the ones picked by adding one candidate at a time."""
+which run on the scalar operators, over every ring that has a packed form
+(jets over Q, F_3, F_7 and F_(2^31-1) at depths 1 to 3, and over float64
+up to rounding), on square, rectangular, row, column and empty shapes.
+The one generic elimination must give consistent ranks, pivots and
+solutions, and the bases picked by one pivot search must equal the ones
+picked by adding one candidate at a time."""
 
 import random
 from fractions import Fraction
@@ -22,24 +24,41 @@ from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing,
                              PrimeFieldRing, _rational)
 
 F5 = PrimeFieldRing(5)
-EXACT_RINGS = [RATIONAL, F5, DualRing(PrimeFieldRing(7)), DualRing(RATIONAL),
-               DualRing(DualRing(RATIONAL)),
-               DualRing(DualRing(DualRing(RATIONAL)))]
+
+
+def tower(root, depth):
+    for _ in range(depth):
+        root = DualRing(root)
+    return root
+
+
+JET_RINGS = [tower(root, depth) for root in (
+    RATIONAL, PrimeFieldRing(3), PrimeFieldRing(7), PrimeFieldRing(2**31 - 1))
+    for depth in (1, 2, 3)]
+EXACT_RINGS = [RATIONAL, F5] + JET_RINGS
+FLOAT_JET_RINGS = [tower(FLOAT64, depth) for depth in (1, 2, 3)]
 R64E = DualRing(FLOAT64)
 QE = DualRing(RATIONAL)
 DENOMS = (1, 1, 2, 3, 7, 10, 12, 10**20)
 # (rows of A, inner dimension, columns of B)
 SHAPES = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (1, 4, 1), (1, 3, 4),
-          (4, 3, 1), (4, 1, 3), (2, 5, 3), (3, 2, 5)]
+          (4, 3, 1), (4, 1, 3), (2, 5, 3), (3, 2, 5), (0, 3, 2), (2, 0, 3),
+          (3, 2, 0)]
 
 
 def rand_scalar(rng, ring):
+    """A random scalar; over a dual ring, the re-part is zero one time in
+    six."""
     if isinstance(ring, DualRing):
-        return Dual(rand_scalar(rng, ring.base), rand_scalar(rng, ring.base))
+        re = (ring.base.zero() if rng.random() < 1 / 6
+              else rand_scalar(rng, ring.base))
+        return Dual(re, rand_scalar(rng, ring.base))
     if ring == RATIONAL:
         return _rational(Fraction(rng.randint(-9, 9), rng.choice(DENOMS)))
     if ring == FLOAT64:
         return rng.uniform(-4.0, 4.0)
+    if rng.random() < 0.2:
+        return ring.from_int(rng.randrange(ring.p))
     return ring.from_int(rng.randint(-9, 9))
 
 
@@ -58,11 +77,25 @@ def _cases(ring, seed=777):
 
 
 def _systems(ring, seed=778):
-    """Square systems A X = B with B of 1 to 3 columns."""
+    """Square systems A X = B with B of 0 to 3 columns: five with A drawn
+    until the generic elimination finds it invertible, then one random A,
+    the empty system, and over a dual ring one whose re-part is
+    singular."""
     rng = random.Random(seed)
     for n in (1, 2, 3, 4, 4):
-        yield rand_rows(rng, ring, n, n), rand_rows(rng, ring, n,
-                                                    rng.randint(1, 3))
+        for _ in range(100):
+            a = rand_rows(rng, ring, n, n)
+            if len(generic.eliminate([list(r) for r in a], ring)[0]) == n:
+                break
+        yield a, rand_rows(rng, ring, n, rng.randint(1, 3))
+    yield rand_rows(rng, ring, 3, 3), rand_rows(rng, ring, 3, 0)
+    yield [], []
+    if isinstance(ring, DualRing):
+        a = rand_rows(rng, ring, 3, 3)
+        # Row 2 = row 0 + row 1 in the re-part only.
+        a[2] = [x + y + Dual(ring.base.zero(), rand_scalar(rng, ring.base))
+                for x, y in zip(a[0], a[1])]
+        yield a, rand_rows(rng, ring, 3, 2)
 
 
 def _close(x, y, rel=1e-12):
@@ -86,32 +119,61 @@ def test_matmul_parity(ring):
 @pytest.mark.parametrize("ring", EXACT_RINGS, ids=repr)
 def test_matvec_parity(ring):
     for a, b in _cases(ring):
+        if not b or not b[0]:
+            continue
         v = [row[0] for row in b]
         assert K.matvec(a, v, ring) == generic_matvec(a, v, ring)
 
 
 @pytest.mark.parametrize("ring", EXACT_RINGS, ids=repr)
 def test_solve_parity(ring):
-    solved = 0
+    solved = singular = 0
     for a, b in _systems(ring):
         x = K.gauss_solve(a, b, ring)
         assert x == generic.gauss_solve(a, b, ring)
         if x is not None:
             solved += 1
             assert K.matmul(a, x, ring) == b
-    assert solved >= 3
+        else:
+            singular += 1
+    assert solved >= 6
+    assert singular >= isinstance(ring, DualRing)
 
 
 def test_float_dual_parity():
-    """R64[e] sums in another order on the packed path."""
+    """Jets over float64 sum in another order on the packed path."""
+    for ring in FLOAT_JET_RINGS:
+        for a, b in _cases(ring):
+            assert _rows_close(K.matmul(a, b, ring),
+                               generic.matmul(a, b, ring))
+            if b and b[0]:
+                v = [row[0] for row in b]
+                assert _rows_close([K.matvec(a, v, ring)],
+                                   [generic_matvec(a, v, ring)])
+        for a, b in _systems(ring):
+            x = K.gauss_solve(a, b, ring)
+            want = generic.gauss_solve(a, b, ring)
+            assert (x is None) == (want is None)
+            if x is not None:
+                assert _rows_close(x, want)
+
+
+def test_float_dual_depth_one_matches_generic_bitwise():
+    """At depth 1 the packed float64 product and solve add in the order
+    of the generic loops over the parts, so they agree bit for bit."""
+    def bits(rows):
+        return [[(x.re.hex(), x.eps.hex()) for x in r] for r in rows]
+
     for a, b in _cases(R64E):
-        assert _rows_close(K.matmul(a, b, R64E), generic.matmul(a, b, R64E))
-        v = [row[0] for row in b]
-        assert _rows_close([K.matvec(a, v, R64E)],
-                           [generic_matvec(a, v, R64E)])
-    for a, b in _systems(R64E):
-        assert _rows_close(K.gauss_solve(a, b, R64E),
-                           generic.gauss_solve(a, b, R64E))
+        re = [[x.re for x in r] for r in a]
+        eps = [[x.eps for x in r] for r in a]
+        bre = [[x.re for x in r] for r in b]
+        beps = [[x.eps for x in r] for r in b]
+        want = [[Dual(x, y) for x, y in zip(rr, er)] for rr, er in zip(
+            generic.matmul(re, bre, FLOAT64),
+            generic.matmul([r + e for r, e in zip(re, eps)], beps + bre,
+                           FLOAT64))]
+        assert bits(K.matmul(a, b, R64E)) == bits(want)
 
 
 def test_rational_large_denominators():
@@ -182,9 +244,8 @@ def _generic_pivots(a, ring):
 PIVOT_SHAPES = [(1, 1, 1), (3, 0, 0), (2, 2, 0), (3, 3, 3), (3, 3, 2),
                 (4, 4, 4), (4, 4, 1), (2, 6, 2), (3, 7, 2), (6, 2, 2),
                 (7, 3, 1), (1, 5, 1), (5, 1, 1), (5, 5, 3), (4, 8, 3)]
-PIVOT_RINGS = [RATIONAL, PrimeFieldRing(3), F5, PrimeFieldRing(7),
-               PrimeFieldRing(2**31 - 1), DualRing(PrimeFieldRing(7)), QE,
-               DualRing(QE), R64E]
+PIVOT_RINGS = ([RATIONAL, PrimeFieldRing(3), F5, PrimeFieldRing(7),
+                PrimeFieldRing(2**31 - 1)] + JET_RINGS + FLOAT_JET_RINGS)
 
 
 def _pure_eps(rng, ring):

@@ -1,5 +1,8 @@
 """Scalar tower: units, inversion, duals and their nesting."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,3 +191,145 @@ def test_json_round_trips():
     assert scalar_to_json(RATIONAL, RATIONAL.from_int(5)) == "5"
     assert scalar_to_json(F5, Fp(3, 5)) == {"fp": 3, "p": 5}
     assert ring_from_json("fp:7") == PrimeFieldRing(7)
+
+
+# -- jets: the flat coordinates against the nested re/eps view --------------
+
+def _tower(root, depth):
+    for _ in range(depth):
+        root = DualRing(root)
+    return root
+
+
+JET_ROOTS = [RATIONAL, PrimeFieldRing(3), PrimeFieldRing(7),
+             PrimeFieldRing(2**31 - 1), FLOAT64]
+JET_RINGS = [_tower(root, depth) for root in JET_ROOTS for depth in (1, 2, 3)]
+DENOMS = (1, 2, 3, 7, 12, 10**20)
+
+
+def _rand_jet(rng, ring):
+    """A random scalar, built from its parts; the re-part is zero one time
+    in five. Float64 coordinates are small integers, so every sum and
+    product is exact and part-wise formulas hold bit for bit."""
+    if isinstance(ring, DualRing):
+        re = (ring.base.zero() if rng.random() < 0.2
+              else _rand_jet(rng, ring.base))
+        return Dual(re, _rand_jet(rng, ring.base))
+    if ring == RATIONAL:
+        return RATIONAL.from_fraction(Fraction(rng.randint(-10**6, 10**6),
+                                               rng.choice(DENOMS)))
+    if ring == FLOAT64:
+        return float(rng.randint(-9, 9))
+    return ring.from_int(rng.choice([rng.randint(-9, 9),
+                                     rng.randrange(ring.p)]))
+
+
+def _parts(s):
+    """The root scalars of a nested dual scalar, re-parts first."""
+    return _parts(s.re) + _parts(s.eps) if isinstance(s, Dual) else [s]
+
+
+def _nested_invert(ring, s):
+    """(a + b e)^-1 = a^-1 - a^-1 b a^-1 e, down the tower."""
+    if not isinstance(ring, DualRing):
+        return ring.invert(s)
+    ia = _nested_invert(ring.base, s.re)
+    return Dual(ia, -(ia * s.eps * ia))
+
+
+@pytest.mark.parametrize("ring", JET_RINGS, ids=repr)
+def test_jet_arithmetic_matches_part_formulas(ring):
+    """With x = a + b e and y = c + d e: xy = ac + (ad + bc) e, x +- y and
+    -x part-wise, and integer operands act on the parts; a scalar rebuilt
+    from its parts is equal to it with the same hash, and the inverse is
+    the nested formula."""
+    rng = random.Random(4242)
+    units = 0
+    for _ in range(60):
+        x, y = _rand_jet(rng, ring), _rand_jet(rng, ring)
+        a, b, c, d = x.re, x.eps, y.re, y.eps
+        assert x * y == Dual(a * c, a * d + b * c)
+        assert x + y == Dual(a + c, b + d)
+        assert x - y == Dual(a - c, b - d)
+        assert -x == Dual(-a, -b)
+        assert x * 3 == 3 * x == Dual(a * 3, b * 3)
+        assert x + 2 == 2 + x == Dual(a + 2, b)
+        assert x - 2 == Dual(a - 2, b) and 2 - x == Dual(2 - a, -b)
+        rebuilt = Dual(a, b)
+        assert rebuilt == x and hash(rebuilt) == hash(x)
+        assert scalar_from_json(ring, scalar_to_json(ring, x)) == x
+        if ring.is_unit(x):
+            units += 1
+            inv = ring.invert(x)
+            want = _nested_invert(ring, x)
+            if ring.is_exact():
+                assert inv == want
+                assert x * inv == ring.one()
+            else:
+                scale = max(1.0, *map(abs, _parts(want)))
+                assert all(abs(u - v) <= 1e-12 * scale
+                           for u, v in zip(_parts(inv), _parts(want)))
+        else:
+            with pytest.raises(NotAUnit):
+                ring.invert(x)
+    assert units >= 10
+
+
+def test_rational_jets_are_reduced():
+    """Over Q a jet keeps one reduced denominator, so values reached by
+    different routes are equal and hash alike."""
+    half = Dual(RATIONAL.from_fraction(Fraction(1, 2)),
+                RATIONAL.from_fraction(Fraction(1, 2)))
+    two = QE.from_int(2)
+    assert half * two == Dual(RATIONAL.one(), RATIONAL.one())
+    assert hash(half * two) == hash(Dual(RATIONAL.one(), RATIONAL.one()))
+    big = RATIONAL.from_fraction(Fraction(10**20 + 1, 10**20))
+    s = Dual(big, -big)
+    assert s + (-s) == QE.zero() and hash(s - s) == hash(QE.zero())
+    assert (s * QE.invert(s)) == QE.one()
+    assert s.re == big and s.eps == -big
+
+
+def test_jet_ring_mismatches():
+    f5e, f7e = DualRing(F5), DualRing(PrimeFieldRing(7))
+    with pytest.raises(RingMismatch):
+        f5e.one() + f7e.one()
+    with pytest.raises(RingMismatch):
+        f5e.one() * f7e.one()
+    with pytest.raises(RingMismatch):
+        QE.one() * DualRing(QE).one()
+    with pytest.raises(RingMismatch):
+        Dual(QE.one(), RATIONAL.one())
+
+
+_jet_q = st.tuples(st.integers(-10**6, 10**6),
+                   st.sampled_from(DENOMS)).map(
+    lambda t: RATIONAL.from_fraction(Fraction(*t)))
+
+
+def _jet_strategy(ring, leaf):
+    if not isinstance(ring, DualRing):
+        return leaf
+    part = _jet_strategy(ring.base, leaf)
+    return st.tuples(part, part).map(lambda t: Dual(*t))
+
+
+_axiom_cases = st.one_of(
+    [st.tuples(st.just(ring), *[_jet_strategy(ring, leaf)] * 3)
+     for depth in (1, 2, 3)
+     for ring, leaf in ((_tower(RATIONAL, depth), _jet_q),
+                        (_tower(PrimeFieldRing(7), depth),
+                         st.integers(0, 6).map(lambda k: Fp(k, 7))))])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_axiom_cases)
+def test_jet_ring_axioms(case):
+    ring, a, b, c = case
+    zero, one = ring.zero(), ring.one()
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a - a == zero and a + (-a) == zero
