@@ -2,12 +2,12 @@
 
 Every kernel here hands the work to the ring, which computes in its own
 packed form where it has one (Q, F_p and dual towers; see rings.py) and
-runs the generic loops of generic.py otherwise. Products use packed forms
-on all three; rank and pivot search eliminate integer rows over Q and
-F_p, and the mask-0 jet coordinates over a dual ring. Solve is packed
-only over dual rings: one root solve of the mask-0 part (fraction-free on
-integers over Q and F_p) against every jet, then back-substitution by
-mask.
+runs the generic loops of generic.py otherwise (float64). Products use
+packed forms on all three; rank and pivot search eliminate integer rows
+over Q and F_p, and the mask-0 jet coordinates over a dual ring. Solve
+runs one packed root solve per field: fraction-free on integer-scaled
+rows over Q, on residues over F_p; over a dual ring that root solve of
+the mask-0 part runs against every jet, then back-substitution by mask.
 """
 
 from .generic import madd, meye, mneg, mscale, msub, mtranspose

@@ -4,10 +4,11 @@ Matrices are lists of row lists of scalar objects; the `ring` argument
 supplies zero/one, the unit test used for pivot admissibility, inversion,
 and (for float64) a pivot magnitude. Over dual (local) rings the unit test
 looks at re-parts only, which is exactly what makes elimination work
-there. Rings without a packed form (float64) run on these loops, and the
+there. Only float64, which has no packed form, runs on these loops; the
 parity tests use them as the reference for the packed ones in rings.py:
-the products, the dual solve, and the integer pivot search over Q and F_p.
-Solve and pivot search are thin wrappers of one elimination, `eliminate`.
+the products, the solves over Q, F_p and dual rings, and the integer
+pivot search. Solve and pivot search are thin wrappers of one
+elimination, `eliminate`.
 """
 
 

@@ -184,8 +184,10 @@ class Matrix:
         return Matrix._new(dst_ring, [list(map(f, r)) for r in self.rows])
 
     def max_abs(self):
-        """Largest |entry| (float matrices only)."""
-        return max((abs(x) for r in self.rows for x in r), default=0.0)
+        """Largest |coordinate| of an entry over the root field (float
+        rings only): over a dual ring, of every jet coordinate."""
+        return max((abs(f) for r in self.rows for x in r
+                    for f in _components(x)), default=0.0)
 
 
 def _components(s):

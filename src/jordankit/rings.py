@@ -12,11 +12,13 @@ A ring also multiplies matrices (lists of row lists of its scalars),
 solves square systems and finds pivot columns, in its own packed form
 where it has one: Q on integers over a common denominator, F_p on raw
 residues, and a dual ring on the packed jet coordinates, with one root
-solve or pivot search of the mask-0 part (`_solve_packed`,
-`_pivots_packed`). Pivot search on Q and F_p is a forward elimination on
-integer rows (`_pivots`), and the dual solve over them a fraction-free
-Gauss-Jordan elimination on integer rows (`_bareiss`). Solve on plain Q
-and F_p matrices still runs the generic elimination.
+solve or pivot search of the mask-0 part. Each root field has one packed
+solve and one packed pivot search (`_solve_packed`, `_pivots_packed`),
+which its plain matrices and its dual towers share: on Q a fraction-free
+Gauss-Jordan elimination on integer-scaled rows (`_bareiss`), on F_p a
+Gauss-Jordan elimination on residues (`_solve_mod`), and for pivots a
+forward elimination on integer rows (`_pivots`). Only float64 runs the
+generic elimination.
 """
 
 from __future__ import annotations
@@ -390,17 +392,16 @@ def _pivots(rows, p=None):
     return cols
 
 
-def _bareiss(a, b):
+def _bareiss(rows, n):
     """(N, d) with A X = B for X = N / d, d > 0, or None when A is
-    singular; A is a square and B a rectangular list of integer rows.
+    singular; `rows` are the integer rows of [A | B], A n x n, and may be
+    reordered.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968):
     each update p a - f b is divided exactly by the previous pivot, so
     every entry stays a minor of [A | B], and the left block ends as
     d times the identity.
     """
-    n = len(a)
-    rows = [ra + rb for ra, rb in zip(a, b)]
     prev = 1
     for k in range(n):
         for i in range(k, n):
@@ -418,6 +419,29 @@ def _bareiss(a, b):
     if prev < 0:
         return [[-x for x in r[n:]] for r in rows], -prev
     return [r[n:] for r in rows], prev
+
+
+def _solve_mod(rows, n, p):
+    """(X, 1) with A X = B mod p, or None when A is singular mod p; `rows`
+    are the rows of [A | B], A n x n, as residues in [0, p), and may be
+    reordered.
+
+    Gauss-Jordan elimination on the residues: the pivot row is scaled to
+    a leading 1 and every update reduced mod p, so entries stay residues.
+    """
+    for k in range(n):
+        for i in range(k, n):
+            if rows[i][k]:
+                break
+        else:
+            return None
+        rows[k], rows[i] = rows[i], rows[k]
+        inv = pow(rows[k][k], -1, p)
+        prow = [x * inv % p for x in rows[k]]
+        rows = [prow if i == k else
+                [(x - f * y) % p for x, y in zip(r, prow)] if (f := r[k])
+                else r for i, r in enumerate(rows)]
+    return [r[n:] for r in rows], 1
 
 
 def _integral(vec):
@@ -460,6 +484,15 @@ class RationalRing(Ring):
         cols = [_integral(c) for c in zip(*b)]
         return [[_rational(sum(map(mul, r, c)), d * e) for c, e in cols]
                 for r, d in rows]
+
+    def solve(self, a, b):
+        # A row of [A | B] scaled by a non-zero integer keeps the solution.
+        out = self._solve_packed(
+            [_integral(ra + rb)[0] for ra, rb in zip(a, b)], len(a))
+        if out is None:
+            return None
+        x, d = out
+        return [[_rational(v, d) for v in r] for r in x]
 
     def pivot_columns(self, a):
         # A row scaled by a non-zero integer keeps its pivots.
@@ -505,8 +538,8 @@ class Float64Ring(Ring):
     def _pivots_packed(self, a):
         return self.pivot_columns(a)
 
-    def _solve_packed(self, a, b):
-        x = self.solve(a, b)
+    def _solve_packed(self, rows, n):
+        x = self.solve([r[:n] for r in rows], [r[n:] for r in rows])
         return None if x is None else (x, 1)
 
     def __repr__(self):
@@ -557,16 +590,22 @@ class PrimeFieldRing(Ring):
         return [[Fp(sum(map(mul, r, c)), p) for c in cols]
                 for r in [[x.v for x in r] for r in a]]
 
+    def solve(self, a, b):
+        p = self.p
+        out = self._solve_packed(
+            [[x.v for x in ra + rb] for ra, rb in zip(a, b)], len(a))
+        if out is None:
+            return None
+        return [[Fp(v, p) for v in r] for r in out[0]]
+
     def pivot_columns(self, a):
         return _pivots([[x.v for x in r] for r in a], self.p)
 
     def _pivots_packed(self, a):
         return _pivots(a, self.p)
 
-    def _solve_packed(self, a, b):
-        # Exact over Z; A is invertible mod p when det A is prime to p.
-        out = _bareiss(a, b)
-        return None if out is None or out[1] % self.p == 0 else out
+    def _solve_packed(self, rows, n):
+        return _solve_mod(rows, n, self.p)
 
     def __repr__(self):
         return f"F{self.p}"
@@ -666,9 +705,8 @@ class DualRing(Ring):
         m = len(b[0]) if b else 0
         rows = [_pack(ra + rb)[0] for ra, rb in zip(a, b)]
         out = self.root._solve_packed(
-            [[c[0] for c in r[:n]] for r in rows],
-            [[c[k] for k in range(size) for c in r[n:]]
-             + [c[s] for s in range(1, size) for c in r[:n]] for r in rows])
+            [[c[0] for c in r[:n]] + [c[k] for k in range(size) for c in r[n:]]
+             + [c[s] for s in range(1, size) for c in r[:n]] for r in rows], n)
         if out is None:
             return None
         sol, den = out

@@ -359,6 +359,18 @@ def test_compute_derivative_report():
     assert rep["failed"] == 0 and rep["exact"] is True and rep["ok"] is True
 
 
+def test_compute_derivative_over_float_dual_ring():
+    """Over R64[e] the deviation is the largest |coordinate| of the
+    difference, so the check ends in a report, not a usage error."""
+    req = {"op": "derivative", "map": "squaring", "samples": 2,
+           "context": {"ring": {"kind": "dual", "base": {"kind": "float64"}},
+                       "n": 2}}
+    code, out, _ = run_in_process(["compute"], json.dumps(req))
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["ok"] is True and rep["exact"] is False
+
+
 def test_compute_over_dual_ring():
     """Dual scalars pass through the wire format, so one compute call
     returns value and directional derivative together: the eps-part of

@@ -1,8 +1,8 @@
-"""Kernel parity: the packed products, the dual solve and the integer
-pivot search that the rings provide must agree with the generic loops,
-which run on the scalar operators, over every ring that has a packed form
-(jets over Q, F_3, F_7 and F_(2^31-1) at depths 1 to 3, and over float64
-up to rounding), on square, rectangular, row, column and empty shapes.
+"""Kernel parity: the packed products, solves and integer pivot search
+that the rings provide must agree with the generic loops, which run on the
+scalar operators, over every ring that has a packed form (Q, F_3, F_5, F_7
+and F_(2^31-1), their jets at depths 1 to 3, and jets over float64 up to
+rounding), on square, rectangular, row, column and empty shapes.
 The one generic elimination must give consistent ranks, pivots and
 solutions, and the bases picked by one pivot search must equal the ones
 picked by adding one candidate at a time."""
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from jordankit import _kernels as K
 from jordankit._kernels import generic
 from jordankit.algebra import Involution, Matrix, herm_split, matrix_unit_basis
+from jordankit.errors import NotInvertible
 from jordankit.jordan import JordanContext
 from jordankit.projline import standard_complement
 from jordankit.randgen import rand_point, trial_rng
@@ -32,10 +33,11 @@ def tower(root, depth):
     return root
 
 
-JET_RINGS = [tower(root, depth) for root in (
-    RATIONAL, PrimeFieldRing(3), PrimeFieldRing(7), PrimeFieldRing(2**31 - 1))
-    for depth in (1, 2, 3)]
-EXACT_RINGS = [RATIONAL, F5] + JET_RINGS
+PRIME_FIELDS = [PrimeFieldRing(3), PrimeFieldRing(7),
+                PrimeFieldRing(2**31 - 1)]
+JET_RINGS = [tower(root, depth) for root in [RATIONAL] + PRIME_FIELDS
+             for depth in (1, 2, 3)]
+EXACT_RINGS = [RATIONAL, F5] + PRIME_FIELDS + JET_RINGS
 FLOAT_JET_RINGS = [tower(FLOAT64, depth) for depth in (1, 2, 3)]
 R64E = DualRing(FLOAT64)
 QE = DualRing(RATIONAL)
@@ -244,8 +246,7 @@ def _generic_pivots(a, ring):
 PIVOT_SHAPES = [(1, 1, 1), (3, 0, 0), (2, 2, 0), (3, 3, 3), (3, 3, 2),
                 (4, 4, 4), (4, 4, 1), (2, 6, 2), (3, 7, 2), (6, 2, 2),
                 (7, 3, 1), (1, 5, 1), (5, 1, 1), (5, 5, 3), (4, 8, 3)]
-PIVOT_RINGS = ([RATIONAL, PrimeFieldRing(3), F5, PrimeFieldRing(7),
-                PrimeFieldRing(2**31 - 1)] + JET_RINGS + FLOAT_JET_RINGS)
+PIVOT_RINGS = EXACT_RINGS + FLOAT_JET_RINGS
 
 
 def _pure_eps(rng, ring):
@@ -340,6 +341,8 @@ _SMALL_RINGS = [RATIONAL, PrimeFieldRing(3), PrimeFieldRing(7)]
                               st.sampled_from([1, 2, 3, 10**20])),
                     min_size=m, max_size=m), max_size=5)))
 def test_pivot_search_matches_generic_property(ring, entries):
+    """Pivots and rank, and on square input the inverse (None when
+    singular), equal those of the generic elimination."""
     if ring == RATIONAL:
         a = [[_rational(Fraction(k, d)) for k, d in row] for row in entries]
     else:
@@ -347,6 +350,23 @@ def test_pivot_search_matches_generic_property(ring, entries):
     want = _generic_pivots(a, ring)
     assert K.pivot_columns(a, ring) == want
     assert K.gauss_rank(a, ring) == len(want)
+    if a and len(a) == len(a[0]):
+        eye = K.meye(len(a), ring)
+        assert K.gauss_solve(a, eye, ring) == generic.gauss_solve(a, eye, ring)
+
+
+def test_singular_mod_p_only():
+    """det [[1, 2], [3, 1]] = -5: invertible over Q, singular over F_5 and
+    over F_5[e], where the integer determinant is non-zero."""
+    ints = [[1, 2], [3, 1]]
+    assert Matrix.from_ints(RATIONAL, ints).inverse() == Matrix(
+        RATIONAL, [[Fraction(-1, 5), Fraction(2, 5)],
+                   [Fraction(3, 5), Fraction(-1, 5)]])
+    with pytest.raises(NotInvertible):
+        Matrix.from_ints(F5, ints).inverse()
+    ring = DualRing(F5)
+    a = [[Dual(F5.from_int(k), F5.one()) for k in row] for row in ints]
+    assert K.gauss_solve(a, K.meye(2, ring), ring) is None
 
 
 # name -> (integer rows, pivot columns); every determinant involved is
