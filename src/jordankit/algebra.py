@@ -251,14 +251,6 @@ class Involution:
             return self
         return Involution("form_adjoint", self.form.embed(ring), self.symmetry)
 
-    def re_part(self):
-        """The involution of the form's re-part, over the ring one level
-        below the form's dual ring."""
-        if self.kind == "transpose":
-            return self
-        return Involution("form_adjoint", dual_split(self.form)[0],
-                          self.symmetry)
-
     def __eq__(self, other):
         return (isinstance(other, Involution) and self.kind == other.kind
                 and self.form == other.form and self.symmetry == other.symmetry)
@@ -443,14 +435,19 @@ class CoordinateBasis:
     def dim(self):
         return len(self.basis)
 
-    def coords(self, x):
+    def _read(self, x):
+        """The row-major entries of x and the coordinates read off its
+        pivot rows."""
         if x.ring != self.ring or x.shape != (self.n, self.n):
             raise RingMismatch("element does not match the subspace ambient")
         flat = x.flatten()
         if self._standard:
-            return flat
-        c = K.matvec(self._left_inv.rows,
-                     [flat[i] for i in self._pivot_rows], self.ring)
+            return flat, flat
+        return flat, K.matvec(self._left_inv.rows,
+                              [flat[i] for i in self._pivot_rows], self.ring)
+
+    def coords(self, x):
+        flat, c = self._read(x)
         if self._free_rows:
             rows = self._cols.rows
             free = self._free_rows
@@ -473,6 +470,14 @@ class CoordinateBasis:
             return True
         except NotInSubspace:
             return False
+
+    def project(self, x):
+        """The point of the subspace with the coordinates read off the
+        pivot rows of x, as in `coords()`, without the check of the free
+        rows: x itself for x in the subspace over an exact ring, and
+        never a refusal. Over a float ring it turns an x that lies in the
+        subspace up to rounding into a point of it."""
+        return self.from_coords(self._read(x)[1])
 
     def from_coords(self, c):
         if self._standard:

@@ -13,13 +13,11 @@ loos_bergman / loos_quasi_inverse, which negate the second slot.
 from __future__ import annotations
 
 from . import _kernels as K
-from .algebra import (CoordinateBasis, LinearOperator, Matrix, dual_split,
-                      herm_split, left_mult, matrix_unit_basis, right_mult,
-                      sandwich)
+from .algebra import (CoordinateBasis, LinearOperator, Matrix, herm_split,
+                      left_mult, matrix_unit_basis, right_mult, sandwich)
 from .errors import (NotInSubspace, NotInvertible, NotQuasiInvertible,
                      SingularOperator)
 from .graded import ad_blocks
-from .rings import DualRing
 
 FLAVORS = ("full", "hermitian", "antihermitian")
 
@@ -28,8 +26,7 @@ class JordanContext:
     """Ambient subspace V of A = M_n(K): all of A, Herm(A, iota) or
     Aherm(A, iota), with a fixed coordinate basis."""
 
-    __slots__ = ("n", "ring", "flavor", "involution", "space", "_lifts",
-                 "_lower", "_root")
+    __slots__ = ("n", "ring", "flavor", "involution", "space", "_lifts")
 
     def __init__(self, n, ring, flavor="full", involution=None, _space=None):
         if flavor not in FLAVORS:
@@ -42,8 +39,6 @@ class JordanContext:
         self.involution = involution
         self.space = _space if _space is not None else self._build_space()
         self._lifts = {}
-        self._lower = None
-        self._root = None if isinstance(ring, DualRing) else self
 
     def _build_space(self):
         units = matrix_unit_basis(self.ring, self.n)
@@ -87,37 +82,7 @@ class JordanContext:
             inv = self.involution.embed(ring) if self.involution else None
             lifted = self._lifts[ring] = JordanContext(
                 self.n, ring, self.flavor, inv, _space=self.space.embed(ring))
-            lifted._root = self.root
         return lifted
-
-    @property
-    def lower(self):
-        """Over a dual ring, the re-part of this context: the re-parts of
-        its basis and of its involution, over the ring one level down.
-        Taking re-parts is a ring homomorphism, so the re-part of an x in V
-        lies in V there. Not the root lifted to that ring: a form whose
-        inner eps-parts are not zero has a different hermitian part."""
-        if self._lower is None:
-            inv = self.involution.re_part() if self.involution else None
-            space = CoordinateBasis(self.ring.base, self.n,
-                                    [dual_split(b)[0]
-                                     for b in self.space.basis])
-            self._lower = JordanContext(self.n, self.ring.base, self.flavor,
-                                        inv, _space=space)
-            if self._root is not None:
-                self._lower._root = self._root
-        return self._lower
-
-    @property
-    def root(self):
-        """The same context over the ring at the bottom of the dual tower
-        (the last of the `lower` contexts); the context itself over any
-        other ring. Dual pivots are decided on re-parts, so for x in V
-        each operator of x here has as re-part the operator of
-        x.base_part() there."""
-        if self._root is None:
-            self._root = self.lower.root
-        return self._root
 
     def __repr__(self):
         return f"JordanContext(n={self.n}, {self.ring!r}, {self.flavor})"
@@ -175,53 +140,31 @@ def quad_triple_operator(ctx, x):
     return ctx.space.materialize(sandwich(x, x))
 
 
-def quad_apply(ctx, x, v):
-    """Q(x)v = 2 x o (x o v) - (x o x) o v, the quadratic representation by
-    its definition: Jordan products of n x n matrices, without
-    materializing Q(x)."""
-    _require_product_closed(ctx, x, v)
-    return _quad_apply(ctx, x, v)
-
-
-def _quad_apply(ctx, x, v):
-    """quad_apply for x and v already known to lie in V."""
-    half = ctx.ring.half()
-    xv = (x @ v + v @ x).scale(half)
-    xx = x @ x
-    return x @ xv + xv @ x - (xx @ v + v @ xx).scale(half)
-
-
 def jordan_inverse(ctx, x):
-    """x^-1 = Q(x)^-1 x; requires a unital (full or hermitian) flavor."""
+    """x^-1 = Q(x)^-1 x; requires a unital (full or hermitian) flavor.
+
+    V is a subspace of A = M_n(K) containing its unit, so Q(x)w = xwx,
+    Q(x) is invertible on V exactly when x is invertible in A, and the
+    Jordan inverse is the inverse in A (McCrimmon, A Taste of Jordan
+    Algebras, 2004). x in V gives x^-1 in V, so it is projected onto V
+    (`CoordinateBasis.project`), which over float rings makes it a point
+    of V bit for bit. `suites.check_units_literal` compares it with the
+    literal Q(x)^-1 x."""
     _require_product_closed(ctx, x)
-    return _jordan_inverse(ctx, x)
-
-
-def _jordan_inverse(ctx, x):
-    """jordan_inverse for an x already known to lie in V. Over a dual ring
-    an x with zero eps-part is its re-part embedded; embedding is a ring
-    homomorphism, so x^-1 is the embedded inverse of the re-part in the
-    context one level down. Any other x goes the literal way: Q(x) is
-    materialized over the ring of x and solved there."""
-    if isinstance(ctx.ring, DualRing):
-        re, eps = dual_split(x)
-        if eps.is_zero():
-            return _jordan_inverse(ctx.lower, re).embed(ctx.ring)
-    _, qx = _rep_pair(ctx, x)
     try:
-        c = qx.solve_flat(ctx.space.coords(x))
-    except SingularOperator as e:
+        xi = x.inverse()
+    except NotInvertible as e:
         raise NotInvertible("quadratic representation is singular") from e
-    return ctx.space.from_coords(c)
+    return ctx.space.project(xi)
 
 
 def is_jordan_invertible(ctx, x):
-    """Whether x lies in V and Q(x) is invertible. Over a dual ring Q(x) is
-    invertible exactly when its re-part, the Q of x.base_part() over the
-    root context, is; only that Q is materialized."""
+    """Whether x lies in V and Q(x) is invertible, that is, whether x is
+    invertible in A (see `jordan_inverse`)."""
     if not ctx.contains(x):
         return False
-    return rep_operators(ctx.root, x.base_part())[1].is_invertible()
+    _require_product_closed(ctx)
+    return x.is_invertible()
 
 
 def triple_product(ctx, x, y, z):

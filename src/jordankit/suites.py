@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import calculus, jordan, randgen
 from .algebra import Involution, Matrix, dual_combine, dual_split
-from .errors import NotInChart, NotInSpace, NotQuasiInvertible
+from .errors import NotInChart, NotInSpace, NotInvertible, NotQuasiInvertible
 from .graded import (GroupElement, act, ad_bracket, check, denominators,
                      hat, in_chart, pr1)
 from .jordan import (JordanContext, bergman_closed, bergman_operator,
@@ -652,6 +652,49 @@ def check_m_axioms(space_name, ring, n, trials, seed):
     return run_check(f"m-axioms[{space_name}]", trials, seed, trial)
 
 
+def literal_units(ctx, x, y):
+    """The unit space by the literal Q(x) = 2 L(x)^2 - L(x o x),
+    materialized over the ring of ctx, for x and y in V: whether Q(x) is
+    invertible, Q(x)^-1 x (None if it is not), and Q(x) Q(y)^-1 y (None
+    unless Q(x) and Q(y) both are)."""
+    space = ctx.space
+    _, qx = rep_operators(ctx, x)
+    _, qy = rep_operators(ctx, y)
+    x_inv = qx.is_invertible()
+    xi = space.from_coords(qx.solve_flat(space.coords(x))) if x_inv else None
+    if not (x_inv and qy.is_invertible()):
+        return x_inv, xi, None
+    yi = space.from_coords(qy.solve_flat(space.coords(y)))
+    return x_inv, xi, space.from_coords(qx.apply_flat(space.coords(yi)))
+
+
+def check_units_literal(ring, n, trials, seed, flavor="hermitian"):
+    """The unit space's closed forms against `literal_units`: contains(x)
+    is the rank decision of Q(x), jordan_inverse(x) is Q(x)^-1 x and
+    mul(x, y) is Q(x) Q(y)^-1 y, or both sides refuse. Coordinates come
+    from {-1, 0, 1}, so singular draws are common."""
+    ctx = jordan_ctx(ring, n, flavor)
+    space = JordanUnitsSpace(ctx)
+
+    def closed(f, *args):
+        try:
+            return f(*args)
+        except (NotInvertible, NotInSpace):
+            return None
+
+    def trial(rng, i):
+        x = randgen.rand_in_context(rng, ctx, lo=-1, hi=1)
+        y = randgen.rand_in_context(rng, ctx, lo=-1, hi=1)
+        x_inv, xi, z = literal_units(ctx, x, y)
+        if space.contains(x) != x_inv:
+            return (False, {"form": "contains"})
+        if closed(jordan_inverse, ctx, x) != xi:
+            return (False, {"form": "inverse"})
+        return closed(space.mul, x, y) == z or (False, {"form": "mul"})
+
+    return run_check(f"units-literal[{flavor}]", trials, seed, trial)
+
+
 def check_m4_dual(space_name, ring, n, trials, seed):
     """eps-part of sigma_x(x + eps v) is -v, at chart level."""
     builders = _space_builders(ring, n)
@@ -1241,6 +1284,9 @@ def _suite_m_axioms(cfg):
                                    max(1, cfg.trials // 2), cfg.seed))
     out.append(check_tilde_field(cfg.ring, cfg.n, max(1, cfg.trials // 2),
                                  cfg.seed))
+    for flavor in ("full", "hermitian"):
+        out.append(check_units_literal(cfg.ring, cfg.n, cfg.trials, cfg.seed,
+                                       flavor))
     return out
 
 

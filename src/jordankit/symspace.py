@@ -1,8 +1,9 @@
 """Symmetric-space structures in three contexts: invertible elements of a
-unital Jordan algebra (m = Q(x) y^-1), non-isotropic projective points
-(m = mu_{-1}(x, p(x), y)), and matrix groups (m = x y^-1 x); with the
-point symmetries, quadratic representation, Lie triple systems, canonical
-vector fields, transvections and the truncated tanh exponential.
+unital Jordan algebra (m(x, y) = Q(x) y^-1 = x y^-1 x), non-isotropic
+projective points (m = mu_{-1}(x, p(x), y)), and matrix groups
+(m = x y^-1 x); with the point symmetries, quadratic representation, Lie
+triple systems, canonical vector fields, transvections and the truncated
+tanh exponential.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 from .algebra import Matrix, dual_combine, dual_split, herm_split
 from .errors import (NotInSpace, NotInvertible, NotTransversal,
                      SeriesNotInvertible, SingularOperator)
-from .jordan import (_quad_apply, jordan_inverse, mult_operator,
-                     quad_triple_operator, rep_operators, triple_product)
+from .jordan import (is_jordan_invertible, jordan_inverse, mult_operator,
+                     quad_triple_operator, triple_product)
 from .projline import (ProjectivePoint, chart_coords, gamma_chart,
                        mu_dilation)
 from .rings import DualRing
@@ -19,7 +20,7 @@ from .rings import DualRing
 
 class JordanUnitsSpace:
     """Invertible elements of a unital Jordan algebra (full or hermitian
-    flavor), with m(x, y) = Q(x) y^-1."""
+    flavor), with m(x, y) = Q(x) y^-1 = x y^-1 x."""
 
     def __init__(self, jctx, o=None):
         if jctx.flavor == "antihermitian":
@@ -35,28 +36,23 @@ class JordanUnitsSpace:
         return self.jctx.ring
 
     def contains(self, x):
-        from .jordan import is_jordan_invertible
         return is_jordan_invertible(self.jctx, x)
 
     def mul(self, x, y):
-        """Q(x) y^-1. Q(x) is invertible exactly when its re-part, the Q of
-        x.base_part() over the bottom ring, is; that is the only Q(x)
-        materialized. Over a dual ring Q(x) is applied by Jordan products."""
-        jctx, root = self.jctx, self.jctx.root
-        if root is jctx:
-            _, qx = rep_operators(jctx, x)
-        else:
-            jctx.require(x)
-            _, qx = rep_operators(root, x.base_part())
-        if not qx.is_invertible():
+        """Q(x) y^-1 = x y^-1 x: V lies in A = M_n(K) and contains its
+        unit, so Q(x) is invertible exactly when x is invertible in A, and
+        y^-1 is the inverse in A (see `jordan.jordan_inverse`). x and y^-1
+        in V give x y^-1 x in V, so the result is projected onto V, which
+        over float rings makes it a point of V bit for bit."""
+        jctx = self.jctx
+        jctx.require(x)
+        if not x.is_invertible():
             raise NotInSpace("left argument is not invertible")
         try:
             yi = jordan_inverse(jctx, y)
         except NotInvertible as e:
             raise NotInSpace("right argument is not invertible") from e
-        if root is not jctx:
-            return _quad_apply(jctx, x, yi)
-        return jctx.space.from_coords(qx.apply_flat(jctx.space.coords(yi)))
+        return jctx.space.project(x @ yi @ x)
 
     mul_chart = mul
 

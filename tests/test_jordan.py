@@ -1,7 +1,7 @@
 """Jordan products, representations, inverses, Bergman operators and
 quasi-inverses, with the associative oracles."""
 
-import struct
+from fractions import Fraction
 
 import pytest
 
@@ -13,12 +13,13 @@ from jordankit.jordan import (JordanContext, bergman_closed,
                               is_jordan_invertible, is_quasi_invertible,
                               jordan_inverse,
                               jordan_product, loos_bergman,
-                              loos_quasi_inverse, quad_apply,
-                              quad_triple_operator, quasi_inverse,
-                              rep_operators, triple_product)
+                              loos_quasi_inverse, quad_triple_operator,
+                              quasi_inverse, rep_operators, triple_product)
 from jordankit.randgen import rand_in_context, rand_matrix, trial_rng
 from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing,
                              embed_scalar)
+from jordankit.suites import check_units_literal, literal_units
+from jordankit.symspace import JordanUnitsSpace
 
 Q = RATIONAL
 
@@ -241,36 +242,35 @@ def test_quasi_inverse_equals_two_rank_reference(ring):
     assert 0 < refused < 240
 
 
-def tower_context(n, ring, flavor, depth):
-    ctx = JordanContext(n, ring, flavor, Involution())
-    for _ in range(depth):
-        ring = DualRing(ring)
-    return ctx.at_ring(ring)
-
-
-@pytest.mark.parametrize("ring, depth", [(Q, 0), (PrimeFieldRing(5), 0),
-                                         (Q, 1), (Q, 3)],
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q),
+                                  DualRing(DualRing(DualRing(Q)))],
                          ids=["Q", "F5", "Q[e]", "Q[e][e][e]"])
-def test_quad_apply_equals_materialized_q(ring, depth):
-    rng = trial_rng(17, depth)
+def test_quad_apply_equals_materialized_q(ring):
+    """The unit space applies Q(x) to y^-1 in closed form, x y^-1 x; it
+    equals the materialized Q(x) applied to the literal Q(y)^-1 y, and
+    both refuse the same singular draws. At seed 17 every ring, size and
+    flavor has trials where both x and y are units."""
     for n in (1, 2, 3):
         for flavor in ("full", "hermitian"):
-            ctx = tower_context(n, ring, flavor, depth)
-            for _ in range(2 if depth == 3 else 4):
-                x = rand_in_context(rng, ctx)
-                v = rand_in_context(rng, ctx)
-                _, qx = rep_operators(ctx, x)
-                want = ctx.space.from_coords(
-                    qx.apply_flat(ctx.space.coords(v)))
-                assert quad_apply(ctx, x, v) == want
+            res = check_units_literal(ring, n, 8, 17, flavor)
+            assert res.ok and res.passed == 8, res.first_counterexample
 
 
 def test_quad_apply_needs_product_closed_flavor(aherm2, herm2):
+    """The closed forms keep the literal ones' contract: the
+    antihermitian part has no Jordan inverse, and the unit space takes
+    only elements of V."""
     x = rand_in_context(trial_rng(18, 0), aherm2)
     with pytest.raises(NotInSubspace):
-        quad_apply(aherm2, x, x)
+        jordan_inverse(aherm2, x)
     with pytest.raises(NotInSubspace):
-        quad_apply(herm2, herm2.unit(), mat([[0, 1], [0, 0]]))
+        is_jordan_invertible(aherm2, x)
+    space = JordanUnitsSpace(herm2)
+    outside = mat([[0, 1], [0, 0]]) + herm2.unit()
+    with pytest.raises(NotInSubspace):
+        space.mul(herm2.unit(), outside)
+    with pytest.raises(NotInSubspace):
+        space.mul(outside, herm2.unit())
 
 
 def test_loos_convention_round_trip(full2):
@@ -321,32 +321,39 @@ def test_fundamental_formula_small(full2):
         assert lhs == qx.compose(qy).compose(qx)
 
 
-# -- inverses of embedded elements, one ring down ---------------------------
+# -- inverses of embedded elements ------------------------------------------
 
 F7 = PrimeFieldRing(7)
 
 
-def literal_inverse(ctx, x):
-    """x^-1 with Q(x) materialized and solved over the ring of x."""
-    _, qx = rep_operators(ctx, x)
-    try:
-        c = qx.solve_flat(ctx.space.coords(x))
-    except SingularOperator as e:
-        raise NotInvertible("quadratic representation is singular") from e
-    return ctx.space.from_coords(c)
+def exact_lift(m):
+    """A matrix over float64 or R64[e] as the same matrix over Q or Q[e]:
+    floats are dyadic rationals, so the lift is exact."""
+    def lift(s):
+        if isinstance(s, Dual):
+            return Dual(lift(s.re), lift(s.eps))
+        return Q.from_fraction(Fraction(s))
+    ring, r = Q, m.ring
+    while isinstance(r, DualRing):
+        ring, r = DualRing(ring), r.base
+    return Matrix(ring, [[lift(s) for s in row] for row in m.rows])
 
 
-def literal_invertible(ctx, x):
-    return ctx.contains(x) and rep_operators(ctx, x)[1].is_invertible()
+def assert_near_exact_inverse(x, got):
+    """Every jet coordinate of the float inverse `got` of x lies within
+    64 n u kappa_inf(xbar) max|X| of the exact inverse X of x, computed
+    over Q[e] (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, on the forward error of a solve)."""
+    xq = exact_lift(x)
+    want = xq.inverse()
+    base = xq.base_part()
 
+    def norm(m):
+        return max(sum(abs(s) for s in r) for r in m.rows)
 
-def bits(m):
-    """The IEEE bit patterns of every base component of a float matrix
-    (so -0.0 and 0.0 differ)."""
-    def comps(s):
-        return comps(s.re) + comps(s.eps) if isinstance(s, Dual) else [s]
-    return [struct.pack("<d", c) for r in m.rows for s in r
-            for c in comps(s)]
+    kappa = norm(base) * norm(base.inverse())
+    bound = 64 * x.nrows * 2.0 ** -53 * kappa * want.max_abs()
+    assert (exact_lift(got) - want).max_abs() <= bound
 
 
 def rand_coord(rng, ring):
@@ -369,24 +376,21 @@ def embedded_element(rng, ctx):
 
 
 def assert_inverse_parity(ctx, x):
-    """jordan_inverse and is_jordan_invertible against the literal dual
-    path: the same value or NotInvertible. Over floats the values agree
-    bit for bit, except that for an x with zero eps-part the literal
-    solve may leave -0.0 where the embedded inverse has 0.0; there the
-    re-parts agree bit for bit and both eps-parts are zero."""
-    assert is_jordan_invertible(ctx, x) == literal_invertible(ctx, x)
-    try:
-        want = literal_inverse(ctx, x)
-    except NotInvertible:
+    """jordan_inverse and is_jordan_invertible against the literal path:
+    the same decision on every ring, and the same value over exact rings.
+    Over R64[e] the closed and the literal inverse round differently, so
+    the closed one is compared with the exact inverse."""
+    x_inv, want, _ = literal_units(ctx, x, x)
+    assert is_jordan_invertible(ctx, x) == x_inv
+    if not x_inv:
         with pytest.raises(NotInvertible):
             jordan_inverse(ctx, x)
         return
     got = jordan_inverse(ctx, x)
-    assert got == want
-    if not ctx.ring.is_exact():
-        if dual_split(x)[1].is_zero():
-            got, want = dual_split(got)[0], dual_split(want)[0]
-        assert bits(got) == bits(want)
+    if ctx.ring.is_exact():
+        assert got == want
+    else:
+        assert_near_exact_inverse(x, got)
 
 
 PARITY_RINGS = {"Q[e]": DualRing(Q), "Q[e][e]": DualRing(DualRing(Q)),
@@ -397,9 +401,8 @@ PARITY_RINGS = {"Q[e]": DualRing(Q), "Q[e][e]": DualRing(DualRing(Q)),
 @pytest.mark.parametrize("name", list(PARITY_RINGS))
 def test_jordan_inverse_of_embedded_elements_matches_literal(name):
     """Lifted contexts of every unital flavor: elements with zero top
-    eps-part (inverted one ring down), the same elements with an eps-part
-    in one coordinate only (inverted literally), and a singular embedded
-    element."""
+    eps-part, the same elements with an eps-part in one coordinate only,
+    and a singular embedded element."""
     ring = PARITY_RINGS[name]
     bottom = ring
     while isinstance(bottom, DualRing):
@@ -434,8 +437,9 @@ def test_jordan_inverse_of_embedded_elements_matches_literal(name):
 
 def test_jordan_inverse_one_ring_down_on_eps_varying_form():
     """A context built directly over Q[e][e] whose form has a non-zero
-    inner eps-part: its hermitian part is not the root's lifted to Q[e],
-    so the lower context must be this context's own re-part."""
+    inner eps-part: its hermitian part is not the one of the bottom
+    context lifted to Q[e], and the inverse of an element embedded from
+    the Q[e] context is the embedded inverse there."""
     d1 = DualRing(Q)
     d2 = DualRing(d1)
     form = dual_combine(mat([[2, 1], [1, 1]]), mat([[1, 0], [0, 3]]))
@@ -444,15 +448,42 @@ def test_jordan_inverse_one_ring_down_on_eps_varying_form():
     ctx = JordanContext(2, d2, "hermitian",
                         Involution("form_adjoint", form.embed(d2),
                                    "symmetric"))
+    bottom = JordanContext(2, Q, "hermitian",
+                           Involution("form_adjoint", mat([[2, 1], [1, 1]]),
+                                      "symmetric"))
     rng = trial_rng(32, 0)
-    lifted_root = ctx.root.at_ring(d1)
-    seen_off_root = False
+    lifted_bottom = bottom.at_ring(d1)
+    seen_off_bottom = False
     for _ in range(6):
         x0 = inner.space.from_coords([rand_coord(rng, d1)
                                       for _ in range(inner.dim)])
         x = x0.embed(d2)
         assert ctx.contains(x)
-        seen_off_root |= not lifted_root.contains(x0)
+        seen_off_bottom |= not lifted_bottom.contains(x0)
         assert_inverse_parity(ctx, x)
         assert jordan_inverse(ctx, x) == jordan_inverse(inner, x0).embed(d2)
-    assert seen_off_root
+    assert seen_off_bottom
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+@pytest.mark.parametrize("ring", [FLOAT64, DualRing(FLOAT64)], ids=str)
+def test_units_results_are_bit_hermitian_over_floats(ring, scale):
+    """mul and jordan_inverse project their result onto V, so over float
+    rings it is hermitian bit for bit, not only up to rounding, and no
+    scale makes them refuse: at scale 1e4, x has entries near 1e4, y near
+    1e-8, y^-1 near 1e8 and x y^-1 x near 1e16, where the two triangles
+    of the unprojected product differ by far more than any fixed
+    tolerance."""
+    rng = trial_rng(33, 0)
+    for n in (2, 3):
+        ctx = JordanContext(n, ring, "hermitian", Involution())
+        space = JordanUnitsSpace(ctx)
+        for _ in range(4):
+            x, y = (ctx.space.from_coords([rand_coord(rng, ring)
+                                           for _ in range(ctx.dim)])
+                    for _ in range(2))
+            x = x.scale(embed_scalar(scale, FLOAT64, ring))
+            y = y.scale(embed_scalar(scale ** -2, FLOAT64, ring))
+            for z in (space.mul(x, y), jordan_inverse(ctx, x),
+                      jordan_inverse(ctx, y)):
+                assert z == ctx.involution.apply(z)

@@ -5,17 +5,17 @@ import math
 
 import pytest
 
-from jordankit.algebra import Involution, Matrix, dual_combine, dual_split
+from jordankit.algebra import (CoordinateBasis, Involution, Matrix,
+                               dual_combine, dual_split)
 from jordankit.errors import NotInSpace
-from jordankit.jordan import (JordanContext, jordan_inverse, jordan_product,
-                              rep_operators)
+from jordankit.jordan import JordanContext, jordan_inverse, jordan_product
 from jordankit.projline import chart_coords, gamma_chart
-from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
-                               rand_orthogonal2, trial_rng)
-from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing
-from jordankit.suites import (group_space, numeric_lts, proj_space_i11,
-                              proj_space_jmat, proj_space_swap, unitary_space,
-                              units_space)
+from jordankit.randgen import (rand_filtered, rand_in_context, rand_invertible,
+                               rand_matrix, rand_orthogonal2, trial_rng)
+from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing
+from jordankit.suites import (group_space, literal_units, numeric_lts,
+                              proj_space_i11, proj_space_jmat, proj_space_swap,
+                              unitary_space, units_space)
 from jordankit.symspace import (JordanUnitsSpace, exp_tanh, lts_bracket,
                                 quadratic_rep_point, sym_mul, tilde_field,
                                 transvection)
@@ -79,16 +79,6 @@ def test_lifts_are_built_once_per_ring():
         assert lifted.at_ring(d2) is lifted.at_ring(DualRing(DualRing(Q)))
 
 
-def units_mul_reference(space, x, y):
-    """Q(x) y^-1 with Q(x) materialized and ranked over the space's ring."""
-    jctx = space.jctx
-    _, qx = rep_operators(jctx, x)
-    if not qx.is_invertible():
-        raise NotInSpace("left argument is not invertible")
-    yi = jordan_inverse(jctx, y)
-    return jctx.space.from_coords(qx.apply_flat(jctx.space.coords(yi)))
-
-
 def dual_units_spaces():
     """Unit spaces over dual rings: lifted ones, and ones built directly
     over Q[e], with a form whose eps-part is not zero."""
@@ -111,7 +101,7 @@ def test_units_mul_over_duals_matches_materialized_q():
             if not (space.contains(x) and space.contains(y)):
                 continue
             hits += 1
-            assert space.mul(x, y) == units_mul_reference(space, x, y)
+            assert space.mul(x, y) == literal_units(space.jctx, x, y)[2]
 
 
 def singular_element(jctx):
@@ -137,8 +127,31 @@ def test_units_mul_decides_left_invertibility_on_re_parts():
         assert not dual_split(x)[1].is_zero()
         with pytest.raises(NotInSpace):
             space.mul(x, space.o)
-        with pytest.raises(NotInSpace):
-            units_mul_reference(space, x, space.o)
+        assert literal_units(jctx, x, space.o)[2] is None
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5),
+                                  DualRing(DualRing(Q))], ids=str)
+def test_unit_space_materializes_no_operator(ring, monkeypatch):
+    """With CoordinateBasis.materialize made to raise, the unit space is
+    still built and its mul, contains, jordan_inverse and tilde_field
+    still answer: none of them builds an n^2 x n^2 operator (every
+    operator of the Jordan context reaches V through `materialize`)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n^2 x n^2 operator was built")
+
+    monkeypatch.setattr(CoordinateBasis, "materialize", refuse)
+    rng = trial_rng(21, 0)
+    for n in (1, 2):
+        space = units_space(ring, n)
+        jctx = space.jctx
+        x, y = (rand_filtered(rng, lambda r: rand_in_context(r, jctx),
+                              space.contains) for _ in range(2))
+        assert space.mul(x, y) == x @ y.inverse() @ x
+        assert jordan_inverse(jctx, x) == x.inverse()
+        assert not space.contains(jctx.zero())
+        v = rand_in_context(rng, jctx)
+        assert tilde_field(space, v, x) == jordan_product(jctx, v, x)
 
 
 def test_quadratic_rep_point():
