@@ -1,16 +1,18 @@
 """Matrix kernels keyed on the scalar ring.
 
-Every kernel here hands the work to the ring, which computes in its own
-packed form where it has one (Q, F_p and dual towers; see rings.py) and
-runs the generic loops of generic.py otherwise (float64). Products use
-packed forms on all three; rank and pivot search eliminate integer rows
-over Q and F_p, and the mask-0 jet coordinates over a dual ring. Solve
-runs one packed root solve per field: fraction-free on integer-scaled
-rows over Q, on residues over F_p; over a dual ring that root solve of
-the mask-0 part runs against every jet, then back-substitution by mask.
+Every kernel here hands the work to the ring, which computes on the
+matrices in its own form (see rings.py). Over Q and F_p that form is
+packed rows (rings.Packed): integer rows over one denominator, or residue
+rows, which a Matrix keeps for its whole life, so products, solves and
+rank run on resident integers and return packed rows; a vector is a
+packed column. Rows of scalars are packed on the way in and unpacked on
+the way out. Over a dual ring the rows hold jets: products and solves run
+on their packed coordinates, with one root solve of the mask-0 part
+against every jet and back-substitution by mask, and rank and pivots are
+those of the mask-0 part. Float64 runs the generic loops of generic.py.
 """
 
-from .generic import madd, meye, mneg, mscale, msub, mtranspose
+from .generic import meye
 
 BACKEND = "packed"
 
@@ -20,10 +22,9 @@ def matmul(a, b, ring):
 
 
 def matvec(a, v, ring):
-    """A v, computed as the product of A with the column v."""
-    if not v:
-        return [ring.zero() for _ in a]
-    return [r[0] for r in ring.matmul(a, [[x] for x in v])]
+    """A v for the list of scalars v; over Q and F_p, a packed A takes a
+    packed column v and returns one."""
+    return ring.matvec(a, v)
 
 
 def gauss_solve(a, b, ring):

@@ -1,6 +1,16 @@
 """The associative matrix algebra A = M_n(K): elements, inversion,
 involutions, hermitian/anti-hermitian splitting, and materialized linear
 operators on A.
+
+A Matrix holds its entries in its ring's form (see rings.py). Over Q and
+F_p that is the packed form (rings.Packed): integer rows over one
+denominator, or residue rows, kept for the matrix's whole life; sums,
+products, scaling, stacking, rank, solve and inverse, the operator
+builders and coordinate vectors all take and return it. The rows of
+scalars, `rows`, are a view built once, when a caller first reads
+entries (`rows`, indexing, `flatten`, `column`, serialization and the
+float and jet paths). A Matrix is immutable, so neither form goes stale,
+and its rank is kept once computed.
 """
 
 from __future__ import annotations
@@ -8,61 +18,79 @@ from __future__ import annotations
 from . import _kernels as K
 from .errors import (NotInvertible, NotInSubspace, RingMismatch,
                      ShapeMismatch, SingularOperator)
-from .rings import Dual, DualRing, embedding
+from .rings import Dual, DualRing, Packed, embedding
+
+
+def _like(form, rows):
+    """`rows` in the form of the matrix `form`: over its denominator when
+    it is packed. The rows must hold every entry of `form`, moved,
+    repeated or among zeros, which keeps them in packed form."""
+    return Packed.of(rows, form.d) if type(form) is Packed else rows
 
 
 class Matrix:
-    """Rectangular matrix of ring scalars; treated as immutable."""
+    """Rectangular matrix of ring scalars; immutable."""
 
-    __slots__ = ("ring", "rows", "nrows", "ncols")
+    __slots__ = ("ring", "nrows", "ncols", "_form", "_rows", "_rank")
 
     def __init__(self, ring, rows):
-        self.ring = ring
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
+        rows = [list(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != ncols:
                 raise ShapeMismatch("ragged rows")
+        self._adopt(ring, ring.pack(rows))
+
+    def _adopt(self, ring, form):
+        self.ring = ring
+        self._form = form
+        self.nrows = len(form)
+        self.ncols = len(form[0]) if form else 0
+        self._rows = self._rank = None
+
+    @classmethod
+    def _of(cls, ring, form):
+        """Internal fast path: the matrix whose form in `ring` is `form`,
+        adopted as is."""
+        m = cls.__new__(cls)
+        m._adopt(ring, form)
+        return m
 
     @classmethod
     def _new(cls, ring, rows):
-        """Internal fast path: adopts `rows` (list of row lists) as is."""
-        m = cls.__new__(cls)
-        m.ring = ring
-        m.rows = rows
-        m.nrows = len(rows)
-        m.ncols = len(rows[0]) if rows else 0
-        return m
+        """Internal fast path: adopts rows of scalars (list of row lists)
+        as they are, packing them over Q and F_p."""
+        return cls._of(ring, ring.pack(rows))
+
+    @property
+    def rows(self):
+        """The rows of scalars, built on first read; do not modify."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self.ring.unpack(self._form)
+        return rows
 
     # -- constructors --
 
     @classmethod
     def zeros(cls, ring, n, m=None):
         m = n if m is None else m
-        z = ring.zero()
-        return cls._new(ring, [[z] * m for _ in range(n)])
+        return cls._of(ring, ring.ints([[0] * m for _ in range(n)]))
 
     @classmethod
     def identity(cls, ring, n):
-        return cls._new(ring, K.meye(n, ring))
+        return cls._of(ring, ring.ints([[int(i == j) for j in range(n)]
+                                        for i in range(n)]))
 
     @classmethod
     def from_ints(cls, ring, rows):
-        return cls._new(ring, [[ring.from_int(x) for x in r] for r in rows])
-
-    @classmethod
-    def scalar(cls, ring, n, s):
-        m = [[ring.zero()] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = s
-        return cls._new(ring, m)
+        return cls._of(ring, ring.ints(rows))
 
     @classmethod
     def unit(cls, ring, n, i, j):
-        m = [[ring.zero()] * n for _ in range(n)]
-        m[i][j] = ring.one()
-        return cls._new(ring, m)
+        m = [[0] * n for _ in range(n)]
+        m[i][j] = 1
+        return cls._of(ring, ring.ints(m))
 
     # -- arithmetic --
 
@@ -72,31 +100,45 @@ class Matrix:
 
     def __add__(self, other):
         self._same(other)
-        return Matrix._new(self.ring, K.madd(self.rows, other.rows))
+        return Matrix._of(self.ring, self.ring.madd(self._form, other._form))
 
     def __sub__(self, other):
         self._same(other)
-        return Matrix._new(self.ring, K.msub(self.rows, other.rows))
+        return Matrix._of(self.ring, self.ring.msub(self._form, other._form))
 
     def __neg__(self):
-        return Matrix._new(self.ring, K.mneg(self.rows))
+        return Matrix._of(self.ring, self.ring.mneg(self._form))
 
     def __matmul__(self, other):
         self._same(other)
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        return Matrix._new(self.ring, K.matmul(self.rows, other.rows, self.ring))
+        return Matrix._of(self.ring,
+                          K.matmul(self._form, other._form, self.ring))
 
     def scale(self, s):
-        return Matrix._new(self.ring, K.mscale(self.rows, s))
+        return Matrix._of(self.ring, self.ring.mscale(self._form, s))
 
     def transpose(self):
-        return Matrix._new(self.ring, K.mtranspose(self.rows))
+        form = self._form
+        return Matrix._of(self.ring,
+                          _like(form, [list(c) for c in zip(*form)]))
+
+    def reshape(self, n, m):
+        """The n x m matrix of the same entries in row-major order."""
+        form = self._form
+        flat = [x for r in form for x in r]
+        return Matrix._of(self.ring, _like(form, [flat[i * m:(i + 1) * m]
+                                                  for i in range(n)]))
+
+    def vec(self):
+        """The column of the row-major entries."""
+        return self.reshape(self.nrows * self.ncols, 1)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.ring == other.ring and self.rows == other.rows)
+        return self.ring == other.ring and self._form == other._form
 
     __hash__ = None
 
@@ -113,11 +155,7 @@ class Matrix:
         return f"[{body}]"
 
     def is_zero(self):
-        z = self.ring.zero()
-        return all(x == z for r in self.rows for x in r)
-
-    def map(self, f):
-        return Matrix._new(self.ring, [[f(x) for x in r] for r in self.rows])
+        return self == Matrix.zeros(self.ring, self.nrows, self.ncols)
 
     # -- linear algebra --
 
@@ -126,40 +164,48 @@ class Matrix:
         self._same(rhs)
         if self.nrows != self.ncols or rhs.nrows != self.nrows:
             raise ShapeMismatch("solve needs a square system")
-        x = K.gauss_solve(self.rows, rhs.rows, self.ring)
+        x = K.gauss_solve(self._form, rhs._form, self.ring)
         if x is None:
             raise SingularOperator("no unit pivot")
-        return Matrix._new(self.ring, x)
+        return Matrix._of(self.ring, x)
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ShapeMismatch("inverse of a non-square matrix")
-        x = K.gauss_solve(self.rows, K.meye(self.nrows, self.ring), self.ring)
+        x = K.gauss_solve(self._form,
+                          Matrix.identity(self.ring, self.nrows)._form,
+                          self.ring)
         if x is None:
             raise NotInvertible("no unit pivot")
-        return Matrix._new(self.ring, x)
+        return Matrix._of(self.ring, x)
 
     def is_invertible(self):
         return self.rank() == self.nrows == self.ncols
 
     def rank(self):
-        """Rank; over dual rings this is the re-part rank."""
-        base = self.base_part()
-        return K.gauss_rank(base.rows, base.ring)
+        """Rank; over dual rings this is the re-part rank. Computed once:
+        a Matrix is immutable."""
+        if self._rank is None:
+            base = self.base_part()
+            self._rank = K.gauss_rank(base._form, base.ring)
+        return self._rank
 
-    def hstack(self, other):
-        self._same(other)
-        return Matrix._new(self.ring, [a + b
-                                       for a, b in zip(self.rows, other.rows)])
+    def _join(self, others, across):
+        for o in others:
+            self._same(o)
+        return Matrix._of(self.ring, self.ring.mjoin(
+            [self._form] + [o._form for o in others], across))
 
-    def vstack(self, other):
-        self._same(other)
-        return Matrix._new(self.ring, [list(r) for r in self.rows]
-                           + [list(r) for r in other.rows])
+    def hstack(self, *others):
+        """self and `others` side by side."""
+        return self._join(others, True)
+
+    def vstack(self, *others):
+        """self with `others` below it."""
+        return self._join(others, False)
 
     def submatrix(self, rows, cols):
-        return Matrix._new(self.ring,
-                           [[self.rows[i][j] for j in cols] for i in rows])
+        return Matrix._of(self.ring, self.ring.mselect(self._form, rows, cols))
 
     def flatten(self):
         """Row-major entry list."""
@@ -175,8 +221,7 @@ class Matrix:
         ring = self.ring
         if ring.kind != "dual":
             return self
-        return Matrix._new(ring.root,
-                           [[x._root(0) for x in r] for r in self.rows])
+        return Matrix._of(ring.root, ring.root.mask0(self._form))
 
     def embed(self, dst_ring):
         """Structurally embed into an iterated dual extension."""
@@ -197,8 +242,53 @@ def _components(s):
     return [s]
 
 
-def unflatten(ring, n, m, flat):
-    return Matrix._new(ring, [list(flat[i * m:(i + 1) * m]) for i in range(n)])
+class Vector:
+    """A coordinate vector: a column matrix read as the sequence of its
+    scalars. Over Q and F_p it stays packed, and the scalars are built
+    only when a caller reads them."""
+
+    __slots__ = ("col",)
+
+    def __init__(self, col):
+        self.col = col
+
+    def __len__(self):
+        return self.col.nrows
+
+    def __iter__(self):
+        return (r[0] for r in self.col.rows)
+
+    def __getitem__(self, i):
+        return self.col.rows[i][0]
+
+    def __eq__(self, other):
+        if isinstance(other, Vector):
+            return self.col == other.col
+        return list(self) == other
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Vector({list(self)!r})"
+
+
+def _column(ring, v):
+    """A vector (a Vector, a column matrix or a sequence of scalars) as a
+    column matrix."""
+    if isinstance(v, Vector):
+        return v.col
+    if isinstance(v, Matrix):
+        return v
+    return Matrix._new(ring, [[x] for x in v])
+
+
+def _matvec(a, v):
+    """a v for a matrix a and a column matrix v, by the matvec kernel."""
+    ring, form = a.ring, v._form
+    if type(form) is Packed:
+        return Matrix._of(ring, K.matvec(a._form, form, ring))
+    out = K.matvec(a._form, [r[0] for r in form], ring)
+    return Matrix._of(ring, [[x] for x in out])
 
 
 def dual_combine(base_mat, eps_mat):
@@ -286,8 +376,12 @@ class LinearOperator:
     @classmethod
     def from_columns(cls, ring, cols):
         """The operator whose j-th column is `cols[j]`, the image of the
-        j-th basis vector."""
-        return cls(Matrix._new(ring, K.mtranspose(cols)))
+        j-th basis vector (a vector, a column matrix or a sequence of
+        scalars)."""
+        cols = [_column(ring, c) for c in cols]
+        if not cols:
+            return cls(Matrix.zeros(ring, 0))
+        return cls(cols[0].hstack(*cols[1:]))
 
     @property
     def dim_out(self):
@@ -302,7 +396,7 @@ class LinearOperator:
         return self.mat.ring
 
     def apply_flat(self, flat):
-        return K.matvec(self.mat.rows, list(flat), self.ring)
+        return Vector(_matvec(self.mat, _column(self.ring, flat)))
 
     def compose(self, other):
         """self after other."""
@@ -327,8 +421,7 @@ class LinearOperator:
             raise SingularOperator(str(e)) from e
 
     def solve_flat(self, flat):
-        col = Matrix(self.ring, [[x] for x in flat])
-        return self.mat.solve(col).column(0)
+        return Vector(self.mat.solve(_column(self.ring, flat)))
 
     def __eq__(self, other):
         return isinstance(other, LinearOperator) and self.mat == other.mat
@@ -348,56 +441,60 @@ def op_from_action(f, basis, ring):
     `f` maps Matrix -> Matrix; the result's columns are the flattened
     images, so apply_flat works on row-major coordinates.
     """
-    return LinearOperator.from_columns(ring, [f(b).flatten() for b in basis])
+    return LinearOperator.from_columns(ring, [f(b).vec() for b in basis])
 
 
 # Operators w -> a w b on A = M_n(K), on row-major coordinates, where
 # vec(a w b) = (a (x) b^T) vec(w): entry [(i,j),(k,l)] is a[i][k] b[l][j].
 
+def _form_and_zero(a):
+    """a's form and the zero entry of that form."""
+    form = a._form
+    return form, 0 if type(form) is Packed else a.ring.zero()
+
+
 def left_mult(a):
     """L_a = a (x) I: w -> a w, entry [(i,j),(k,l)] = a[i][k] delta_jl."""
-    n, z = a.nrows, a.ring.zero()
+    n = a.nrows
+    form, z = _form_and_zero(a)
     rows = []
-    for ai in a.rows:
+    for ai in form:
         for j in range(n):
             row = [z] * (n * n)
             row[j::n] = ai
             rows.append(row)
-    return LinearOperator(Matrix._new(a.ring, rows))
+    return LinearOperator(Matrix._of(a.ring, _like(form, rows)))
 
 
 def right_mult(b):
     """R_b = I (x) b^T: w -> w b, entry [(i,j),(k,l)] = delta_ik b[l][j]."""
-    n, z = b.nrows, b.ring.zero()
-    bt = K.mtranspose(b.rows)
+    n = b.nrows
+    form, z = _form_and_zero(b)
+    bt = list(zip(*form))
     rows = []
     for i in range(n):
         for btj in bt:
             row = [z] * (n * n)
             row[i * n:(i + 1) * n] = btj
             rows.append(row)
-    return LinearOperator(Matrix._new(b.ring, rows))
+    return LinearOperator(Matrix._of(b.ring, _like(form, rows)))
 
 
 def sandwich(a, b):
     """a (x) b^T: w -> a w b, entry [(i,j),(k,l)] = a[i][k] b[l][j]."""
     a._same(b)
-    bt = K.mtranspose(b.rows)
-    return LinearOperator(Matrix._new(a.ring, [
-        [aik * blj for aik in ai for blj in btj]
-        for ai in a.rows for btj in bt]))
+    bt = b.transpose()
+    return LinearOperator(Matrix._of(a.ring, a.ring.mkron(a._form, bt._form)))
 
 
 def op_apply(op, x):
     """Apply an operator materialized on the full matrix-unit basis."""
-    flat = op.apply_flat(x.flatten())
-    return unflatten(x.ring, x.nrows, x.ncols, flat)
+    return _matvec(op.mat, x.vec()).reshape(x.nrows, x.ncols)
 
 
 def op_solve(op, y):
     """z with op(z) = y, both reshaped as square algebra elements."""
-    flat = op.solve_flat(y.flatten())
-    return unflatten(y.ring, y.nrows, y.ncols, flat)
+    return op.mat.solve(y.vec()).reshape(y.nrows, y.ncols)
 
 
 class CoordinateBasis:
@@ -407,27 +504,28 @@ class CoordinateBasis:
     precomputed left inverse on pivot rows, then membership is the check
     that the reconstruction reproduces the element. On pivot rows the
     reconstruction cols[piv] L^-1 flat[piv] is flat[piv] by construction,
-    so only the remaining (free) rows are compared.
+    so only the remaining (free) rows are compared. Coordinates are
+    Vectors, packed over Q and F_p.
     """
 
     __slots__ = ("ring", "n", "basis", "_cols", "_pivot_rows", "_left_inv",
-                 "_free_rows", "_standard")
+                 "_free_rows", "_free_cols", "_standard")
 
     def __init__(self, ring, n, basis):
         self.ring = ring
         self.n = n
         self.basis = list(basis)
         d = len(self.basis)
-        cols = Matrix._new(ring, [[self.basis[j].flatten()[i] for j in range(d)]
-                                  for i in range(n * n)])
+        cols = Matrix.zeros(ring, n * n, 0).hstack(
+            *[b.vec() for b in self.basis])
         self._cols = cols
-        piv = K.pivot_columns(cols.transpose().rows, ring)
+        piv = K.pivot_columns(cols.transpose()._form, ring)
         if len(piv) != d:
             raise ValueError("basis is not independent")
         self._pivot_rows = piv
-        sub = cols.submatrix(piv, range(d))
-        self._left_inv = sub.inverse()
+        self._left_inv = cols.submatrix(piv, range(d)).inverse()
         self._free_rows = [i for i in range(n * n) if i not in piv]
+        self._free_cols = cols.submatrix(self._free_rows, range(d))
         self._standard = (not self._free_rows
                           and cols == Matrix.identity(ring, d))
 
@@ -436,33 +534,31 @@ class CoordinateBasis:
         return len(self.basis)
 
     def _read(self, x):
-        """The row-major entries of x and the coordinates read off its
-        pivot rows."""
+        """The column of row-major entries of x and the column of
+        coordinates read off its pivot rows."""
         if x.ring != self.ring or x.shape != (self.n, self.n):
             raise RingMismatch("element does not match the subspace ambient")
-        flat = x.flatten()
+        flat = x.vec()
         if self._standard:
             return flat, flat
-        return flat, K.matvec(self._left_inv.rows,
-                              [flat[i] for i in self._pivot_rows], self.ring)
+        return flat, _matvec(self._left_inv,
+                             flat.submatrix(self._pivot_rows, [0]))
 
     def coords(self, x):
         flat, c = self._read(x)
-        if self._free_rows:
-            rows = self._cols.rows
-            free = self._free_rows
-            recon = K.matvec([rows[i] for i in free], c, self.ring)
-            if not self._agree(recon, [flat[i] for i in free]):
-                raise NotInSubspace("element is outside the subspace")
-        return c
+        if self._free_rows and not self._agree(
+                _matvec(self._free_cols, c),
+                flat.submatrix(self._free_rows, [0])):
+            raise NotInSubspace("element is outside the subspace")
+        return Vector(c)
 
     def _agree(self, got, want):
-        """Whether two scalar lists are equal: exactly over exact rings,
+        """Whether two matrices are equal: exactly over exact rings,
         within 1e-9 in every base component over float rings."""
         if self.ring.is_exact():
             return got == want
-        return all(abs(f) <= 1e-9 for a, b in zip(got, want)
-                   for f in _components(a - b))
+        return all(abs(f) <= 1e-9 for x in (got - want).flatten()
+                   for f in _components(x))
 
     def contains(self, x):
         try:
@@ -474,16 +570,19 @@ class CoordinateBasis:
     def project(self, x):
         """The point of the subspace with the coordinates read off the
         pivot rows of x, as in `coords()`, without the check of the free
-        rows: x itself for x in the subspace over an exact ring, and
-        never a refusal. Over a float ring it turns an x that lies in the
-        subspace up to rounding into a point of it."""
+        rows; never a refusal. Over a float ring it turns an x that lies
+        in the subspace up to rounding into a point of it. Over an exact
+        ring that point is x itself for x in the subspace, and its callers
+        give it only such x, so it returns x as it is."""
+        if self.ring.is_exact():
+            return x
         return self.from_coords(self._read(x)[1])
 
     def from_coords(self, c):
-        if self._standard:
-            return unflatten(self.ring, self.n, self.n, c)
-        flat = K.matvec(self._cols.rows, list(c), self.ring)
-        return unflatten(self.ring, self.n, self.n, flat)
+        col = _column(self.ring, c)
+        if not self._standard:
+            col = _matvec(self._cols, col)
+        return col.reshape(self.n, self.n)
 
     def materialize(self, op):
         """Restriction to the subspace of `op`, an operator on all of
@@ -495,18 +594,13 @@ class CoordinateBasis:
         """
         if self._standard:
             return op
-        ring = self.ring
-        images = K.matmul(op.mat.rows, self._cols.rows, ring)
-        c = K.matmul(self._left_inv.rows,
-                     [images[i] for i in self._pivot_rows], ring)
-        if self._free_rows:
-            rows = self._cols.rows
-            free = self._free_rows
-            recon = K.matmul([rows[i] for i in free], c, ring)
-            if not self._agree([x for r in recon for x in r],
-                               [x for i in free for x in images[i]]):
-                raise NotInSubspace("operator does not preserve the subspace")
-        return LinearOperator(Matrix._new(ring, c))
+        images = op.mat @ self._cols
+        every = range(images.ncols)
+        c = self._left_inv @ images.submatrix(self._pivot_rows, every)
+        if self._free_rows and not self._agree(
+                self._free_cols @ c, images.submatrix(self._free_rows, every)):
+            raise NotInSubspace("operator does not preserve the subspace")
+        return LinearOperator(c)
 
     def embed(self, ring):
         """The same subspace over an iterated dual extension of its ring.
@@ -524,5 +618,7 @@ class CoordinateBasis:
         out._pivot_rows = self._pivot_rows
         out._left_inv = self._left_inv.embed(ring)
         out._free_rows = self._free_rows
+        out._free_cols = out._cols.submatrix(self._free_rows,
+                                             range(len(self.basis)))
         out._standard = self._standard
         return out

@@ -231,7 +231,7 @@ def ad_operator(g):
     """Ad(g) materialized on the matrix-unit basis of gl_2(A)."""
     gi = g.inverse_mat()
     return LinearOperator.from_columns(
-        g.ring, [(g.mat @ b @ gi).flatten() for b in gl2_basis(g.ring, g.n)])
+        g.ring, [(g.mat @ b @ gi).vec() for b in gl2_basis(g.ring, g.n)])
 
 
 def grading_block(g, i, j):

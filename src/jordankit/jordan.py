@@ -48,8 +48,8 @@ class JordanContext:
         candidates = [herm_split(self.involution, u)[idx] for u in units]
         # The pivot columns of the matrix whose columns are the candidates
         # are the candidates independent of all earlier ones.
-        piv = K.pivot_columns(K.mtranspose([c.flatten() for c in candidates]),
-                              self.ring)
+        cols = candidates[0].vec().hstack(*[c.vec() for c in candidates[1:]])
+        piv = K.pivot_columns(cols._form, self.ring)
         return CoordinateBasis(self.ring, self.n, [candidates[j] for j in piv])
 
     @property

@@ -141,7 +141,7 @@ def standard_complement(E):
     first n of [E | I_2n]."""
     ring, n = E.ring, E.n
     eye = Matrix.identity(ring, 2 * n)
-    piv = K.pivot_columns(E.rep.hstack(eye).rows, ring)
+    piv = K.pivot_columns(E.rep.hstack(eye)._form, ring)
     return ProjectivePoint(
         eye.submatrix(range(2 * n), [k - n for k in piv if k >= n]), n)
 
@@ -165,7 +165,7 @@ def phi_involution(j, iota, E, complement=None):
     q = phi_matrix(j, iota, p, E.n)
     # ker(q) = im(1 - q) for idempotent q.
     kmat = Matrix.identity(E.ring, 2 * E.n) - q
-    piv = K.pivot_columns([list(r) for r in kmat.rows], E.ring)
+    piv = K.pivot_columns(kmat._form, E.ring)
     if len(piv) != E.n:
         raise ShapeMismatch("involution image has wrong rank")
     return ProjectivePoint(kmat.submatrix(range(2 * E.n), piv), E.n)

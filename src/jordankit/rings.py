@@ -8,17 +8,19 @@ object. All values are immutable. A scalar of K[e1..ek] is one flat jet:
 its 2^k coordinates by nilpotent mask, in the packed form of the root
 field K (see Dual); `Dual(re, eps)`, `.re` and `.eps` are its nested view.
 
-A ring also multiplies matrices (lists of row lists of its scalars),
-solves square systems and finds pivot columns, in its own packed form
-where it has one: Q on integers over a common denominator, F_p on raw
-residues, and a dual ring on the packed jet coordinates, with one root
+A ring also holds matrices in its own form and does their arithmetic:
+sums, scaling, products, solves and pivot searches (`pack` and `unpack`
+convert from and to rows of scalars). Q and F_p keep a matrix packed
+(see Packed): integer rows over one denominator, or residue rows, which
+every operation takes and returns, so no scalar is built until a caller
+reads entries. Float64 and the dual rings keep rows of scalars; a dual
+ring multiplies and solves on the packed jet coordinates, with one root
 solve or pivot search of the mask-0 part. Each root field has one packed
-solve and one packed pivot search (`_solve_packed`, `_pivots_packed`),
-which its plain matrices and its dual towers share: on Q a fraction-free
-Gauss-Jordan elimination on integer-scaled rows (`_bareiss`), on F_p a
-Gauss-Jordan elimination on residues (`_solve_mod`), and for pivots a
-forward elimination on integer rows (`_pivots`). Only float64 runs the
-generic elimination.
+solve (`_solve_packed`), which its plain matrices and its dual towers
+share: on Q a fraction-free Gauss-Jordan elimination on integer rows
+(`_bareiss`), on F_p a Gauss-Jordan elimination on residues
+(`_solve_mod`); pivots come from a forward elimination on integer rows
+(`_pivots`). Only float64 runs the generic elimination.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import chain
 from math import gcd, isfinite, lcm
 from operator import add, mul, sub
 
@@ -295,6 +298,35 @@ def _fdot(x, y):
     return reduce(add, map(mul, x, y), 0.0)
 
 
+class Packed(list):
+    """A matrix over Q or F_p in the field's packed form: its rows as
+    lists of integers over one denominator `d`.
+    - Q: d > 0 and gcd(d, every entry) = 1 (FLINT's fmpq_mat keeps a
+      rational matrix the same way), so equal matrices have equal packed
+      forms;
+    - F_p: residues in [0, p), d 1.
+    It is the list of its rows, so kernels that read len(a) and len(a[0])
+    take it as they take rows of scalars. A vector is a packed column.
+    """
+
+    __slots__ = ("d",)
+
+    @classmethod
+    def of(cls, rows, d=1):
+        """The packed matrix of `rows`, already in packed form over d."""
+        out = cls(rows)
+        out.d = d
+        return out
+
+    def __eq__(self, o):
+        return type(o) is Packed and self.d == o.d and list.__eq__(self, o)
+
+    def __ne__(self, o):
+        return not self == o
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class Ring:
     kind = "abstract"
@@ -331,9 +363,58 @@ class Ring:
     def is_exact(self):
         return True
 
+    # -- matrices in the ring's own form: here rows of scalars; Q and F_p
+    # keep them packed (see _PackedField). Matrix works through these.
+
+    def pack(self, rows):
+        """The matrix with rows of scalars `rows` in the ring's form."""
+        return rows
+
+    def unpack(self, a):
+        """The rows of scalars of a matrix in the ring's form."""
+        return a
+
+    def ints(self, rows):
+        """The matrix of integer rows, in the ring's form."""
+        # One scalar per distinct integer: identities and zeros over a dual
+        # ring would otherwise build a jet per entry.
+        scalar = {k: self.from_int(k) for k in set(chain.from_iterable(rows))}
+        return [[scalar[k] for k in r] for r in rows]
+
+    def mask0(self, rows):
+        """The mask-0 coordinates of rows of jets over this root ring, as
+        a matrix in its form."""
+        return [[x._root(0) for x in r] for r in rows]
+
+    madd = staticmethod(generic.madd)
+    msub = staticmethod(generic.msub)
+    mneg = staticmethod(generic.mneg)
+    mscale = staticmethod(generic.mscale)
+
+    def mkron(self, a, b):
+        """The Kronecker product: entry [(i,j),(k,l)] is a[i][k] b[j][l]."""
+        return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+    def mjoin(self, forms, across):
+        """The matrices side by side (`across`) or stacked."""
+        if across:
+            return [list(chain.from_iterable(rs)) for rs in zip(*forms)]
+        return [r for f in forms for r in f]
+
+    def mselect(self, a, rows, cols):
+        """The submatrix on `rows` and `cols`."""
+        return [[a[i][j] for j in cols] for i in rows]
+
     def matmul(self, a, b):
         """A B for row lists A (n x k) and B (k x m)."""
         return generic.matmul(a, b, self)
+
+    def matvec(self, a, v):
+        """A v for the list of scalars v, as the product of A with the
+        column v."""
+        if not v:
+            return [self.zero() for _ in a]
+        return [r[0] for r in self.matmul(a, [[x] for x in v])]
 
     def solve(self, a, b):
         """X with A X = B for square A, or None when elimination finds no
@@ -347,12 +428,12 @@ class Ring:
         return generic.eliminate([list(r) for r in a], self)[0]
 
 
-def _pivots(rows, p=None):
+def _pivots(rows, p):
     """Pivot columns of integer rows: in each column the pivot is the
     first non-zero entry at or below the next pivot row.
 
     The elimination runs forward only and never forms a fraction. Over Z
-    (`p` None) it is fraction-free (Bareiss, Math. Comp. 1968): each
+    (`p` 0) it is fraction-free (Bareiss, Math. Comp. 1968): each
     update p_k a - f b is divided exactly by the previous pivot, so every
     entry stays a minor of the input. Modulo a prime p the update is
     reduced mod p instead. Each pass keeps only the columns to the right
@@ -378,7 +459,7 @@ def _pivots(rows, p=None):
         pv = prow[0]
         prow = prow[1:]
         rest = rows[1:]
-        if p is not None:
+        if p:
             rows = [[(pv * a - f * b) % p for a, b in zip(r[1:], prow)]
                     if (f := r[0]) else r[1:] for r in rest]
         elif pv == prev:
@@ -444,18 +525,99 @@ def _solve_mod(rows, n, p):
     return [r[n:] for r in rows], 1
 
 
-def _integral(vec):
-    """(integers, d) with vec[i] = integers[i] / d, where d is the lcm of
-    the denominators in vec."""
-    d = lcm(*[x.denominator for x in vec])
-    if d == 1:
-        return [x.numerator for x in vec], 1
-    return [x.numerator * (d // x.denominator) for x in vec], d
+class _PackedField(Ring):
+    """A root field whose matrices stay packed (see Packed): Q (`_p` 0)
+    and F_p. Sums, scaling, products, solves and pivot searches take and
+    return packed rows. Rows of scalars given to matmul, matvec, solve or
+    pivot_columns are packed first, and the result is unpacked."""
+
+    def ints(self, rows):
+        return self._reduce([list(r) for r in rows], 1)
+
+    def mask0(self, rows):
+        d = lcm(*[x.d for r in rows for x in r])
+        return self._reduce([[x.v[0] * (d // x.d) for x in r] for r in rows],
+                            d)
+
+    def _lincomb(self, a, b, op):
+        """a + b or a - b, as op is add or sub."""
+        d, e = a.d, b.d
+        if d == e:
+            return self._reduce([list(map(op, x, y)) for x, y in zip(a, b)],
+                                d)
+        m = lcm(d, e)
+        f, g = m // d, m // e
+        return self._reduce([[op(s * f, t * g) for s, t in zip(x, y)]
+                             for x, y in zip(a, b)], m)
+
+    def madd(self, a, b):
+        return self._lincomb(a, b, add)
+
+    def msub(self, a, b):
+        return self._lincomb(a, b, sub)
+
+    def mneg(self, a):
+        return self._reduce([[-x for x in r] for r in a], a.d)
+
+    def mscale(self, a, s):
+        t = self.pack([[s]])
+        k = t[0][0]
+        return self._reduce([[x * k for x in r] for r in a], a.d * t.d)
+
+    def mkron(self, a, b):
+        return self._reduce(Ring.mkron(self, a, b), a.d * b.d)
+
+    def mjoin(self, forms, across):
+        # Over the lcm of their denominators the joined rows are in packed
+        # form when every part is.
+        d = lcm(*[f.d for f in forms])
+        if d != 1:
+            forms = [f if f.d == d else [[x * (d // f.d) for x in r]
+                                         for r in f] for f in forms]
+        return Packed.of(Ring.mjoin(self, forms, across), d)
+
+    def mselect(self, a, rows, cols):
+        return self._reduce(Ring.mselect(self, a, rows, cols), a.d)
+
+    def matmul(self, a, b):
+        if type(a) is not Packed:
+            return self.unpack(self.matmul(self.pack(a), self.pack(b)))
+        cols = list(zip(*b))
+        return self._reduce([[sum(map(mul, r, c)) for c in cols] for r in a],
+                            a.d * b.d)
+
+    def matvec(self, a, v):
+        """A v; for a packed A, v is a packed column and so is A v."""
+        if type(a) is not Packed:
+            return Ring.matvec(self, a, v)
+        if not v:
+            return Packed.of([[0] for _ in a])
+        return self.matmul(a, v)
+
+    def solve(self, a, b):
+        if type(a) is not Packed:
+            x = self.solve(self.pack(a), self.pack(b))
+            return None if x is None else self.unpack(x)
+        # (A/d) X = B/e is (A) X = B d/e, and [A | B] is integral.
+        out = self._solve_packed([x + y for x, y in zip(a, b)], len(a))
+        if out is None:
+            return None
+        x, den = out
+        if a.d != 1:
+            x = [[v * a.d for v in r] for r in x]
+        return self._reduce(x, den * b.d)
+
+    def pivot_columns(self, a):
+        # Scaling by the denominator keeps the pivots.
+        if type(a) is not Packed:
+            a = self.pack(a)
+        return _pivots(a, self._p)
 
 
 @dataclass(frozen=True)
-class RationalRing(Ring):
+class RationalRing(_PackedField):
     kind = "rational"
+    _p = 0
 
     def zero(self):
         return _rational(0)
@@ -477,30 +639,31 @@ class RationalRing(Ring):
             raise NotAUnit("0 has no inverse")
         return 1 / s
 
-    def matmul(self, a, b):
-        # Each row of A and each column of B is scaled to integers: one
-        # integer dot product and one rational construction per entry.
-        rows = [_integral(r) for r in a]
-        cols = [_integral(c) for c in zip(*b)]
-        return [[_rational(sum(map(mul, r, c)), d * e) for c, e in cols]
-                for r, d in rows]
+    def pack(self, rows):
+        # Over the lcm of the denominators of reduced fractions the
+        # numerators are in packed form.
+        d = lcm(*[x.denominator for r in rows for x in r])
+        if d == 1:
+            return Packed.of([[x.numerator for x in r] for r in rows])
+        return Packed.of([[x.numerator * (d // x.denominator) for x in r]
+                          for r in rows], d)
 
-    def solve(self, a, b):
-        # A row of [A | B] scaled by a non-zero integer keeps the solution.
-        out = self._solve_packed(
-            [_integral(ra + rb)[0] for ra, rb in zip(a, b)], len(a))
-        if out is None:
-            return None
-        x, d = out
-        return [[_rational(v, d) for v in r] for r in x]
+    def unpack(self, a):
+        d = a.d
+        if d == 1:
+            return [[_rational(x) for x in r] for r in a]
+        return [[_rational(x, d) for x in r] for r in a]
 
-    def pivot_columns(self, a):
-        # A row scaled by a non-zero integer keeps its pivots.
-        return _pivots([_integral(r)[0] for r in a])
+    def _reduce(self, rows, d):
+        """The packed matrix of integer rows over d > 0: divided by
+        gcd(d, every entry)."""
+        if d != 1:
+            g = gcd(d, *chain.from_iterable(rows))
+            if g != 1:
+                return Packed.of([[x // g for x in r] for r in rows], d // g)
+        return Packed.of(rows, d)
 
-    # The packed form of Q is integers: the root operations of a dual
-    # tower over Q, on its integer-scaled rows.
-    _pivots_packed = staticmethod(_pivots)
+    # The root solve of a dual tower over Q, on its integer-scaled rows.
     _solve_packed = staticmethod(_bareiss)
 
     def __repr__(self):
@@ -535,9 +698,6 @@ class Float64Ring(Ring):
     def is_exact(self):
         return False
 
-    def _pivots_packed(self, a):
-        return self.pivot_columns(a)
-
     def _solve_packed(self, rows, n):
         x = self.solve([r[:n] for r in rows], [r[n:] for r in rows])
         return None if x is None else (x, 1)
@@ -558,7 +718,7 @@ def _is_odd_prime(p):
 
 
 @dataclass(frozen=True)
-class PrimeFieldRing(Ring):
+class PrimeFieldRing(_PackedField):
     p: int
     kind = "prime_field"
 
@@ -583,26 +743,22 @@ class PrimeFieldRing(Ring):
             raise NotAUnit(f"0 mod {self.p} has no inverse")
         return Fp(pow(s.v, -1, self.p), self.p)
 
-    def matmul(self, a, b):
-        # Raw residues, reduced once per entry.
+    @property
+    def _p(self):
+        return self.p
+
+    def pack(self, rows):
+        return Packed.of([[x.v for x in r] for r in rows])
+
+    def unpack(self, a):
         p = self.p
-        cols = [[x.v for x in c] for c in zip(*b)]
-        return [[Fp(sum(map(mul, r, c)), p) for c in cols]
-                for r in [[x.v for x in r] for r in a]]
+        return [[Fp(x, p) for x in r] for r in a]
 
-    def solve(self, a, b):
+    def _reduce(self, rows, d):
+        """The packed matrix of integer rows (d is always 1 over F_p):
+        their residues."""
         p = self.p
-        out = self._solve_packed(
-            [[x.v for x in ra + rb] for ra, rb in zip(a, b)], len(a))
-        if out is None:
-            return None
-        return [[Fp(v, p) for v in r] for r in out[0]]
-
-    def pivot_columns(self, a):
-        return _pivots([[x.v for x in r] for r in a], self.p)
-
-    def _pivots_packed(self, a):
-        return _pivots(a, self.p)
+        return Packed.of([[x % p for x in r] for r in rows])
 
     def _solve_packed(self, rows, n):
         return _solve_mod(rows, n, self.p)
@@ -734,9 +890,8 @@ class DualRing(Ring):
         # An entry is a unit exactly when its mask-0 coordinate is, and
         # the mask-0 part of an elimination over K[e1..ek] is the
         # elimination of the mask-0 parts over K, so the pivots are those
-        # of A_0. A row scaled to the packed form keeps its pivots.
-        return self.root._pivots_packed(
-            [[c[0] for c in _pack(r)[0]] for r in a])
+        # of A_0.
+        return self.root.pivot_columns(self.root.mask0(a))
 
     def __repr__(self):
         return f"{self.base!r}[e]"

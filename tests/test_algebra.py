@@ -1,18 +1,26 @@
 """Matrix algebra layer: inversion, involutions, splitting, operators."""
 
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordankit import _kernels as K
-from jordankit.algebra import (CoordinateBasis, Involution, Matrix,
-                               dual_combine, dual_split, herm_split,
-                               matrix_unit_basis, op_apply, op_from_action,
-                               op_solve)
+from jordankit._kernels import generic
+from jordankit.algebra import (CoordinateBasis, Involution, LinearOperator,
+                               Matrix, Vector, dual_combine, dual_split,
+                               herm_split, left_mult, matrix_unit_basis,
+                               op_apply, op_from_action, op_solve,
+                               right_mult, sandwich)
 from jordankit.errors import (NotInvertible, NotInSubspace,
                               SingularOperator)
 from jordankit.jordan import JordanContext
 from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
                                rand_scalar, trial_rng)
-from jordankit.rings import FLOAT64, RATIONAL, DualRing, PrimeFieldRing
+from jordankit.rings import (FLOAT64, RATIONAL, DualRing, PrimeFieldRing,
+                             _rational)
 
 Q = RATIONAL
 
@@ -223,3 +231,188 @@ def test_embedded_basis_equals_fresh_basis(ring):
             assert lifted._free_rows == fresh._free_rows
             assert lifted._cols == fresh._cols
             assert lifted.basis == fresh.basis
+
+
+# -- packed and entry forms over Q and F_p -----------------------------------
+
+PACKED_RINGS = [Q, PrimeFieldRing(3), PrimeFieldRing(7),
+                PrimeFieldRing(2**31 - 1)]
+
+
+@st.composite
+def _int_rows(draw, n, m):
+    """n x m rows of (numerator, denominator) pairs; all zero one time in
+    five."""
+    if draw(st.integers(0, 4)) == 0:
+        return [[(0, 1)] * m for _ in range(n)]
+    num = st.integers(-3, 3) | st.sampled_from([10**12, -(10**9) - 7])
+    den = st.sampled_from([1, 2, 3, 10**20])
+    return [[(draw(num), draw(den)) for _ in range(m)] for _ in range(n)]
+
+
+def _built_both_ways(ring, kd, g):
+    """The matrix of the pairs (k, d), meaning k/d over Q and k d over
+    F_p, built packed and built from rows of scalars. The packed one comes
+    from integer rows over g times the lcm of the denominators, which the
+    packed form must cancel."""
+    rows = [[_rational(Fraction(k, d)) if ring == Q else ring.from_int(k * d)
+             for k, d in r] for r in kd]
+    if ring == Q:
+        den = lcm(*[d for r in kd for _, d in r]) * g
+        form = Q._reduce([[k * (den // d) for k, d in r] for r in kd], den)
+    else:
+        form = ring._reduce([[k * d for k, d in r] for r in kd], 1)
+    return Matrix._of(ring, form), Matrix(ring, rows)
+
+
+def _is_packed(m):
+    """Whether m holds its canonical packed form."""
+    form = m._form
+    flat = [x for r in form for x in r]
+    if m.ring == Q:
+        return form.d > 0 and gcd(form.d, *flat) == 1
+    return form.d == 1 and all(0 <= x < m.ring.p for x in flat)
+
+
+def _rows_of(x):
+    """A result as plain data: the rows of a matrix, the list of a
+    vector, or the value itself."""
+    if isinstance(x, Matrix):
+        assert _is_packed(x)
+        return x.rows
+    if isinstance(x, LinearOperator):
+        return _rows_of(x.mat)
+    if isinstance(x, Vector):
+        assert _is_packed(x.col)
+        return list(x)
+    return x
+
+
+def _or_none(f, *args):
+    try:
+        return f(*args)
+    except (NotInvertible, SingularOperator):
+        return None
+
+
+def _generic_ops(ring):
+    """(name, operation on matrices, reference on rows of scalars by the
+    generic loops, argument shapes as (rows, columns) over n, m, k)."""
+    def rank(a):
+        return len(generic.eliminate([list(r) for r in a], ring)[0])
+
+    def kron(a, b):
+        return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+    def eye(n):
+        return generic.meye(n, ring)
+
+    def matvec(a, v):
+        return [r[0] for r in generic.matmul(a, v, ring)]
+
+    return [
+        ("matmul", lambda a, b: a @ b,
+         lambda a, b: generic.matmul(a, b, ring), ("nm", "mk")),
+        ("add", lambda a, b: a + b, generic.madd, ("nm", "nm")),
+        ("sub", lambda a, b: a - b, generic.msub, ("nm", "nm")),
+        ("neg", lambda a: -a, generic.mneg, ("nm",)),
+        ("scale", lambda a, s: a.scale(s[0, 0]),
+         lambda a, s: generic.mscale(a, s[0][0]), ("nm", "11")),
+        ("transpose", Matrix.transpose,
+         lambda a: [list(c) for c in zip(*a)], ("nm",)),
+        ("hstack", lambda a, b: a.hstack(b),
+         lambda a, b: [x + y for x, y in zip(a, b)], ("nm", "nk")),
+        ("vstack", lambda a, b: a.vstack(b), lambda a, b: a + b,
+         ("nm", "km")),
+        ("submatrix", lambda a: a.submatrix([len(a.rows) - 1, 0], [0]),
+         lambda a: [[a[-1][0]], [a[0][0]]], ("nm",)),
+        ("rank", Matrix.rank, rank, ("nm",)),
+        ("solve", lambda a, b: _or_none(a.solve, b),
+         lambda a, b: generic.gauss_solve(a, b, ring), ("nn", "nk")),
+        ("inverse", lambda a: _or_none(a.inverse),
+         lambda a: generic.gauss_solve(a, eye(len(a)), ring), ("nn",)),
+        ("left_mult", left_mult, lambda a: kron(a, eye(len(a))), ("nn",)),
+        ("right_mult", right_mult,
+         lambda a: kron(eye(len(a)), [list(c) for c in zip(*a)]), ("nn",)),
+        ("sandwich", sandwich,
+         lambda a, b: kron(a, [list(c) for c in zip(*b)]), ("nn", "nn")),
+        ("apply_flat", lambda a, v: LinearOperator(a).apply_flat(Vector(v)),
+         matvec, ("nm", "m1")),
+    ]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(PACKED_RINGS),
+       dims=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                      st.integers(1, 3)),
+       g=st.sampled_from([1, 6]))
+def test_packed_matches_entry_rows_and_generic_loops(data, ring, dims, g):
+    """Every packed Matrix operation over Q and F_p gives the same entries
+    run on a matrix built packed, on one built from rows of scalars, and
+    by the generic row loops on the rows; both constructions are equal
+    matrices, and every result is in canonical packed form."""
+    size = dict(zip("nmk1", dims + (1,)))
+    drawn = {}
+
+    def arg(shape, i):
+        """The i-th argument of an operation; one draw per shape and
+        position, shared by all operations."""
+        if (shape, i) not in drawn:
+            kd = data.draw(_int_rows(size[shape[0]], size[shape[1]]))
+            drawn[shape, i] = packed, entries = _built_both_ways(ring, kd, g)
+            assert packed == entries and _is_packed(packed)
+        return drawn[shape, i]
+
+    for name, op, ref, shapes in _generic_ops(ring):
+        built = [arg(shape, i) for i, shape in enumerate(shapes)]
+        got_packed = op(*[p for p, _ in built])
+        got_entries = op(*[e for _, e in built])
+        assert got_packed == got_entries, name
+        want = ref(*[e.rows for _, e in built])
+        assert _rows_of(got_packed) == _rows_of(got_entries) == want, name
+    n, m = dims[:2]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    zero = [[ring.zero()] * m for _ in range(n)]
+    unit = [[ring.one() if (r, c) == (i, j) else ring.zero()
+             for c in range(n)] for r in range(n)]
+    for got, want in ((Matrix.identity(ring, n), generic.meye(n, ring)),
+                      (Matrix.zeros(ring, n, m), zero),
+                      (Matrix.unit(ring, n, i, j), unit)):
+        assert got == Matrix(ring, want) and _rows_of(got) == want
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), ring=st.sampled_from(PACKED_RINGS),
+       n=st.integers(1, 3), flavor=st.sampled_from(["full", "hermitian"]),
+       g=st.sampled_from([1, 6]))
+def test_packed_coordinates_match_generic_loops(data, ring, n, flavor, g):
+    """coords, from_coords and materialize agree on matrices built packed
+    and from rows of scalars, and with the generic loops: from_coords(c)
+    is the sum of c_j b_j, coords inverts it, and the materialized
+    sandwich M of x satisfies cols M = (x (x) x^T) cols for the matrix
+    cols whose columns are the flattened basis; and the base part of a
+    jet matrix is its re-part."""
+    ctx = JordanContext(n, ring, flavor,
+                        None if flavor == "full" else Involution())
+    space = ctx.space
+    kd = data.draw(_int_rows(space.dim, 1))
+    cp, ce = _built_both_ways(ring, kd, g)
+    c = [r[0] for r in ce.rows]
+    want = [[ring.zero()] * n for _ in range(n)]
+    for s, b in zip(c, space.basis):
+        want = generic.madd(want, generic.mscale(b.rows, s))
+    xs = [space.from_coords(Vector(cp)), space.from_coords(c)]
+    for x in xs:
+        assert _rows_of(x) == want
+        assert _rows_of(space.coords(x)) == c
+    x = xs[0]
+    cols = [[b.rows[i // n][i % n] for b in space.basis]
+            for i in range(n * n)]
+    for y in xs:
+        op = space.materialize(sandwich(y, y))
+        assert op == space.materialize(sandwich(xs[1], xs[1]))
+        assert (generic.matmul(cols, _rows_of(op), ring)
+                == generic.matmul(sandwich(x, x).mat.rows, cols, ring))
+    jets = dual_combine(x, x.scale(ring.from_int(2)))
+    for m in (jets, jets.embed(DualRing(jets.ring))):
+        assert m.base_part() == x and _is_packed(m.base_part())

@@ -397,6 +397,23 @@ def test_dual_ring_responses_are_unchanged():
         assert out == case["response"] + "\n", case["request"]
 
 
+def test_plain_ring_responses_are_unchanged():
+    """Compute responses over Q, F_7 and float64 stay byte for byte the
+    recorded ones: every plain-ring request of one cycle of the benchmark's
+    compute-requests mix (perfbench/compute_requests.py CYCLE: every op at
+    n = 1..3, domain errors included) at seeds 1 and 2. Each entry of the
+    data file is a request, the exit code and the line `jordankit compute`
+    printed for it."""
+    path = Path(__file__).parent / "data" / "plain_compute_golden.json"
+    cases = json.loads(path.read_text(encoding="utf-8"))
+    assert len(cases) >= 90
+    for case in cases:
+        code, out, _ = run_in_process(["compute"],
+                                      stdin=json.dumps(case["request"]))
+        assert code == case["exit"], case["request"]
+        assert out == case["response"] + "\n", case["request"]
+
+
 def test_convention_round_trip():
     """Under the loos flag, (x, w) computes the ad-convention value at
     (x, -w); 50 scalar trials through the dispatch layer."""
