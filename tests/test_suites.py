@@ -1,6 +1,9 @@
 """Suite registry: every suite runs green on every ring kind it declares,
 and reports are reproducible."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from jordankit import suites
@@ -8,6 +11,7 @@ from jordankit.rings import FLOAT64, RATIONAL, PrimeFieldRing
 
 RING_OF = {"rational": RATIONAL, "float64": FLOAT64,
            "prime_field": PrimeFieldRing(5)}
+GOLDEN = Path(__file__).parent / "data" / "suite_reports_golden.json"
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
@@ -55,3 +59,39 @@ def test_check_whose_trials_all_skip_fails():
     rep = suites.SuiteReport("s", [some, suites.run_check(
         "y", 2, 0, lambda r, i: None)])
     assert rep.failed == 0 and not rep.ok
+
+
+def golden_reports():
+    """The report of every suite over each ring kind it supports (F_5 for
+    the prime fields), at seeds 1 and 2 and 3 and 8 trials, without
+    wall_time, in the order of the golden file."""
+    out = []
+    for name in sorted(suites.SUITES):
+        for kind in suites.SUITES[name][1]:
+            for seed in (1, 2):
+                for trials in (3, 8):
+                    cfg = suites.SuiteConfig(suite=name, ring=RING_OF[kind],
+                                             trials=trials, seed=seed)
+                    rep = suites.run_suite(cfg).to_json()
+                    rep.pop("wall_time")
+                    out.append(rep)
+    return out
+
+
+def test_suite_reports_are_unchanged():
+    """Every suite report stays byte for byte the recorded one, apart from
+    wall_time. The data file is the JSON list of `golden_reports`, one
+    report a line, written before the suites became one table."""
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = golden_reports()
+    assert len(got) == len(want) == 92
+    for g, w in zip(got, want):
+        assert (json.dumps(g, sort_keys=True)
+                == json.dumps(w, sort_keys=True)), (w["suite"], w["config"])
+
+
+def test_ad_multiplicative_runs_at_most_100_trials():
+    cfg = suites.SuiteConfig(suite="thm46", ring=RATIONAL, trials=101)
+    checks = {c.name: c for c in suites.run_suite(cfg).checks}
+    assert checks["ad-multiplicative"].trials == 100
+    assert checks["quasi-vs-act"].trials == 101
