@@ -22,9 +22,10 @@ from .jordan import (bergman_operator, loos_bergman, loos_quasi_inverse,
 from .projline import (act_frac, chart_coords, classify_point,
                        mu_dilation, phi_involution)
 from .rings import ring_from_json, scalar_from_json, scalar_to_json
-from .serialize import (group_from_json, involution_from_json,
-                        jordan_context_from_json, matrix_from_json,
-                        matrix_to_json, point_from_json, point_to_json,
+from .serialize import (group_from_json, int_from_json,
+                        involution_from_json, jordan_context_from_json,
+                        matrix_from_json, matrix_to_json, n_from_json,
+                        point_from_json, point_to_json,
                         symspace_context_from_json)
 from .symspace import exp_tanh, lts_bracket, sym_mul
 
@@ -84,7 +85,7 @@ def cmd_verify(args, out):
     # suite reads --convention.
     given = {o: getattr(args, o) for o in ("n", "tol", "order", "convention")
              if getattr(args, o) is not None}
-    unused = sorted(set(given) - set(suites.SUITE_OPTIONS[args.suite]))
+    unused = sorted(set(given) - suites.suite_options(args.suite))
     if unused:
         _emit({"error": "UnusedOption", "suite": args.suite,
                "options": ["--" + o for o in unused]}, out)
@@ -150,7 +151,7 @@ def compute(req, convention="ad"):
 
     if op == "act":
         ring = ring_from_json(req.get("ring", "rational"))
-        n = req.get("n", 1)
+        n = n_from_json(req)
         g = group_from_json(ring, n, req["g"])
         x = matrix_from_json(ring, req["x"], n)
         out = act(g, x)
@@ -184,16 +185,16 @@ def compute(req, convention="ad"):
             space = symspace_context_from_json(req["context"])
         else:
             ring = ring_from_json(req.get("ring", "float64"))
-            n = req.get("n", 1)
+            n = n_from_json(req)
             space = suites.proj_space_swap(ring, n, flavor="hermitian")
         v = matrix_from_json(space.ring, req["v"], _space_n(space))
-        e = exp_tanh(space, v, req.get("order", 24))
+        e = exp_tanh(space, v, int_from_json(req, "order", 24))
         return {"op": op, "result": point_to_json(e),
                 "chart": matrix_to_json(chart_coords(e))}
 
     if op in ("cayley", "cayley_identity"):
         ring = ring_from_json(req.get("ring", "rational"))
-        n = req.get("n", 1)
+        n = n_from_json(req)
         res = suites.check_cayley_identities(ring, n)
         return {"op": "cayley", "holds": res.ok}
 
@@ -223,10 +224,7 @@ def compute(req, convention="ad"):
 
 def _compute_derivative(req):
     name = req["map"]
-    samples = req.get("samples", 100)
-    if not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, "
-                         f"not {samples!r}")
+    samples = int_from_json(req, "samples", 100, least=1)
     tol = req.get("tol", 1e-9)
     bad_tol = _tolerance_error(tol)
     if bad_tol:
@@ -237,7 +235,7 @@ def _compute_derivative(req):
         raise ValueError(f"unknown derivative map {name!r}")
     g = group_from_json(ctx.ring, ctx.n, req["g"]) if name == "act" else None
     law = laws[name](ctx, g)
-    seed = req.get("seed", 1)
+    seed = int_from_json(req, "seed", 1)
     report = calculus.derivative_check(
         law.handle, law.expected,
         lambda i: law.sample(randgen.trial_rng(seed, i)),

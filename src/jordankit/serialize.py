@@ -64,6 +64,22 @@ def _require_object(obj, what):
         raise ValueError(f"{what} must be a JSON object, not {obj!r}")
 
 
+def int_from_json(obj, key, default, least=None):
+    """obj[key], or `default` when absent: an int, not a bool, and at least
+    `least` when given. Anything else is malformed input (ValueError)."""
+    val = obj.get(key, default)
+    if (isinstance(val, bool) or not isinstance(val, int)
+            or (least is not None and val < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{key} must be an integer{bound}, not {val!r}")
+    return val
+
+
+def n_from_json(obj):
+    """A request's matrix size n: a positive int, 1 when absent."""
+    return int_from_json(obj, "n", 1, least=1)
+
+
 def involution_from_json(ring, obj, n=None):
     if obj is None:
         return Involution()
@@ -153,7 +169,7 @@ def polarity_from_json(ring, n, obj):
 def jordan_context_from_json(obj):
     _require_object(obj, "context")
     ring = ring_from_json(obj.get("ring", "rational"))
-    n = obj.get("n", 1)
+    n = n_from_json(obj)
     flavor = obj.get("flavor", "full")
     iota = None
     if flavor != "full":
@@ -170,7 +186,7 @@ def symspace_context_from_json(obj):
         return JordanUnitsSpace(jctx, o)
     if variant == "group":
         ring = ring_from_json(obj.get("ring", "rational"))
-        n = obj.get("n", 1)
+        n = n_from_json(obj)
         kind = obj.get("kind", "full_linear")
         iota = involution_from_json(ring, obj.get("involution"), n) \
             if kind == "unitary" else None

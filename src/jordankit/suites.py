@@ -2,29 +2,32 @@
 
 Each check function runs `trials` independent trials, drawing every
 trial's inputs from a substream keyed by (seed, trial), and returns a
-CheckResult. Suites (the CLI surface) bundle the checks belonging to one
-theme; the acceptance test module calls the same checks with its own
-trial counts and tolerances.
+CheckResult. `SUITES`, one table, holds each suite's ring kinds and checks;
+`run_suite`, the CLI and the tests read it. The acceptance tests call the
+same checks with their own trial counts and tolerances.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import calculus, jordan, randgen
-from .algebra import Involution, Matrix, dual_combine, dual_split
+from .algebra import (Involution, LinearOperator, Matrix, dual_combine,
+                      dual_split, op_solve)
 from .errors import NotInChart, NotInSpace, NotInvertible, NotQuasiInvertible
-from .graded import (GroupElement, act, ad_bracket, check, denominators,
-                     hat, in_chart, pr1)
+from .graded import (GroupElement, act, ad_bracket, ad_operator, check,
+                     denominators, hat, in_chart, pr1)
 from .jordan import (JordanContext, bergman_closed, bergman_operator,
                      jordan_inverse, jordan_product, mult_operator,
                      quasi_inverse, rep_operators, triple_product)
 from .projline import (Polarity, act_frac, base_minus, base_plus,
                        chart_coords, classify_point, gamma_chart,
                        in_chart as point_in_chart, mu_dilation,
-                       phi_involution, phi_matrix, transversal)
-from .rings import FLOAT64, RATIONAL, DualRing, PrimeFieldRing
+                       phi_group, phi_involution, phi_matrix, transversal)
+from .rings import FLOAT64, RATIONAL, DualRing, PrimeFieldRing, ring_to_json
 from .symspace import (GroupSpace, JordanUnitsSpace, ProjectiveSpace,
                        exp_tanh, lts_bracket, sym_mul, tilde_field,
                        transvection)
@@ -261,7 +264,6 @@ def check_quasi_vs_act(ring, n, trials, seed):
             return not chart_ok
         if not chart_ok:
             return False
-        from .algebra import op_solve
         return qv == op_solve(dop, nval)
 
     return run_check("quasi-vs-act", trials, seed, trial)
@@ -287,7 +289,6 @@ def check_exp_ad_conjugation(ring, n, trials, seed):
 
 
 def check_ad_multiplicative(ring, n, trials, seed):
-    from .graded import ad_operator
 
     def trial(rng, i):
         g = randgen.rand_group_word(rng, ring, n, length=2)
@@ -342,9 +343,7 @@ def check_translation_action(ring, n, trials, seed):
         if act(GroupElement.exp_ad(v, 1), x) != x + v:
             return False
         d, c, nval = denominators(GroupElement.identity(ring, n), x)
-        dim = n * n
-        from .algebra import LinearOperator
-        ident = LinearOperator.identity(ring, dim)
+        ident = LinearOperator.identity(ring, n * n)
         return d == ident and c == ident and nval == x
 
     return run_check("translation-action", trials, seed, trial)
@@ -364,23 +363,21 @@ def check_frac_group_action(ring, n, trials, seed):
 
 
 def check_cayley_identities(ring, n):
-    res = CheckResult("cayley-identities", 1)
-    one2 = Matrix.identity(ring, 2 * n)
-    c = GroupElement.cayley(ring, n)
-    f = GroupElement.swap(ring, n)
-    j = GroupElement.jmat(ring, n)
-    i11 = GroupElement.i11(ring, n)
-    ok = (c.inverse_mat() @ i11.mat @ c.mat) == f.mat
-    ok = ok and (c.mat @ c.mat == one2.scale(ring.from_int(2)))
-    ok = ok and (f.mat @ f.mat == one2)
-    ok = ok and GroupElement.from_word(ring, n, j.word).mat == j.mat
-    ok = ok and act_frac(j, base_plus(ring, n)) == base_minus(ring, n)
-    if ok:
-        res.passed = 1
-    else:
-        res.failed = 1
-        res.first_counterexample = {"identity": "cayley block"}
-    return res
+
+    def trial(rng, i):
+        one2 = Matrix.identity(ring, 2 * n)
+        c = GroupElement.cayley(ring, n)
+        f = GroupElement.swap(ring, n)
+        j = GroupElement.jmat(ring, n)
+        i11 = GroupElement.i11(ring, n)
+        ok = (c.inverse_mat() @ i11.mat @ c.mat) == f.mat
+        ok = ok and (c.mat @ c.mat == one2.scale(ring.from_int(2)))
+        ok = ok and (f.mat @ f.mat == one2)
+        ok = ok and GroupElement.from_word(ring, n, j.word).mat == j.mat
+        ok = ok and act_frac(j, base_plus(ring, n)) == base_minus(ring, n)
+        return ok or (False, {"identity": "cayley block"})
+
+    return run_check("cayley-identities", 1, 0, trial)
 
 
 def check_cayley_transport(ring, trials, seed, n=2):
@@ -391,8 +388,7 @@ def check_cayley_transport(ring, trials, seed, n=2):
 
     def skew(rng):
         t = randgen.rand_scalar(rng, ring)
-        m = Matrix.zeros(ring, n).rows
-        m = [list(r) for r in m]
+        m = [list(r) for r in Matrix.zeros(ring, n).rows]
         m[0][1] = t
         m[1][0] = -t
         return Matrix(ring, m)
@@ -428,6 +424,16 @@ def check_phi_antiautomorphism(ring, n, trials, seed):
     return run_check("phi-antiautomorphism", trials, seed, trial)
 
 
+def _rand_transversal(rng, ring, n, e, first=True):
+    """A random point f transversal to the point e, tested as
+    transversal(e, f), or as transversal(f, e) when not `first`; None
+    when the draws run out."""
+    return randgen.rand_filtered(
+        rng, lambda r: randgen.rand_point(r, ring, n),
+        (lambda f: transversal(e, f)) if first
+        else (lambda f: transversal(f, e)))
+
+
 def check_phi_complement_independence(ring, n, trials, seed, complements=5):
 
     def trial(rng, i):
@@ -435,9 +441,7 @@ def check_phi_complement_independence(ring, n, trials, seed, complements=5):
         e = randgen.rand_point(rng, ring, n)
         ref = phi_involution(j, Involution(), e)
         for _ in range(complements):
-            comp = randgen.rand_filtered(
-                rng, lambda r: randgen.rand_point(r, ring, n),
-                lambda f: transversal(e, f))
+            comp = _rand_transversal(rng, ring, n, e)
             if comp is None:
                 return None
             if phi_involution(j, Involution(), e, complement=comp) != ref:
@@ -483,7 +487,6 @@ def check_phi_chart(ring, n, trials, seed):
 
 def check_phi_equivariance(ring, n, trials, seed):
     """The point map intertwines: phi~(g.E) = Phi(g)^-1 . phi~(E)."""
-    from .projline import phi_group
     iota = Involution()
 
     def trial(rng, i):
@@ -509,14 +512,10 @@ def check_mu_examples(ring, n, trials, seed):
         if mu_dilation(r, gamma0, o_plus, gamma_chart(z)) != gamma_chart(z.scale(r)):
             return False
         x = randgen.rand_point(rng, ring, n)
-        a = randgen.rand_filtered(
-            rng, lambda rr: randgen.rand_point(rr, ring, n),
-            lambda f: transversal(x, f))
+        a = _rand_transversal(rng, ring, n, x)
         if a is None:
             return None
-        y = randgen.rand_filtered(
-            rng, lambda rr: randgen.rand_point(rr, ring, n),
-            lambda f: transversal(f, a))
+        y = _rand_transversal(rng, ring, n, a, first=False)
         if y is None:
             return None
         if mu_dilation(ring.one(), x, a, y) != y:
@@ -530,14 +529,10 @@ def check_mu_coherence(ring, n, trials, seed):
 
     def trial(rng, i):
         x = randgen.rand_point(rng, ring, n)
-        a = randgen.rand_filtered(
-            rng, lambda rr: randgen.rand_point(rr, ring, n),
-            lambda f: transversal(x, f))
+        a = _rand_transversal(rng, ring, n, x)
         if a is None:
             return None
-        y = randgen.rand_filtered(
-            rng, lambda rr: randgen.rand_point(rr, ring, n),
-            lambda f: transversal(f, a))
+        y = _rand_transversal(rng, ring, n, a, first=False)
         if y is None:
             return None
         r = randgen.rand_unit(rng, ring)
@@ -575,31 +570,35 @@ def check_gamma_units_f5():
     """Exhaustive over F_5, n = 1: the non-isotropic set of I_{1,1} meets
     the line exactly in the invertible chart points."""
     ring = PrimeFieldRing(5)
-    res = CheckResult("gamma-units-f5", 1)
-    pol = Polarity("linear", S=GroupElement.i11(ring, 1))
-    points = [gamma_chart(Matrix(ring, [[ring.from_int(k)]])) for k in range(5)]
-    points.append(base_plus(ring, 1))
-    want = [k != 0 for k in range(5)] + [False]
-    got = [pol.nonisotropic(e) for e in points]
-    ok = got == want
-    chart = [point_in_chart(e) for e in points]
-    ok = ok and chart == [True] * 5 + [False]
-    if ok:
-        res.passed = 1
-    else:
-        res.failed = 1
-        res.first_counterexample = {"got": got, "want": want}
-    return res
+
+    def trial(rng, i):
+        pol = Polarity("linear", S=GroupElement.i11(ring, 1))
+        points = [gamma_chart(Matrix(ring, [[ring.from_int(k)]]))
+                  for k in range(5)]
+        points.append(base_plus(ring, 1))
+        want = [k != 0 for k in range(5)] + [False]
+        got = [pol.nonisotropic(e) for e in points]
+        chart = [point_in_chart(e) for e in points]
+        return ((got == want and chart == [True] * 5 + [False])
+                or (False, {"got": got, "want": want}))
+
+    return run_check("gamma-units-f5", 1, 0, trial)
 
 
 # -- symmetric-space checks --------------------------------------------------
 
-def _space_builders(ring, n):
-    return {
-        "jordan_units": lambda: units_space(ring, n),
-        "projective": lambda: proj_space_swap(ring, n),
-        "group": lambda: group_space(ring, n),
-    }
+def _space(name, ring, n):
+    """The symmetric space of the suites called `name`."""
+    return {"jordan_units": units_space, "projective": proj_space_swap,
+            "group": group_space}[name](ring, n)
+
+
+def _rand_tangent(rng, space, lo=-randgen.BOX, hi=randgen.BOX):
+    """A random tangent vector at the base point: an element of the
+    Jordan context of a unit or projective space, a matrix for a group."""
+    if hasattr(space, "jctx"):
+        return randgen.rand_in_context(rng, space.jctx, lo, hi)
+    return randgen.rand_matrix(rng, space.ring, space.n, lo=lo, hi=hi)
 
 
 def _rand_space_point(rng, space):
@@ -609,8 +608,6 @@ def _rand_space_point(rng, space):
             rng, lambda r: randgen.rand_in_context(r, space.jctx),
             space.contains)
     if isinstance(space, GroupSpace):
-        if space.kind == "unitary":
-            return randgen.rand_orthogonal2(rng, space.ring)
         return randgen.rand_invertible(rng, space.ring, space.n)
     return randgen.rand_filtered(
         rng, lambda r: gamma_chart(randgen.rand_matrix(r, space.ring, space.jctx.n)),
@@ -618,8 +615,7 @@ def _rand_space_point(rng, space):
 
 
 def check_m_axioms(space_name, ring, n, trials, seed):
-    builders = _space_builders(ring, n)
-    space = builders[space_name]()
+    space = _space(space_name, ring, n)
 
     def trial(rng, i):
         for _ in range(100):
@@ -697,36 +693,23 @@ def check_units_literal(ring, n, trials, seed, flavor="hermitian"):
 
 def check_m4_dual(space_name, ring, n, trials, seed):
     """eps-part of sigma_x(x + eps v) is -v, at chart level."""
-    builders = _space_builders(ring, n)
-    space = builders[space_name]()
+    space = _space(space_name, ring, n)
     dring = DualRing(ring)
     space_e = space.at_ring(dring)
 
     def chart_value(rng):
         if isinstance(space, ProjectiveSpace):
-            x = randgen.rand_filtered(
+            return randgen.rand_filtered(
                 rng,
                 lambda r: randgen.rand_matrix(r, ring, n),
                 lambda z: space.contains(gamma_chart(z)))
-            return x
         return _rand_space_point(rng, space)
-
-    def tangent_at(rng, x):
-        if isinstance(space, GroupSpace) and space.kind == "unitary":
-            from .algebra import herm_split
-            s = herm_split(space.involution, randgen.rand_matrix(rng, ring, n))[1]
-            return x @ s
-        if isinstance(space, JordanUnitsSpace):
-            return randgen.rand_in_context(rng, space.jctx)
-        if isinstance(space, ProjectiveSpace):
-            return randgen.rand_in_context(rng, space.jctx)
-        return randgen.rand_matrix(rng, ring, n)
 
     def trial(rng, i):
         x = chart_value(rng)
         if x is None:
             return None
-        v = tangent_at(rng, x)
+        v = _rand_tangent(rng, space)
         xe = x.embed(dring)
         lifted = dual_combine(x, v)
         try:
@@ -741,18 +724,14 @@ def check_m4_dual(space_name, ring, n, trials, seed):
 
 def check_fiber_law(space_name, ring, n, trials, seed):
     """Tm(v, w) = 2v - w on the tangent fiber of the base point."""
-    builders = _space_builders(ring, n)
-    space = builders[space_name]()
+    space = _space(space_name, ring, n)
     dring = DualRing(ring)
     space_e = space.at_ring(dring)
     o = space.o_chart
     two = ring.from_int(2)
 
     def trial(rng, i):
-        v = randgen.rand_in_context(rng, space.jctx) \
-            if hasattr(space, "jctx") else randgen.rand_matrix(rng, ring, n)
-        w = randgen.rand_in_context(rng, space.jctx) \
-            if hasattr(space, "jctx") else randgen.rand_matrix(rng, ring, n)
+        v, w = (_rand_tangent(rng, space) for _ in range(2))
         out = space_e.mul_chart(dual_combine(o, v), dual_combine(o, w))
         re, eps = dual_split(out)
         return re == o and eps == v.scale(two) - w
@@ -775,8 +754,7 @@ def check_tilde_field(ring, n, trials, seed):
         if tilde_field(u, v, p) != jordan_product(u.jctx, v, p):
             return False
         for sp in spaces:
-            vv = randgen.rand_in_context(rng, sp.jctx) \
-                if hasattr(sp, "jctx") else randgen.rand_matrix(rng, ring, n)
+            vv = _rand_tangent(rng, sp)
             if tilde_field(sp, vv, sp.o_chart) != vv:
                 return False
         return True
@@ -799,16 +777,10 @@ def numeric_lts(space, u, v, w):
 
 
 def check_lts_axioms(space_name, ring, n, trials, seed):
-    builders = _space_builders(ring, n)
-    space = builders[space_name]()
-
-    def tangent(rng):
-        if hasattr(space, "jctx"):
-            return randgen.rand_in_context(rng, space.jctx)
-        return randgen.rand_matrix(rng, ring, n)
+    space = _space(space_name, ring, n)
 
     def trial(rng, i):
-        u, v, w = (tangent(rng) for _ in range(3))
+        u, v, w = (_rand_tangent(rng, space) for _ in range(3))
         if not lts_bracket(space, u, u, w).is_zero():
             return (False, {"axiom": "alternating"})
         if lts_bracket(space, u, v, w) != -lts_bracket(space, v, u, w):
@@ -817,7 +789,7 @@ def check_lts_axioms(space_name, ring, n, trials, seed):
                + lts_bracket(space, w, u, v))
         if not jac.is_zero():
             return (False, {"axiom": "jacobi"})
-        a, b, c = (tangent(rng) for _ in range(3))
+        a, b, c = (_rand_tangent(rng, space) for _ in range(3))
         lhs = lts_bracket(space, u, v, lts_bracket(space, a, b, c))
         rhs = (lts_bracket(space, lts_bracket(space, u, v, a), b, c)
                + lts_bracket(space, a, lts_bracket(space, u, v, b), c)
@@ -830,16 +802,10 @@ def check_lts_axioms(space_name, ring, n, trials, seed):
 
 
 def check_lts_numeric(space_name, ring, n, trials, seed):
-    builders = _space_builders(ring, n)
-    space = builders[space_name]()
-
-    def tangent(rng):
-        if hasattr(space, "jctx"):
-            return randgen.rand_in_context(rng, space.jctx, lo=-1, hi=1)
-        return randgen.rand_matrix(rng, ring, n, lo=-1, hi=1)
+    space = _space(space_name, ring, n)
 
     def trial(rng, i):
-        u, v, w = (tangent(rng) for _ in range(3))
+        u, v, w = (_rand_tangent(rng, space, -1, 1) for _ in range(3))
         try:
             got = numeric_lts(space, u, v, w)
         except calculus.DomainViolation:
@@ -924,12 +890,12 @@ def check_exp_tanh_doubling(trials, seed, n=2, order=24, tol=1e-10):
 
 
 def check_exp_tanh_zero(order=24):
-    res = CheckResult("exp-tanh-zero", 1)
     space = proj_space_swap(FLOAT64, 2, flavor="hermitian")
-    z = Matrix.zeros(FLOAT64, 2)
-    ok = exp_tanh(space, z, order) == space.o
-    res.passed, res.failed = (1, 0) if ok else (0, 1)
-    return res
+
+    def trial(rng, i):
+        return exp_tanh(space, Matrix.zeros(FLOAT64, 2), order) == space.o
+
+    return run_check("exp-tanh-zero", 1, 0, trial)
 
 
 def check_midpoint_law(trials, seed, order=24, tol=1e-9):
@@ -1057,7 +1023,6 @@ def check_chain_rule(ring, n, trials, seed):
         k = calculus.compose(calculus.alg_inversion(), f)
         if not x.is_invertible() or not (x @ x).is_invertible():
             return True
-        fx, dfv = calculus.tangent_map(f, x, v)
         ifx, didf = calculus.tangent_map(calculus.alg_inversion(), fx, dfv)
         kx, dkv = calculus.tangent_map(k, x, v)
         return (kx, dkv) == (ifx, didf)
@@ -1110,7 +1075,6 @@ def check_quotient_rule(ring, n, trials, seed):
         b_eps = bergman_operator(ctx_e, dual_combine(x, h), a.embed(dring))
         _, db = dual_split(b_eps.mat)
         binv_v = b.solve_flat(ctx.space.coords(v))
-        from .algebra import LinearOperator
         mid = LinearOperator(db).apply_flat(binv_v)
         want = -ctx.space.from_coords(b.solve_flat(mid))
         return got == want
@@ -1229,165 +1193,121 @@ class SuiteReport:
         return out
 
 
-def _suite_fundamental(cfg):
-    r, n, t, s = cfg.ring, cfg.n, cfg.trials, cfg.seed
-    return [
-        check_jordan_identity(r, n, t, s, "full"),
-        check_jordan_identity(r, n, t, s, "hermitian"),
-        check_fundamental_formula(r, n, t, s, "full"),
-        check_fundamental_formula(r, n, t, s, "hermitian"),
-        check_rep_oracle(r, n, t, s, "full"),
-        check_l_inverse(r, n, t, s, "hermitian"),
-        check_l_inverse(r, n, t, s, "full"),
-    ]
+class Check(NamedTuple):
+    """One check of a suite: `fn(*args)` given, by name, the SuiteConfig
+    fields in `reads`, the flavor when set and, unless the check is
+    one-shot (`per` None), the seed and the trials: the suite's t, or
+    max(1, t // per) when per > 1, at most `cap`."""
+    fn: Callable
+    args: tuple = ()
+    flavor: str | None = None
+    per: int | None = 1
+    cap: float = math.inf
+    reads: tuple = ("ring", "n")
+
+    def run(self, cfg):
+        kw = {f: getattr(cfg, f) for f in self.reads}
+        if self.flavor is not None:
+            kw["flavor"] = self.flavor
+        if self.per is not None:
+            t = cfg.trials if self.per == 1 else max(1, cfg.trials // self.per)
+            kw.update(trials=min(t, self.cap), seed=cfg.seed)
+        return self.fn(*self.args, **kw)
 
 
-def _suite_jordan_pair(cfg):
-    r, n, t, s = cfg.ring, cfg.n, cfg.trials, cfg.seed
-    return [
-        check_pair_identities(r, n, t, s, "full"),
-        check_pair_identities(r, n, t, s, "hermitian"),
-        check_triple_vs_gl2(r, n, t, s),
-    ]
+EXACT = ("rational", "prime_field")
 
-
-def _suite_bergman(cfg):
-    r, n, t, s = cfg.ring, cfg.n, cfg.trials, cfg.seed
-    return [
-        check_bergman_coherence(r, n, t, s, "full"),
-        check_bergman_coherence(r, n, t, s, "hermitian"),
-        check_quasi_full_oracle(r, n, t, s),
-    ]
-
-
-def _suite_cocycle(cfg):
-    return [check_cocycle(cfg.ring, cfg.n, cfg.trials, cfg.seed)]
-
-
-def _suite_thm46(cfg):
-    r, n, t, s = cfg.ring, cfg.n, cfg.trials, cfg.seed
-    return [
-        check_quasi_vs_act(r, n, t, s),
-        check_act_chart_agreement(r, n, t, s),
-        check_translation_action(r, n, t, s),
-        check_exp_ad_conjugation(r, n, t, s),
-        check_ad_multiplicative(r, n, min(t, 100), s),
-    ]
-
-
-def _suite_m_axioms(cfg):
-    out = []
-    for name in ("jordan_units", "projective", "group"):
-        out.append(check_m_axioms(name, cfg.ring, cfg.n, cfg.trials, cfg.seed))
-        out.append(check_m4_dual(name, cfg.ring, cfg.n, cfg.trials, cfg.seed))
-        out.append(check_fiber_law(name, cfg.ring, cfg.n,
-                                   max(1, cfg.trials // 2), cfg.seed))
-    out.append(check_tilde_field(cfg.ring, cfg.n, max(1, cfg.trials // 2),
-                                 cfg.seed))
-    for flavor in ("full", "hermitian"):
-        out.append(check_units_literal(cfg.ring, cfg.n, cfg.trials, cfg.seed,
-                                       flavor))
-    return out
-
-
-def _suite_lts(cfg):
-    out = []
-    for name in ("jordan_units", "projective", "group"):
-        out.append(check_lts_axioms(name, cfg.ring, cfg.n,
-                                    max(1, cfg.trials // 2), cfg.seed))
-        out.append(check_lts_numeric(name, cfg.ring, cfg.n,
-                                     max(1, cfg.trials // 4), cfg.seed))
-    return out
-
-
-def _suite_derivative_laws(cfg):
-    r, n, t, s = cfg.ring, cfg.n, cfg.trials, cfg.seed
-    return [
-        check_deriv_act(r, n, t, s),
-        check_deriv_jordan_inverse(r, n, t, s),
-        check_deriv_alg_inverse(r, n, t, s),
-        check_deriv_quasi_at_zero(r, n, t, s),
-        check_differential_linearity(r, n, t, s),
-        check_chain_rule(r, n, t, s),
-        check_schwarz(r, n, t, s),
-        check_quotient_rule(r, n, max(1, t // 2), s),
-        check_c1_forms(r, n, max(1, t // 2), s),
-        check_bracket_fields(r, t, s),
-    ]
-
-
-def _suite_cayley(cfg):
-    return [
-        check_cayley_identities(cfg.ring, cfg.n),
-        check_cayley_transport(cfg.ring, cfg.trials, cfg.seed),
-    ]
-
-
-def _suite_phi(cfg):
-    r, n, t, s = cfg.ring, cfg.n, cfg.trials, cfg.seed
-    return [
-        check_phi_antiautomorphism(r, n, t, s),
-        check_phi_order_two(r, n, t, s),
-        check_phi_complement_independence(r, n, max(1, t // 2), s),
-        check_phi_chart(r, n, t, s),
-        check_phi_equivariance(r, n, max(1, t // 2), s),
-    ]
-
-
-def _suite_exp_tanh(cfg):
-    return [
-        check_exp_tanh_zero(cfg.order),
-        check_exp_tanh_scalar(cfg.trials, cfg.seed, cfg.order),
-        check_exp_tanh_doubling(cfg.trials, cfg.seed, order=cfg.order),
-        check_midpoint_law(max(1, cfg.trials // 2), cfg.seed, cfg.order,
-                           tol=cfg.tol),
-    ]
-
-
-def _suite_unitary(cfg):
-    return [
-        check_unitary_closure(cfg.ring, cfg.trials, cfg.seed),
-        check_unitary_cayley_agreement(cfg.ring, cfg.trials, cfg.seed),
-    ]
-
-
-def _suite_mu(cfg):
-    r, n, t, s = cfg.ring, cfg.n, cfg.trials, cfg.seed
-    return [
-        check_mu_examples(r, n, t, s),
-        check_mu_coherence(r, n, t, s),
-        check_thm34_agreement(r, n, t, s),
-        check_gamma_units_f5(),
-        check_frac_group_action(r, n, t, s),
-    ]
-
-
+# Each suite: the ring kinds it runs over, then its checks in report order.
 SUITES = {
-    "fundamental": (_suite_fundamental, ("rational", "prime_field")),
-    "jordan-pair": (_suite_jordan_pair, ("rational", "prime_field")),
-    "bergman": (_suite_bergman, ("rational", "prime_field")),
-    "cocycle": (_suite_cocycle, ("rational", "prime_field")),
-    "thm46": (_suite_thm46, ("rational", "prime_field")),
-    "m-axioms": (_suite_m_axioms, ("rational", "prime_field")),
-    "lts": (_suite_lts, ("rational", "prime_field")),
-    "derivative-laws": (_suite_derivative_laws, ("rational", "prime_field")),
-    "cayley": (_suite_cayley, ("rational",)),
-    "phi": (_suite_phi, ("rational", "prime_field")),
-    "exp-tanh": (_suite_exp_tanh, ("float64",)),
-    "unitary": (_suite_unitary, ("rational",)),
-    "mu": (_suite_mu, ("rational", "prime_field")),
+    "fundamental": (EXACT, (
+        Check(check_jordan_identity, flavor="full"),
+        Check(check_jordan_identity, flavor="hermitian"),
+        Check(check_fundamental_formula, flavor="full"),
+        Check(check_fundamental_formula, flavor="hermitian"),
+        Check(check_rep_oracle, flavor="full"),
+        Check(check_l_inverse, flavor="hermitian"),
+        Check(check_l_inverse, flavor="full"))),
+    "jordan-pair": (EXACT, (
+        Check(check_pair_identities, flavor="full"),
+        Check(check_pair_identities, flavor="hermitian"),
+        Check(check_triple_vs_gl2))),
+    "bergman": (EXACT, (
+        Check(check_bergman_coherence, flavor="full"),
+        Check(check_bergman_coherence, flavor="hermitian"),
+        Check(check_quasi_full_oracle))),
+    "cocycle": (EXACT, (Check(check_cocycle),)),
+    "thm46": (EXACT, (
+        Check(check_quasi_vs_act),
+        Check(check_act_chart_agreement),
+        Check(check_translation_action),
+        Check(check_exp_ad_conjugation),
+        Check(check_ad_multiplicative, cap=100))),
+    "m-axioms": (EXACT, (
+        Check(check_m_axioms, ("jordan_units",)),
+        Check(check_m4_dual, ("jordan_units",)),
+        Check(check_fiber_law, ("jordan_units",), per=2),
+        Check(check_m_axioms, ("projective",)),
+        Check(check_m4_dual, ("projective",)),
+        Check(check_fiber_law, ("projective",), per=2),
+        Check(check_m_axioms, ("group",)),
+        Check(check_m4_dual, ("group",)),
+        Check(check_fiber_law, ("group",), per=2),
+        Check(check_tilde_field, per=2),
+        Check(check_units_literal, flavor="full"),
+        Check(check_units_literal, flavor="hermitian"))),
+    "lts": (EXACT, (
+        Check(check_lts_axioms, ("jordan_units",), per=2),
+        Check(check_lts_numeric, ("jordan_units",), per=4),
+        Check(check_lts_axioms, ("projective",), per=2),
+        Check(check_lts_numeric, ("projective",), per=4),
+        Check(check_lts_axioms, ("group",), per=2),
+        Check(check_lts_numeric, ("group",), per=4))),
+    "derivative-laws": (EXACT, (
+        Check(check_deriv_act),
+        Check(check_deriv_jordan_inverse),
+        Check(check_deriv_alg_inverse),
+        Check(check_deriv_quasi_at_zero),
+        Check(check_differential_linearity),
+        Check(check_chain_rule),
+        Check(check_schwarz),
+        Check(check_quotient_rule, per=2),
+        Check(check_c1_forms, per=2),
+        Check(check_bracket_fields, reads=("ring",)))),
+    "cayley": (("rational",), (
+        Check(check_cayley_identities, per=None),
+        Check(check_cayley_transport, reads=("ring",)))),
+    "phi": (EXACT, (
+        Check(check_phi_antiautomorphism),
+        Check(check_phi_order_two),
+        Check(check_phi_complement_independence, per=2),
+        Check(check_phi_chart),
+        Check(check_phi_equivariance, per=2))),
+    # check_exp_tanh_scalar and _doubling keep their own, tighter tol
+    "exp-tanh": (("float64",), (
+        Check(check_exp_tanh_zero, per=None, reads=("order",)),
+        Check(check_exp_tanh_scalar, reads=("order",)),
+        Check(check_exp_tanh_doubling, reads=("order",)),
+        Check(check_midpoint_law, per=2, reads=("order", "tol")))),
+    "unitary": (("rational",), (
+        Check(check_unitary_closure, reads=("ring",)),
+        Check(check_unitary_cayley_agreement, reads=("ring",)))),
+    "mu": (EXACT, (
+        Check(check_mu_examples),
+        Check(check_mu_coherence),
+        Check(check_thm34_agreement),
+        Check(check_gamma_units_f5, per=None, reads=()),
+        Check(check_frac_group_action))),
 }
 
-# The SuiteConfig options each suite reads beyond ring, trials and seed.
-# exp-tanh and unitary fix their own n.
-SUITE_OPTIONS = {name: ("n",) for name in SUITES}
-SUITE_OPTIONS.update({"exp-tanh": ("tol", "order"), "unitary": ()})
+
+def suite_options(name):
+    """The SuiteConfig fields suite `name` reads beyond ring, trials and
+    seed: those its checks receive."""
+    return {f for c in SUITES[name][1] for f in c.reads} - {"ring"}
 
 
 def run_suite(cfg):
-    import time
-    from .rings import ring_to_json
-    builder, rings = SUITES[cfg.suite]
+    rings, checks = SUITES[cfg.suite]
     if cfg.ring.kind not in rings:
         raise ValueError(
             f"suite {cfg.suite!r} does not support ring kind {cfg.ring.kind!r}")
@@ -1396,5 +1316,5 @@ def run_suite(cfg):
             # every check uses the ad sign convention (see jordan.py)
             "convention": "ad"}
     t0 = time.perf_counter()
-    checks = builder(cfg)
-    return SuiteReport(cfg.suite, checks, time.perf_counter() - t0, conf)
+    results = [c.run(cfg) for c in checks]
+    return SuiteReport(cfg.suite, results, time.perf_counter() - t0, conf)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +186,38 @@ def test_compute_derivative_rejects_bad_tolerance():
         assert json.loads(out)["error"] == "MalformedRequest"
         assert "tolerance" in json.loads(out)["detail"]
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, req", [
+    ("n", {"op": "quasi_inverse", "n": 0, "x": [], "y": []}),
+    ("n", {"op": "bergman", "n": 0, "x": [], "y": []}),
+    ("n", {"op": "sym_mul", "context": {"variant": "group", "n": 0},
+           "x": [], "y": []}),
+    ("n", {"op": "lts", "context": {"variant": "jordan_units", "n": 0},
+           "u": [], "v": [], "w": []}),
+    ("n", {"op": "derivative", "map": "squaring", "context": {"n": 0}}),
+    ("n", {"op": "cayley", "n": 0}),
+    ("n", {"op": "cayley", "n": -2}),
+    ("n", {"op": "exp", "n": 0, "v": []}),
+    ("n", {"op": "exp", "n": -1, "v": []}),
+    ("n", {"op": "act", "n": True, "g": "C", "x": 1}),
+    ("n", {"op": "exp", "n": 2.0, "v": [[0, 0], [0, 0]]}),
+    ("samples", {"op": "derivative", "map": "squaring", "samples": True}),
+    ("order", {"op": "exp", "n": 1, "v": [[0.1]], "order": True}),
+    ("seed", {"op": "derivative", "map": "squaring", "samples": 2,
+              "seed": True}),
+    ("seed", {"op": "derivative", "map": "squaring", "samples": 2,
+              "seed": [1]}),
+])
+def test_compute_refuses_integer_fields_that_are_not_int(field, req):
+    """n is a positive integer and samples, order and seed are integers,
+    whichever op reads them: a boolean is not read as 1, nor a list as
+    the stream of its text."""
+    code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
+    assert code == 2
+    assert json.loads(out)["error"] == "MalformedRequest"
+    assert json.loads(out)["detail"].startswith(field + " must be")
+    assert "Traceback" not in err
 
 
 def test_compute_sym_mul_and_lts():
@@ -577,7 +610,9 @@ def _schema(n):
         st.fixed_dictionaries({"word": st.lists(
             st.fixed_dictionaries({"deg": st.integers(-2, 2), "v": matrix}),
             max_size=2)})))
-    jordan = {"ring": _ring, "n": _maybe(st.just(n)),
+    jordan = {"ring": _ring,
+              "n": _maybe(_mostly(st.just(n), st.sampled_from([0, -1, True]),
+                                  odds=3)),
               "flavor": st.sampled_from(["full", "hermitian",
                                          "antihermitian", "odd"]),
               "involution": involution}

@@ -16,13 +16,25 @@ GOLDEN = Path(__file__).parent / "data" / "suite_reports_golden.json"
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_suite_runs_green(name):
-    _, ring_kinds = suites.SUITES[name]
+    ring_kinds, _ = suites.SUITES[name]
     for kind in ring_kinds:
         cfg = suites.SuiteConfig(suite=name, ring=RING_OF[kind], n=2,
                                  trials=3, seed=5)
         rep = suites.run_suite(cfg)
         assert rep.ok, (name, kind, rep.first_counterexample())
         assert rep.to_json()["config"]["seed"] == 5
+
+
+def test_suite_options_are_what_the_checks_receive():
+    """exp-tanh reads tol and order, unitary fixes its own n and every
+    other suite reads n. The exp-tanh scalar and doubling checks keep
+    their own tolerances, tighter than the suite's."""
+    want = {"exp-tanh": {"tol", "order"}, "unitary": set()}
+    for name in suites.SUITES:
+        assert suites.suite_options(name) == want.get(name, {"n"}), name
+    reads = {c.fn: c.reads for c in suites.SUITES["exp-tanh"][1]}
+    assert "tol" not in reads[suites.check_exp_tanh_scalar]
+    assert "tol" not in reads[suites.check_exp_tanh_doubling]
 
 
 def test_unsupported_ring_rejected():
@@ -67,7 +79,7 @@ def golden_reports():
     wall_time, in the order of the golden file."""
     out = []
     for name in sorted(suites.SUITES):
-        for kind in suites.SUITES[name][1]:
+        for kind in suites.SUITES[name][0]:
             for seed in (1, 2):
                 for trials in (3, 8):
                     cfg = suites.SuiteConfig(suite=name, ring=RING_OF[kind],
