@@ -1,15 +1,16 @@
 """Matrix kernels keyed on the scalar ring.
 
 Every kernel here hands the work to the ring, which computes on the
-matrices in its own form (see rings.py). Over Q and F_p that form is
-packed rows (rings.Packed): integer rows over one denominator, or residue
-rows, which a Matrix keeps for its whole life, so products, solves and
-rank run on resident integers and return packed rows; a vector is a
-packed column. Rows of scalars are packed on the way in and unpacked on
-the way out. Over a dual ring the rows hold jets: products and solves run
-on their packed coordinates, with one root solve of the mask-0 part
-against every jet and back-substitution by mask, and rank and pivots are
-those of the mask-0 part. Float64 runs the generic loops of generic.py.
+matrices in its own form (see rings.py), the form a Matrix keeps for its
+whole life: over Q and F_p packed rows (rings.Packed), integer rows over
+one denominator or residue rows; over a dual ring one such matrix per
+nilpotent mask (rings.Jets). Products, solves and rank run on these
+resident integers and return the same form; a vector is a column in it.
+A dual product is the subset convolution of the mask blocks, a dual
+solve one root solve of the mask-0 block against the other blocks with
+back-substitution by mask, and dual rank and pivots are those of the
+mask-0 block. Rows of scalars are packed on the way in and unpacked on
+the way out. Float64 runs the generic loops of generic.py.
 """
 
 from .generic import meye
@@ -22,8 +23,8 @@ def matmul(a, b, ring):
 
 
 def matvec(a, v, ring):
-    """A v for the list of scalars v; over Q and F_p, a packed A takes a
-    packed column v and returns one."""
+    """A v for the list of scalars v; over Q, F_p and dual rings, an A in
+    the ring's form takes a column v in that form and returns one."""
     return ring.matvec(a, v)
 
 

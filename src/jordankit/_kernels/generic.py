@@ -4,12 +4,12 @@ Matrices are lists of row lists of scalar objects; the `ring` argument
 supplies zero/one, the unit test used for pivot admissibility, inversion,
 and (for float64) a pivot magnitude. Over dual (local) rings the unit test
 looks at re-parts only, which is exactly what makes elimination work
-there. Float64, which has no packed form, runs its products, solves and
-pivot searches on these loops, and float64 and dual matrices their
-entrywise sums and scaling; the parity tests use them as the reference
-for the packed kernels in rings.py: the products, the solves over Q, F_p
-and dual rings, and the integer pivot search. Solve and pivot search are
-thin wrappers of one elimination, `eliminate`.
+there. Float64, which has no packed form, runs its products, solves,
+pivot searches, sums and scaling on these loops; the parity tests use
+them, run on rows of scalars, as the reference for the packed and
+per-mask kernels in rings.py: products, solves, sums, scaling and pivot
+search over Q, F_p and dual rings. Solve and pivot search are thin
+wrappers of one elimination, `eliminate`.
 """
 
 

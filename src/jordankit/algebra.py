@@ -2,30 +2,25 @@
 involutions, hermitian/anti-hermitian splitting, and materialized linear
 operators on A.
 
-A Matrix holds its entries in its ring's form (see rings.py). Over Q and
-F_p that is the packed form (rings.Packed): integer rows over one
-denominator, or residue rows, kept for the matrix's whole life; sums,
-products, scaling, stacking, rank, solve and inverse, the operator
-builders and coordinate vectors all take and return it. The rows of
-scalars, `rows`, are a view built once, when a caller first reads
-entries (`rows`, indexing, `flatten`, `column`, serialization and the
-float and jet paths). A Matrix is immutable, so neither form goes stale,
-and its rank is kept once computed.
+A Matrix holds its entries in its ring's form (see rings.py), for its
+whole life. Over Q and F_p that is the packed form (rings.Packed):
+integer rows over one denominator, or residue rows. Over a dual ring it
+is one such matrix per nilpotent mask, over one denominator
+(rings.Jets). Sums, products, scaling, transpose, reshape, stacking,
+embedding, the eps-split, rank, solve and inverse, the operator builders
+and coordinate vectors all take and return it. The rows of scalars,
+`rows`, are a view built once, when a caller first reads entries (`rows`,
+indexing, `flatten`, `column`, serialization and the float paths). A
+Matrix is immutable, so neither form goes stale, and its rank is kept
+once computed.
 """
 
 from __future__ import annotations
 
 from . import _kernels as K
-from .errors import (NotInvertible, NotInSubspace, RingMismatch,
+from .errors import (NotDual, NotInvertible, NotInSubspace, RingMismatch,
                      ShapeMismatch, SingularOperator)
-from .rings import Dual, DualRing, Packed, embedding
-
-
-def _like(form, rows):
-    """`rows` in the form of the matrix `form`: over its denominator when
-    it is packed. The rows must hold every entry of `form`, moved,
-    repeated or among zeros, which keeps them in packed form."""
-    return Packed.of(rows, form.d) if type(form) is Packed else rows
+from .rings import Dual, DualRing
 
 
 class Matrix:
@@ -119,17 +114,20 @@ class Matrix:
     def scale(self, s):
         return Matrix._of(self.ring, self.ring.mscale(self._form, s))
 
+    def _move(self, f):
+        """The matrix whose form is f(rows, zero) on each block of rows
+        (see Ring.mmove)."""
+        return Matrix._of(self.ring, self.ring.mmove(self._form, f))
+
     def transpose(self):
-        form = self._form
-        return Matrix._of(self.ring,
-                          _like(form, [list(c) for c in zip(*form)]))
+        return self._move(lambda rows, z: [list(c) for c in zip(*rows)])
 
     def reshape(self, n, m):
         """The n x m matrix of the same entries in row-major order."""
-        form = self._form
-        flat = [x for r in form for x in r]
-        return Matrix._of(self.ring, _like(form, [flat[i * m:(i + 1) * m]
-                                                  for i in range(n)]))
+        def regroup(rows, z):
+            flat = [x for r in rows for x in r]
+            return [flat[i * m:(i + 1) * m] for i in range(n)]
+        return self._move(regroup)
 
     def vec(self):
         """The column of the row-major entries."""
@@ -221,12 +219,17 @@ class Matrix:
         ring = self.ring
         if ring.kind != "dual":
             return self
-        return Matrix._of(ring.root, ring.root.mask0(self._form))
+        return Matrix._of(ring.root, ring.mask0(self._form))
 
     def embed(self, dst_ring):
-        """Structurally embed into an iterated dual extension."""
-        f = embedding(self.ring, dst_ring)
-        return Matrix._new(dst_ring, [list(map(f, r)) for r in self.rows])
+        """Structurally embed into an iterated dual extension: zero
+        padding of the jet masks."""
+        if dst_ring == self.ring:
+            return self
+        if dst_ring.kind != "dual":
+            raise RingMismatch(f"{dst_ring!r} is not an extension of "
+                               f"{self.ring!r}")
+        return Matrix._of(dst_ring, dst_ring.membed(self._form, self.ring))
 
     def max_abs(self):
         """Largest |coordinate| of an entry over the root field (float
@@ -244,8 +247,8 @@ def _components(s):
 
 class Vector:
     """A coordinate vector: a column matrix read as the sequence of its
-    scalars. Over Q and F_p it stays packed, and the scalars are built
-    only when a caller reads them."""
+    scalars. It keeps its ring's form, and the scalars are built only
+    when a caller reads them."""
 
     __slots__ = ("col",)
 
@@ -285,29 +288,29 @@ def _column(ring, v):
 def _matvec(a, v):
     """a v for a matrix a and a column matrix v, by the matvec kernel."""
     ring, form = a.ring, v._form
-    if type(form) is Packed:
-        return Matrix._of(ring, K.matvec(a._form, form, ring))
-    out = K.matvec(a._form, [r[0] for r in form], ring)
-    return Matrix._of(ring, [[x] for x in out])
+    if type(form) is list:
+        # Rows of scalars (float64): the kernel takes the list of them.
+        out = K.matvec(a._form, [r[0] for r in form], ring)
+        return Matrix._of(ring, [[x] for x in out])
+    return Matrix._of(ring, K.matvec(a._form, form, ring))
 
 
 def dual_combine(base_mat, eps_mat):
     """base + eps*tangent, entrywise, over DualRing(base.ring)."""
     base_mat._same(eps_mat)
+    if base_mat.shape != eps_mat.shape:
+        raise ShapeMismatch(f"{base_mat.shape} + eps {eps_mat.shape}")
     ring = DualRing(base_mat.ring)
-    return Matrix._new(ring, [[Dual(a, b) for a, b in zip(ra, rb)]
-                              for ra, rb in zip(base_mat.rows, eps_mat.rows)])
+    return Matrix._of(ring, ring.combine(base_mat._form, eps_mat._form))
 
 
 def dual_split(mat):
     """Inverse of dual_combine."""
     ring = mat.ring
     if not isinstance(ring, DualRing):
-        from .errors import NotDual
         raise NotDual(f"{ring!r} is not a dual ring")
-    re = Matrix._new(ring.base, [[x.re for x in r] for r in mat.rows])
-    ep = Matrix._new(ring.base, [[x.eps for x in r] for r in mat.rows])
-    return re, ep
+    re, eps = ring.split(mat._form)
+    return Matrix._of(ring.base, re), Matrix._of(ring.base, eps)
 
 
 class Involution:
@@ -447,37 +450,35 @@ def op_from_action(f, basis, ring):
 # Operators w -> a w b on A = M_n(K), on row-major coordinates, where
 # vec(a w b) = (a (x) b^T) vec(w): entry [(i,j),(k,l)] is a[i][k] b[l][j].
 
-def _form_and_zero(a):
-    """a's form and the zero entry of that form."""
-    form = a._form
-    return form, 0 if type(form) is Packed else a.ring.zero()
-
-
 def left_mult(a):
     """L_a = a (x) I: w -> a w, entry [(i,j),(k,l)] = a[i][k] delta_jl."""
     n = a.nrows
-    form, z = _form_and_zero(a)
-    rows = []
-    for ai in form:
-        for j in range(n):
-            row = [z] * (n * n)
-            row[j::n] = ai
-            rows.append(row)
-    return LinearOperator(Matrix._of(a.ring, _like(form, rows)))
+
+    def layout(form, z):
+        rows = []
+        for ai in form:
+            for j in range(n):
+                row = [z] * (n * n)
+                row[j::n] = ai
+                rows.append(row)
+        return rows
+    return LinearOperator(a._move(layout))
 
 
 def right_mult(b):
     """R_b = I (x) b^T: w -> w b, entry [(i,j),(k,l)] = delta_ik b[l][j]."""
     n = b.nrows
-    form, z = _form_and_zero(b)
-    bt = list(zip(*form))
-    rows = []
-    for i in range(n):
-        for btj in bt:
-            row = [z] * (n * n)
-            row[i * n:(i + 1) * n] = btj
-            rows.append(row)
-    return LinearOperator(Matrix._of(b.ring, _like(form, rows)))
+
+    def layout(form, z):
+        bt = list(zip(*form))
+        rows = []
+        for i in range(n):
+            for btj in bt:
+                row = [z] * (n * n)
+                row[i * n:(i + 1) * n] = btj
+                rows.append(row)
+        return rows
+    return LinearOperator(b._move(layout))
 
 
 def sandwich(a, b):
@@ -505,7 +506,7 @@ class CoordinateBasis:
     that the reconstruction reproduces the element. On pivot rows the
     reconstruction cols[piv] L^-1 flat[piv] is flat[piv] by construction,
     so only the remaining (free) rows are compared. Coordinates are
-    Vectors, packed over Q and F_p.
+    Vectors, in the ring's form.
     """
 
     __slots__ = ("ring", "n", "basis", "_cols", "_pivot_rows", "_left_inv",

@@ -201,7 +201,7 @@ def compute(req, convention="ad"):
     if op == "phi":
         e = point_from_json(req["E"])
         iota = involution_from_json(e.ring, req.get("involution"), e.n)
-        out = phi_involution(req.get("j", 1), iota, e)
+        out = phi_involution(int_from_json(req, "j", 1), iota, e)
         return {"op": op, "result": point_to_json(out)}
 
     if op == "classify":

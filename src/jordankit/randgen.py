@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import Matrix
 from .graded import GroupElement
 from .projline import gamma_chart
-from .rings import Dual, DualRing
+from .rings import DualRing
 
 RETRY_CAP = 1000
 BOX = 3
@@ -26,8 +26,10 @@ def trial_rng(seed, trial):
 
 def rand_scalar(rng, ring, lo=-BOX, hi=BOX):
     if isinstance(ring, DualRing):
-        return Dual(rand_scalar(rng, ring.base, lo, hi),
-                    rand_scalar(rng, ring.base, lo, hi))
+        # The 2^k jet coordinates, drawn in mask order: re-part first,
+        # then eps-part, at every level of the tower.
+        return ring.from_coords([rng.randint(lo, hi)
+                                 for _ in range(ring.size)])
     return ring.from_int(rng.randint(lo, hi))
 
 

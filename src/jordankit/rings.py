@@ -11,16 +11,19 @@ field K (see Dual); `Dual(re, eps)`, `.re` and `.eps` are its nested view.
 A ring also holds matrices in its own form and does their arithmetic:
 sums, scaling, products, solves and pivot searches (`pack` and `unpack`
 convert from and to rows of scalars). Q and F_p keep a matrix packed
-(see Packed): integer rows over one denominator, or residue rows, which
-every operation takes and returns, so no scalar is built until a caller
-reads entries. Float64 and the dual rings keep rows of scalars; a dual
-ring multiplies and solves on the packed jet coordinates, with one root
-solve or pivot search of the mask-0 part. Each root field has one packed
-solve (`_solve_packed`), which its plain matrices and its dual towers
-share: on Q a fraction-free Gauss-Jordan elimination on integer rows
-(`_bareiss`), on F_p a Gauss-Jordan elimination on residues
-(`_solve_mod`); pivots come from a forward elimination on integer rows
-(`_pivots`). Only float64 runs the generic elimination.
+(see Packed): integer rows over one denominator, or residue rows. A dual
+ring keeps one such matrix per nilpotent mask, over one denominator
+(see Jets): a product is the subset convolution of the mask blocks, a
+solve one root solve of the mask-0 block against every other block,
+back-substituted by mask, and embedding and the eps-split pad or split
+the masks. Every operation takes and returns these forms, so no scalar
+is built until a caller reads entries. Float64 keeps rows of floats.
+Each root field has one packed solve (`_solve_packed`), which its plain
+matrices and its dual towers share: on Q a fraction-free Gauss-Jordan
+elimination on integer rows (`_bareiss`), on F_p a Gauss-Jordan
+elimination on residues (`_solve_mod`); pivots come from a forward
+elimination on integer rows (`_pivots`). Only float64 runs the generic
+elimination.
 """
 
 from __future__ import annotations
@@ -158,8 +161,9 @@ class Dual:
             return _jet(a.v + b.v, a.d, a.p)
         # Both parts are reduced, so over the lcm of their denominators
         # the whole is too.
-        (va, vb), d = _pack([a, b])
-        return _jet(va + vb, d, a.p)
+        d = lcm(a.d, b.d)
+        return _jet(tuple([c * (d // x.d) for x in (a, b) for c in x.v]),
+                    d, a.p)
 
     def _other(self, o):
         """o's coordinates; o must be a jet over the same ring."""
@@ -281,13 +285,6 @@ def _as_jet(s):
     return _jet((s.numerator,), s.denominator, 0)
 
 
-def _pack(xs):
-    """(coordinates, d): the jets xs over one denominator d (1 off Q)."""
-    d = lcm(*[x.d for x in xs])
-    return [x.v if x.d == d else tuple([c * (d // x.d) for c in x.v])
-            for x in xs], d
-
-
 def _idot(x, y):
     return sum(map(mul, x, y))
 
@@ -325,6 +322,53 @@ class Packed(list):
         return not self == o
 
     __hash__ = None
+
+
+def _den(form):
+    """The denominator of a matrix in a root field's form (1 off Q)."""
+    return form.d if type(form) is Packed else 1
+
+
+class Jets:
+    """A matrix over K[e1..ek] in per-mask packed form (the truncated
+    Taylor arrays of Griewank & Walther, Evaluating Derivatives, 2008):
+    for each nilpotent mask m (see Dual), the n x c block of coordinate m
+    of every entry. The blocks are stacked by increasing mask into
+    `stack`, one matrix of 2^k n rows in the root field's form:
+    - Q: a Packed over one denominator d for every mask, with gcd(d,
+      every coordinate) = 1, so equal matrices have equal forms;
+    - F_p: a Packed of residues;
+    - float64: rows of floats.
+    Rows m n .. m n + n - 1 are the block of mask m. len(a) is n and a[0]
+    the first row, so kernels read the shape as they do on rows; a Jets
+    is not iterable. `blocks` and `nz` cache the list of its blocks and
+    the masks of the non-zero ones (see DualRing._blocks and _support).
+    """
+
+    __slots__ = ("stack", "n", "blocks", "nz")
+
+    def __init__(self, stack, n):
+        self.stack = stack
+        self.n = n
+        self.blocks = self.nz = None
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return self.stack[i]
+
+    __iter__ = None
+
+    def __eq__(self, o):
+        return type(o) is Jets and self.n == o.n and self.stack == o.stack
+
+    __hash__ = None
+
+
+def _stack(form):
+    """The stack of a Jets; a root field's form itself."""
+    return form.stack if type(form) is Jets else form
 
 
 @dataclass(frozen=True)
@@ -376,15 +420,8 @@ class Ring:
 
     def ints(self, rows):
         """The matrix of integer rows, in the ring's form."""
-        # One scalar per distinct integer: identities and zeros over a dual
-        # ring would otherwise build a jet per entry.
         scalar = {k: self.from_int(k) for k in set(chain.from_iterable(rows))}
         return [[scalar[k] for k in r] for r in rows]
-
-    def mask0(self, rows):
-        """The mask-0 coordinates of rows of jets over this root ring, as
-        a matrix in its form."""
-        return [[x._root(0) for x in r] for r in rows]
 
     madd = staticmethod(generic.madd)
     msub = staticmethod(generic.msub)
@@ -404,6 +441,12 @@ class Ring:
     def mselect(self, a, rows, cols):
         """The submatrix on `rows` and `cols`."""
         return [[a[i][j] for j in cols] for i in rows]
+
+    def mmove(self, a, f):
+        """The matrix f(rows, zero), for a function f of the rows of a
+        matrix and the zero entry that moves or repeats entries among
+        zeros (transpose, reshape, operator layouts)."""
+        return f(a, self.zero())
 
     def matmul(self, a, b):
         """A B for row lists A (n x k) and B (k x m)."""
@@ -525,19 +568,46 @@ def _solve_mod(rows, n, p):
     return [r[n:] for r in rows], 1
 
 
-class _PackedField(Ring):
+class _Resident(Ring):
+    """A ring whose matrices keep a form of type `_form` for their whole
+    life (Packed or Jets). Its products, solves and pivot searches take
+    and return that form; rows of scalars given to matmul, matvec, solve
+    or pivot_columns are packed first, and the result is unpacked."""
+
+    def matmul(self, a, b):
+        if type(a) is not self._form:
+            return self.unpack(self.matmul(self.pack(a), self.pack(b)))
+        return self._matmul(a, b)
+
+    def matvec(self, a, v):
+        """A v; for A in the ring's form, v is a column in that form and
+        so is A v."""
+        if type(a) is not self._form:
+            return Ring.matvec(self, a, v)
+        if not v:
+            return self.ints([[0] for _ in range(len(a))])
+        return self._matmul(a, v)
+
+    def solve(self, a, b):
+        if type(a) is not self._form:
+            x = self.solve(self.pack(a), self.pack(b))
+            return None if x is None else self.unpack(x)
+        return self._solve(a, b)
+
+    def pivot_columns(self, a):
+        if type(a) is not self._form:
+            a = self.pack(a)
+        return self._pivot_columns(a)
+
+
+class _PackedField(_Resident):
     """A root field whose matrices stay packed (see Packed): Q (`_p` 0)
-    and F_p. Sums, scaling, products, solves and pivot searches take and
-    return packed rows. Rows of scalars given to matmul, matvec, solve or
-    pivot_columns are packed first, and the result is unpacked."""
+    and F_p."""
+
+    _form = Packed
 
     def ints(self, rows):
         return self._reduce([list(r) for r in rows], 1)
-
-    def mask0(self, rows):
-        d = lcm(*[x.d for r in rows for x in r])
-        return self._reduce([[x.v[0] * (d // x.d) for x in r] for r in rows],
-                            d)
 
     def _lincomb(self, a, b, op):
         """a + b or a - b, as op is add or sub."""
@@ -579,25 +649,15 @@ class _PackedField(Ring):
     def mselect(self, a, rows, cols):
         return self._reduce(Ring.mselect(self, a, rows, cols), a.d)
 
-    def matmul(self, a, b):
-        if type(a) is not Packed:
-            return self.unpack(self.matmul(self.pack(a), self.pack(b)))
+    def mmove(self, a, f):
+        return Packed.of(f(a, 0), a.d)
+
+    def _matmul(self, a, b):
         cols = list(zip(*b))
         return self._reduce([[sum(map(mul, r, c)) for c in cols] for r in a],
                             a.d * b.d)
 
-    def matvec(self, a, v):
-        """A v; for a packed A, v is a packed column and so is A v."""
-        if type(a) is not Packed:
-            return Ring.matvec(self, a, v)
-        if not v:
-            return Packed.of([[0] for _ in a])
-        return self.matmul(a, v)
-
-    def solve(self, a, b):
-        if type(a) is not Packed:
-            x = self.solve(self.pack(a), self.pack(b))
-            return None if x is None else self.unpack(x)
+    def _solve(self, a, b):
         # (A/d) X = B/e is (A) X = B d/e, and [A | B] is integral.
         out = self._solve_packed([x + y for x, y in zip(a, b)], len(a))
         if out is None:
@@ -607,10 +667,8 @@ class _PackedField(Ring):
             x = [[v * a.d for v in r] for r in x]
         return self._reduce(x, den * b.d)
 
-    def pivot_columns(self, a):
+    def _pivot_columns(self, a):
         # Scaling by the denominator keeps the pivots.
-        if type(a) is not Packed:
-            a = self.pack(a)
         return _pivots(a, self._p)
 
 
@@ -698,6 +756,10 @@ class Float64Ring(Ring):
     def is_exact(self):
         return False
 
+    def _reduce(self, rows, d):
+        """Rows of floats are their own form (d is always 1)."""
+        return rows
+
     def _solve_packed(self, rows, n):
         x = self.solve([r[:n] for r in rows], [r[n:] for r in rows])
         return None if x is None else (x, 1)
@@ -768,7 +830,7 @@ class PrimeFieldRing(_PackedField):
 
 
 @dataclass(frozen=True)
-class DualRing(Ring):
+class DualRing(_Resident):
     """K[e1..ek]: the dual extension of `base`, whose scalars are jets
     (see Dual) over the root field K at the bottom of the tower."""
 
@@ -807,10 +869,12 @@ class DualRing(Ring):
         return self.root.is_unit(s._root(0))
 
     def invert(self, s):
-        x = self.solve([[s]], [[self.one()]])
-        if x is None:
+        if not self.is_unit(s):
             raise NotAUnit(f"{s!r} has no unit re-part")
-        return x[0][0]
+        if self._p is not None and not any(s.v[1:]):
+            # An exact root scalar: its inverse, embedded.
+            return self._from_root(self.root.invert(s._root(0)))
+        return self.solve([[s]], [[self.one()]])[0][0]
 
     def pivot_magnitude(self, s):
         return self.root.pivot_magnitude(s._root(0))
@@ -822,76 +886,227 @@ class DualRing(Ring):
         """Embed a base-ring scalar."""
         return _as_jet(s)._pad(self.size // 2)
 
-    def matmul(self, a, b):
-        # C_m is the sum of A_s B_(m^s) over the subsets s of m. Each row
-        # of A and each column of B is scaled once to the root's packed
-        # form and laid out per mask m as the concatenation of its
-        # coordinates s (rows) or m^s (columns) over those s, so every
-        # output coordinate is one dot product.
-        if not b or not b[0]:
-            return [[] for _ in a]
-        subsets = _subsets(self.size)
-        rows = []
-        for r in a:
-            v, d = _pack(r)
-            by_mask = list(zip(*v))
-            rows.append(([sum([by_mask[s] for s in sub], ())
-                          for sub in subsets], d))
-        cols = []
-        for c in zip(*b):
-            v, e = _pack(c)
-            by_mask = list(zip(*v))
-            cols.append(([sum([by_mask[m ^ s] for s in sub], ())
-                          for m, sub in enumerate(subsets)], e))
-        dot, p = self._dot, self._p
-        return [[_reduced(tuple(map(dot, rv, cv)), d * e, p)
-                 for cv, e in cols] for rv, d in rows]
+    def from_coords(self, ks):
+        """The scalar whose jet coordinates, in mask order, are the
+        integers ks."""
+        return _jet(tuple(self.root.ints([ks])[0]), 1, self._p)
 
-    def solve(self, a, b):
-        # A X = B splits by mask: A_0 X_m = B_m - sum of A_s X_(m^s) over
-        # the non-empty s in m. Each row of [A | B] is scaled to the root's
-        # packed form, and one root solve against
-        # [B_0 | .. | B_last | A_1 | .. | A_last] gives Y_m = N_m / D and
-        # Z_s = M_s / D. By increasing mask, X_m = P_m / D^(|m|+1) with
-        # P_m = D^|m| N_m - sum of D^(|s|-1) M_s P_(m^s), all in packed
-        # form (D = 1 off Q). A is invertible over the dual ring exactly
-        # when A_0 is over the root.
-        size, depth = self.size, self.depth
+    # -- matrices in per-mask packed form (see Jets)
+
+    _form = Jets
+
+    def _blocks(self, a):
+        """The mask blocks of a, as rows in the root's form; found once."""
+        if a.blocks is None:
+            n, s = a.n, a.stack
+            a.blocks = [s[m * n:(m + 1) * n] for m in range(self.size)]
+        return a.blocks
+
+    def _support(self, a):
+        """The masks of the blocks of a that are not zero, in increasing
+        order, found once; every mask over float64, where a zero block
+        still takes part in a sum (0.0 times inf is nan)."""
+        if a.nz is None:
+            a.nz = range(self.size) if self._p is None else [
+                m for m, x in enumerate(self._blocks(a)) if any(map(any, x))]
+        return a.nz
+
+    def _jets(self, stack, d, n):
+        """The matrix of n rows whose stack is the rows `stack` over d,
+        brought to packed form."""
+        return Jets(self.root._reduce(stack, d), n)
+
+    def pack(self, rows):
+        # Over the lcm of the denominators of reduced jets the coordinates
+        # are in packed form, as in RationalRing.pack.
+        d = lcm(*[x.d for r in rows for x in r])
+        vs = [[x.v if x.d == d else tuple([c * (d // x.d) for c in x.v])
+               for x in r] for r in rows]
+        stack = [[v[m] for v in r] for m in range(self.size) for r in vs]
+        return Jets(stack if self._p is None else Packed.of(stack, d),
+                    len(rows))
+
+    def unpack(self, a):
+        d, p = _den(a.stack), self._p
+        make = _jet if d == 1 else _reduced
+        return [[make(v, d, p) for v in zip(*rows)]
+                for rows in zip(*self._blocks(a))]
+
+    def ints(self, rows):
+        zeros = [[0] * len(r) for r in rows] * (self.size - 1)
+        return Jets(self.root.ints(list(rows) + zeros), len(rows))
+
+    def mask0(self, a):
+        """The mask-0 block of a: the matrix of its entries' re-parts over
+        the root, in the root's form."""
+        return self.root._reduce(a.stack[:a.n], _den(a.stack))
+
+    def combine(self, re, eps):
+        """re + eps e, for matrices re and eps in the base ring's form:
+        their masks side by side, the new nilpotent being the top bit."""
+        return Jets(self.root.mjoin([_stack(re), _stack(eps)], False),
+                    len(re))
+
+    def split(self, a):
+        """(re, eps) of a, in the base ring's form: its lower and upper
+        masks."""
+        s, d = a.stack, _den(a.stack)
+        h = len(s) // 2
+        parts = [self.root._reduce(s[:h], d), self.root._reduce(s[h:], d)]
+        if self.base.kind == "dual":
+            return [Jets(x, a.n) for x in parts]
+        return parts
+
+    def membed(self, a, src):
+        """a, a matrix in the form of `src`, the root or a dual ring below
+        this one in its tower, in this ring's form: its jets padded with
+        zero masks, the new nilpotents being the high bits."""
         n = len(a)
-        m = len(b[0]) if b else 0
-        rows = [_pack(ra + rb)[0] for ra, rb in zip(a, b)]
+        c, k = len(a[0]) if n else 0, _extension(src, self) * n
+        return Jets(self.root.mmove(
+            _stack(a), lambda rows, z: rows + [[z] * c] * k), n)
+
+    def madd(self, a, b):
+        return Jets(self.root.madd(a.stack, b.stack), a.n)
+
+    def msub(self, a, b):
+        return Jets(self.root.msub(a.stack, b.stack), a.n)
+
+    def mneg(self, a):
+        return Jets(self.root.mneg(a.stack), a.n)
+
+    def mscale(self, a, s):
+        # s A is the Kronecker product of the 1 x 1 matrix s with A.
+        return self.mkron(self.pack([[s]]), a)
+
+    def mkron(self, a, b):
+        # Mask m is the sum of A_s (x) B_(m^s) over the subsets s of m
+        # whose blocks are both non-zero, added in increasing s as a jet
+        # product adds.
+        ba, bb = self._blocks(a), self._blocks(b)
+        sa, sb = self._support(a), self._support(b)
+        n = a.n * b.n
+        zero = [[0] * (len(a[0]) * len(b[0]) if n else 0)] * n
+        stack = []
+        for m, sub in enumerate(_subsets(self.size)):
+            terms = [Ring.mkron(self, ba[s], bb[m ^ s])
+                     for s in sub if s in sa and m ^ s in sb]
+            stack += reduce(generic.madd, terms) if terms else zero
+        return self._jets(stack, _den(a.stack) * _den(b.stack), n)
+
+    def mjoin(self, forms, across):
+        stack = self.root.mjoin([f.stack for f in forms], across)
+        if across:
+            return Jets(stack, forms[0].n)
+        # The stacks one below the other, reordered mask by mask.
+        starts = [0]
+        for f in forms:
+            starts.append(starts[-1] + self.size * f.n)
+        order = [i for m in range(self.size) for f, at in zip(forms, starts)
+                 for i in range(at + m * f.n, at + (m + 1) * f.n)]
+        return Jets(self.root.mmove(stack, lambda rows, z: [
+            rows[i] for i in order]), sum(f.n for f in forms))
+
+    def mselect(self, a, rows, cols):
+        n = a.n
+        return Jets(self.root.mselect(
+            a.stack, [m * n + i for m in range(self.size) for i in rows],
+            cols), len(rows))
+
+    def mmove(self, a, f):
+        n, size = a.n, self.size
+        stack = self.root.mmove(a.stack, lambda rows, z: [
+            r for m in range(size) for r in f(rows[m * n:(m + 1) * n], z)])
+        return Jets(stack, len(stack) // size)
+
+    def _matmul(self, a, b):
+        # C_m is the sum of A_s B_(m^s) over the subsets s of m, of which
+        # only those with both blocks non-zero are formed. Row i of A and
+        # column j of B are laid out per mask m as the concatenation, over
+        # those s, of row i of A_s or column j of B_(m^s), so every output
+        # coordinate is one dot product: over float64 it adds s outer,
+        # increasing, then the inner index, left to right from 0.0.
+        ba, bb = self._blocks(a), self._blocks(b)
+        sa, sb = self._support(a), self._support(b)
+        cb = {s: list(zip(*bb[s])) for s in sb}
+        zero = [[0] * (len(b[0]) if b.n else 0)] * a.n
+        dot = self._dot
+        stack = []
+        for m, sub in enumerate(_subsets(self.size)):
+            ss = [s for s in sub if s in sa and m ^ s in sb]
+            if len(ss) == 1:
+                rows, cols = ba[ss[0]], cb[m ^ ss[0]]
+            elif ss:
+                rows = [[x for r in rs for x in r]
+                        for rs in zip(*[ba[s] for s in ss])]
+                cols = [[x for c in cs for x in c]
+                        for cs in zip(*[cb[m ^ s] for s in ss])]
+            else:
+                stack += zero
+                continue
+            stack += [[dot(r, c) for c in cols] for r in rows]
+        return self._jets(stack, _den(a.stack) * _den(b.stack), a.n)
+
+    def _solve(self, a, b):
+        # A X = B splits by mask: A_0 X_m = B_m - sum of A_s X_(m^s) over
+        # the non-empty s in m. One root solve of the integer rows
+        # [A_0 | B_m .. | A_s ..], over the non-zero blocks B_m and A_s
+        # with s > 0, gives Y_m = N_m / D and Z_s = M_s / D. By increasing
+        # mask, X_m = P_m / D^(|m|+1) with P_m = D^|m| N_m - sum of
+        # D^(|s|-1) M_s P_(m^s), over the terms whose blocks are not zero
+        # (D = 1 off Q). Over Q, (A/d) X = B/e is A X = B d/e. A is
+        # invertible over the dual ring exactly when A_0 is over the root.
+        n = a.n
+        ba, bb = self._blocks(a), self._blocks(b)
+        sa = [s for s in self._support(a) if s]
+        sb = self._support(b)
         out = self.root._solve_packed(
-            [[c[0] for c in r[:n]] + [c[k] for k in range(size) for c in r[n:]]
-             + [c[s] for s in range(1, size) for c in r[:n]] for r in rows], n)
+            [r + [x for k in sb for x in bb[k][i]]
+             + [x for s in sa for x in ba[s][i]]
+             for i, r in enumerate(ba[0])], n)
         if out is None:
             return None
         sol, den = out
-        pw = [den ** j for j in range(depth + 2)]
-        bits = [bin(k).count("1") for k in range(size)]
+        w = len(b[0]) if n else 0
+        off = len(sb) * w
+        ys = {k: [r[j * w:(j + 1) * w] for r in sol] for j, k in enumerate(sb)}
+        zs = {s: [r[off + j * n:off + (j + 1) * n] for r in sol]
+              for j, s in enumerate(sa)}
+        bits = [bin(k).count("1") for k in range(self.size)]
+        zero = [[0] * w] * n
         dot = self._dot
-        xs = [[r[:m] for r in sol]]
-        off = size * m
-        for mask, sub in enumerate(_subsets(size)[1:], 1):
-            sub = sub[1:]
-            z = [[x * pw[bits[s] - 1] for s in sub
-                  for x in r[off + (s - 1) * n:off + s * n]] for r in sol]
-            cols = list(zip(*[row for s in sub for row in xs[mask ^ s]]))
-            scale = pw[bits[mask]]
-            xs.append([[y * scale - dot(zr, c)
-                        for y, c in zip(r[mask * m:(mask + 1) * m], cols)]
-                       for r, zr in zip(sol, z)])
-        # Coordinate k of an entry is its P_k over D^(depth+1).
-        scales = [pw[depth - c] for c in bits]
-        return [[_reduced(tuple([x[i][j] * c for x, c in zip(xs, scales)]),
-                          pw[depth + 1], self._p) for j in range(m)]
-                for i in range(n)]
+        xs = {}
+        for m, sub in enumerate(_subsets(self.size)):
+            terms = [s for s in sub[1:] if s in zs and m ^ s in xs]
+            if m not in ys and not terms:
+                continue
+            y, f = ys.get(m, zero), den ** bits[m]
+            if f != 1:
+                y = [[v * f for v in r] for r in y]
+            if terms:
+                z = [[x * den ** (bits[s] - 1) for s in terms
+                      for x in zs[s][i]] for i in range(n)]
+                cols = list(zip(*[r for s in terms for r in xs[m ^ s]]))
+                y = [[v - dot(zr, c) for v, c in zip(yr, cols)]
+                     for yr, zr in zip(y, z)]
+            xs[m] = y
+        # Mask k is P_k over D^e, e the largest |k| + 1, times d.
+        e = max([bits[k] for k in xs], default=0) + 1
+        stack = []
+        for k in range(self.size):
+            if k not in xs:
+                stack += zero
+                continue
+            f = den ** (e - 1 - bits[k]) * _den(a.stack)
+            stack += xs[k] if f == 1 else [[y * f for y in r] for r in xs[k]]
+        return self._jets(stack, den ** e * _den(b.stack), n)
 
-    def pivot_columns(self, a):
+    def _pivot_columns(self, a):
         # An entry is a unit exactly when its mask-0 coordinate is, and
         # the mask-0 part of an elimination over K[e1..ek] is the
         # elimination of the mask-0 parts over K, so the pivots are those
         # of A_0.
-        return self.root.pivot_columns(self.root.mask0(a))
+        return self.root.pivot_columns(self.mask0(a))
 
     def __repr__(self):
         return f"{self.base!r}[e]"
@@ -907,23 +1122,24 @@ def dual_parts(ring, s):
     return s.re, s.eps
 
 
-def embedding(src, dst):
-    """The map that embeds scalars of `src` into `dst`, an iterated dual
-    over `src`: zero-padding of their jet coordinates."""
+def _extension(src, dst):
+    """The number of jet coordinates that `dst`, `src` or an iterated dual
+    over it, adds to a scalar of `src`."""
     ring = dst
     while ring != src:
         if ring.kind != "dual":
             raise RingMismatch(f"{dst!r} is not an extension of {src!r}")
         ring = ring.base
     if dst == src:
-        return lambda s: s
-    k = dst.size - (src.size if src.kind == "dual" else 1)
-    return lambda s: _as_jet(s)._pad(k)
+        return 0
+    return dst.size - (src.size if src.kind == "dual" else 1)
 
 
 def embed_scalar(s, src, dst):
-    """Embed a scalar from `src` into `dst`, an iterated dual over `src`."""
-    return embedding(src, dst)(s)
+    """Embed a scalar from `src` into `dst`, an iterated dual over `src`:
+    zero-padding of its jet coordinates."""
+    k = _extension(src, dst)
+    return _as_jet(s)._pad(k) if k else s
 
 
 def ring_to_json(ring):

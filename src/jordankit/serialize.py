@@ -107,19 +107,24 @@ def group_from_json(ring, n, obj):
             raise ValueError(f"unknown standard matrix {obj!r}") from None
     if "standard" in obj:
         return STANDARD_GROUP[obj["standard"]](ring, n)
+    word = _word_from_json(ring, n, obj["word"]) if "word" in obj else None
     if "blocks" in obj:
         (a, b), (c, d) = [[matrix_from_json(ring, m, n) for m in row]
                           for row in obj["blocks"]]
-        word = None
-        if "word" in obj:
-            word = tuple((w["deg"], matrix_from_json(ring, w["v"], n))
-                         for w in obj["word"])
         return GroupElement.from_blocks(a, b, c, d, word=word)
-    if "word" in obj:
-        word = tuple((w["deg"], matrix_from_json(ring, w["v"], n))
-                     for w in obj["word"])
+    if word is not None:
         return GroupElement.from_word(ring, n, word)
     raise ValueError("group element needs blocks, a word, or a standard name")
+
+
+def _word_from_json(ring, n, obj):
+    """A group word: a list of {"deg": an int, "v": an n x n matrix}."""
+    word = []
+    for w in obj:
+        _require_object(w, "word entry")
+        word.append((int_from_json(w, "deg", None),
+                     matrix_from_json(ring, w["v"], n)))
+    return tuple(word)
 
 
 def point_to_json(E):
@@ -128,11 +133,19 @@ def point_to_json(E):
 
 
 def point_from_json(obj, ring=None, n=None):
-    """The point of a 2n x n rep, n being the rep's column count unless
-    given. A rep of another shape is malformed input (ValueError); a
-    rank-deficient one is the domain error ShapeMismatch."""
+    """The point of a 2n x n rep, n being the point's own "n", the n
+    given, or else the rep's column count. An own n that differs from the
+    one given, or a rep of another shape, is malformed input
+    (ValueError); a rank-deficient rep is the domain error
+    ShapeMismatch."""
     ring = ring_from_json(obj["ring"]) if ring is None else ring
     rep = matrix_from_json(ring, obj["rep"])
+    if "n" in obj:
+        own = int_from_json(obj, "n", None, least=1)
+        if n is not None and own != n:
+            raise ValueError(f"point of the n = {own} line where the "
+                             f"request's n is {n}")
+        n = own
     n = rep.ncols if n is None else n
     if n < 1:
         raise ValueError("point rep has no columns")
@@ -162,8 +175,8 @@ def polarity_from_json(ring, n, obj):
             s = GroupElement.identity(ring, n)
         return Polarity("linear", S=s, H=h)
     iota = involution_from_json(ring, obj.get("involution"), n)
-    return Polarity("semilinear", S=s, j=obj["j"], involution=iota, H=h,
-                    ring=ring, n=n)
+    return Polarity("semilinear", S=s, j=int_from_json(obj, "j", None),
+                    involution=iota, H=h, ring=ring, n=n)
 
 
 def jordan_context_from_json(obj):

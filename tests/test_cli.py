@@ -188,6 +188,10 @@ def test_compute_derivative_rejects_bad_tolerance():
         assert "Traceback" not in err
 
 
+# A point of the n = 1 line.
+LINE_POINT = {"ring": {"kind": "rational"}, "rep": [["1"], ["2"]]}
+
+
 @pytest.mark.parametrize("field, req", [
     ("n", {"op": "quasi_inverse", "n": 0, "x": [], "y": []}),
     ("n", {"op": "bergman", "n": 0, "x": [], "y": []}),
@@ -208,11 +212,27 @@ def test_compute_derivative_rejects_bad_tolerance():
               "seed": True}),
     ("seed", {"op": "derivative", "map": "squaring", "samples": 2,
               "seed": [1]}),
+    ("j", {"op": "phi", "j": True, "E": LINE_POINT}),
+    ("j", {"op": "phi", "j": 1.0, "E": LINE_POINT}),
+    ("j", {"op": "sym_mul", "x": LINE_POINT, "y": LINE_POINT,
+           "context": {"variant": "projective", "ring": "rational",
+                       "polarity": {"mode": "semilinear", "j": True}}}),
+    ("j", {"op": "sym_mul", "x": LINE_POINT, "y": LINE_POINT,
+           "context": {"variant": "projective", "ring": "rational",
+                       "polarity": {"mode": "semilinear", "j": "1"}}}),
+    ("deg", {"op": "act", "n": 1, "x": [["1"]],
+             "g": {"word": [{"deg": True, "v": [["1"]]}]}}),
+    ("deg", {"op": "act", "n": 1, "x": [["1"]],
+             "g": {"blocks": [[[["1"]], [["2"]]], [[["0"]], [["1"]]]],
+                   "word": [{"deg": 1.0, "v": [["2"]]}]}}),
+    ("deg", {"op": "act_frac", "E": LINE_POINT,
+             "g": {"word": [{"v": [["1"]]}]}}),
+    ("n", {"op": "classify", "E": dict(LINE_POINT, n=True)}),
 ])
 def test_compute_refuses_integer_fields_that_are_not_int(field, req):
-    """n is a positive integer and samples, order and seed are integers,
-    whichever op reads them: a boolean is not read as 1, nor a list as
-    the stream of its text."""
+    """n is a positive integer and samples, order, seed, a polarity's or
+    phi's j and a group word's deg are integers, whichever op reads them:
+    a boolean is not read as 1, nor a list as the stream of its text."""
     code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
     assert code == 2
     assert json.loads(out)["error"] == "MalformedRequest"
@@ -310,6 +330,32 @@ def test_compute_malformed_point_is_usage_error():
         _mu([["0"], ["1"]], [["1"], ["0"]], [["3"], ["1"], ["0"]]),
     ]
     for req in reqs:
+        code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
+        assert code == 2, req
+        assert json.loads(out)["error"] == "MalformedRequest", req
+        assert "Traceback" not in err
+
+
+def test_compute_reads_a_points_own_n():
+    """A point's own "n" must match its rep and the n the request
+    implies; a point that gives it and agrees answers as one that does
+    not."""
+    plain = {"op": "classify", "E": LINE_POINT}
+    code, want, _ = run_in_process(["compute"], stdin=json.dumps(plain))
+    assert code == 0
+    for own in (1, None):
+        req = {"op": "classify", "E": dict(LINE_POINT, n=own)}
+        if own is None:
+            del req["E"]["n"]
+        assert run_in_process(["compute"], stdin=json.dumps(req))[:2] == (
+            0, want)
+    square = [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]]
+    for req in ({"op": "classify", "E": dict(LINE_POINT, n=7)},
+                {"op": "classify", "E": dict(LINE_POINT, n=2)},
+                {"op": "phi", "E": {"n": 1, "ring": "rational",
+                                    "rep": square}},
+                _mu([["0"], ["1"]], [["1"], ["0"]], [["3"], ["1"]])
+                | {"a": dict(LINE_POINT, n=2)}):
         code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
         assert code == 2, req
         assert json.loads(out)["error"] == "MalformedRequest", req
