@@ -3,16 +3,16 @@ involutions, hermitian/anti-hermitian splitting, and materialized linear
 operators on A.
 
 A Matrix holds its entries in its ring's form (see rings.py), for its
-whole life. Over Q and F_p that is the packed form (rings.Packed):
-integer rows over one denominator, or residue rows. Over a dual ring it
-is one such matrix per nilpotent mask, over one denominator
-(rings.Jets). Sums, products, scaling, transpose, reshape, stacking,
-embedding, the eps-split, rank, solve and inverse, the operator builders
-and coordinate vectors all take and return it. The rows of scalars,
-`rows`, are a view built once, when a caller first reads entries (`rows`,
-indexing, `flatten`, `column`, serialization and the float paths). A
-Matrix is immutable, so neither form goes stale, and its rank is kept
-once computed.
+whole life. Over Q, F_p and float64 that is the packed form
+(rings.Packed): integer rows over one denominator, residue rows or float
+rows. Over a dual ring it is one such matrix per nilpotent mask, over
+one denominator (rings.Jets). Sums, products, scaling, transpose,
+reshape, stacking, embedding, the eps-split, rank, solve and inverse,
+the operator builders and coordinate vectors all take and return it.
+The rows of scalars, `rows`, are a view built once, when a caller first
+reads entries (`rows`, indexing, `flatten`, `column`, serialization and
+the float tolerance checks). A Matrix is immutable, so neither form goes
+stale, and its rank is kept once computed.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class Matrix:
     @classmethod
     def _new(cls, ring, rows):
         """Internal fast path: adopts rows of scalars (list of row lists)
-        as they are, packing them over Q and F_p."""
+        without checking their shape, packing them into the ring's
+        form."""
         return cls._of(ring, ring.pack(rows))
 
     @property
@@ -287,12 +288,7 @@ def _column(ring, v):
 
 def _matvec(a, v):
     """a v for a matrix a and a column matrix v, by the matvec kernel."""
-    ring, form = a.ring, v._form
-    if type(form) is list:
-        # Rows of scalars (float64): the kernel takes the list of them.
-        out = K.matvec(a._form, [r[0] for r in form], ring)
-        return Matrix._of(ring, [[x] for x in out])
-    return Matrix._of(ring, K.matvec(a._form, form, ring))
+    return Matrix._of(a.ring, K.matvec(a._form, v._form, a.ring))
 
 
 def dual_combine(base_mat, eps_mat):

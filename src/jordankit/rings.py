@@ -1,29 +1,30 @@
 """Scalar ring tower: rationals, odd prime fields, float64, and iterated
 dual-number extensions K[e1..ek] with each e_i^2 = 0.
 
-Scalars are plain Python values (fractions.Fraction, float, Fp, Dual) so
-the generic matrix kernels can use operator syntax; everything that needs
-ring context (unit tests, inversion, zero/one, JSON) goes through a Ring
-object. All values are immutable. A scalar of K[e1..ek] is one flat jet:
-its 2^k coordinates by nilpotent mask, in the packed form of the root
-field K (see Dual); `Dual(re, eps)`, `.re` and `.eps` are its nested view.
+Scalars are plain Python values (fractions.Fraction, float, Fp, Dual)
+with operator syntax; everything that needs ring context (unit tests,
+inversion, zero/one, JSON) goes through a Ring object. All values are
+immutable. A scalar of K[e1..ek] is one flat jet: its 2^k coordinates by
+nilpotent mask, in the packed form of the root field K (see Dual);
+`Dual(re, eps)`, `.re` and `.eps` are its nested view.
 
-A ring also holds matrices in its own form and does their arithmetic:
-sums, scaling, products, solves and pivot searches (`pack` and `unpack`
-convert from and to rows of scalars). Q and F_p keep a matrix packed
-(see Packed): integer rows over one denominator, or residue rows. A dual
-ring keeps one such matrix per nilpotent mask, over one denominator
-(see Jets): a product is the subset convolution of the mask blocks, a
-solve one root solve of the mask-0 block against every other block,
-back-substituted by mask, and embedding and the eps-split pad or split
-the masks. Every operation takes and returns these forms, so no scalar
-is built until a caller reads entries. Float64 keeps rows of floats.
-Each root field has one packed solve (`_solve_packed`), which its plain
-matrices and its dual towers share: on Q a fraction-free Gauss-Jordan
-elimination on integer rows (`_bareiss`), on F_p a Gauss-Jordan
-elimination on residues (`_solve_mod`); pivots come from a forward
-elimination on integer rows (`_pivots`). Only float64 runs the generic
-elimination.
+Each concrete ring also holds matrices in its own form and does their
+arithmetic: sums, scaling, products, solves and pivot searches (`pack`
+and `unpack` convert from and to rows of scalars). The root fields keep
+a matrix packed (see Packed): integer rows over one denominator on Q,
+residue rows on F_p, float rows on float64. A dual ring keeps one such
+matrix per nilpotent mask, over one denominator (see Jets): a product is
+the subset convolution of the mask blocks, a solve one root solve of the
+mask-0 block against every other block, back-substituted by mask, and
+embedding and the eps-split pad or split the masks. Every operation
+takes and returns these forms, so no scalar is built until a caller
+reads entries. Each root field has one packed solve (`_solve_packed`),
+which its plain matrices and its dual towers share: on Q a fraction-free
+Gauss-Jordan elimination on integer rows (`_bareiss`), on F_p a
+Gauss-Jordan elimination on residues (`_solve_mod`), on float64 a
+Gauss-Jordan elimination with partial pivoting (`Float64Ring._eliminate`,
+which also finds its pivots); the pivots of Q and F_p come from a
+forward elimination on integer rows (`_pivots`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from itertools import chain
 from math import gcd, isfinite, lcm
 from operator import add, mul, sub
 
-from ._kernels import generic
 from .errors import NotAUnit, NotDual, RingMismatch
 
 try:
@@ -290,20 +290,21 @@ def _idot(x, y):
 
 
 def _fdot(x, y):
-    # Left to right from 0.0, as the generic loops add (sum() may
-    # compensate float rounding).
+    # Left to right from 0.0, as the generic loops of the parity tests
+    # add (sum() may compensate float rounding).
     return reduce(add, map(mul, x, y), 0.0)
 
 
 class Packed(list):
-    """A matrix over Q or F_p in the field's packed form: its rows as
-    lists of integers over one denominator `d`.
-    - Q: d > 0 and gcd(d, every entry) = 1 (FLINT's fmpq_mat keeps a
-      rational matrix the same way), so equal matrices have equal packed
-      forms;
-    - F_p: residues in [0, p), d 1.
-    It is the list of its rows, so kernels that read len(a) and len(a[0])
-    take it as they take rows of scalars. A vector is a packed column.
+    """A matrix over a root field in the field's packed form: its rows
+    as lists of numbers over one denominator `d`.
+    - Q: integers, d > 0 and gcd(d, every entry) = 1 (FLINT's fmpq_mat
+      keeps a rational matrix the same way), so equal matrices have
+      equal packed forms;
+    - F_p: residues in [0, p), d 1;
+    - float64: floats, d 1.
+    It is the list of its rows, so kernels read the shape as len(a) and
+    len(a[0]). A vector is a packed column.
     """
 
     __slots__ = ("d",)
@@ -324,11 +325,6 @@ class Packed(list):
     __hash__ = None
 
 
-def _den(form):
-    """The denominator of a matrix in a root field's form (1 off Q)."""
-    return form.d if type(form) is Packed else 1
-
-
 class Jets:
     """A matrix over K[e1..ek] in per-mask packed form (the truncated
     Taylor arrays of Griewank & Walther, Evaluating Derivatives, 2008):
@@ -338,11 +334,12 @@ class Jets:
     - Q: a Packed over one denominator d for every mask, with gcd(d,
       every coordinate) = 1, so equal matrices have equal forms;
     - F_p: a Packed of residues;
-    - float64: rows of floats.
+    - float64: a Packed of floats.
     Rows m n .. m n + n - 1 are the block of mask m. len(a) is n and a[0]
-    the first row, so kernels read the shape as they do on rows; a Jets
-    is not iterable. `blocks` and `nz` cache the list of its blocks and
-    the masks of the non-zero ones (see DualRing._blocks and _support).
+    the first row, so kernels read the shape as they do on a Packed; a
+    Jets is not iterable. `blocks` and `nz` cache the list of its blocks
+    and the masks of the non-zero ones (see DualRing._blocks and
+    _support).
     """
 
     __slots__ = ("stack", "n", "blocks", "nz")
@@ -394,10 +391,6 @@ class Ring:
     def invert(self, s):
         raise NotImplementedError
 
-    def pivot_magnitude(self, s):
-        """Sort key for pivot selection; None means first unit wins."""
-        return None
-
     def half(self):
         return self.invert(self.from_int(2))
 
@@ -407,68 +400,15 @@ class Ring:
     def is_exact(self):
         return True
 
-    # -- matrices in the ring's own form: here rows of scalars; Q and F_p
-    # keep them packed (see _PackedField). Matrix works through these.
 
-    def pack(self, rows):
-        """The matrix with rows of scalars `rows` in the ring's form."""
-        return rows
+def _kron(a, b):
+    """The Kronecker product of matrices held as rows: entry
+    [(i,j),(k,l)] is a[i][k] b[j][l]."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
-    def unpack(self, a):
-        """The rows of scalars of a matrix in the ring's form."""
-        return a
 
-    def ints(self, rows):
-        """The matrix of integer rows, in the ring's form."""
-        scalar = {k: self.from_int(k) for k in set(chain.from_iterable(rows))}
-        return [[scalar[k] for k in r] for r in rows]
-
-    madd = staticmethod(generic.madd)
-    msub = staticmethod(generic.msub)
-    mneg = staticmethod(generic.mneg)
-    mscale = staticmethod(generic.mscale)
-
-    def mkron(self, a, b):
-        """The Kronecker product: entry [(i,j),(k,l)] is a[i][k] b[j][l]."""
-        return [[x * y for x in ra for y in rb] for ra in a for rb in b]
-
-    def mjoin(self, forms, across):
-        """The matrices side by side (`across`) or stacked."""
-        if across:
-            return [list(chain.from_iterable(rs)) for rs in zip(*forms)]
-        return [r for f in forms for r in f]
-
-    def mselect(self, a, rows, cols):
-        """The submatrix on `rows` and `cols`."""
-        return [[a[i][j] for j in cols] for i in rows]
-
-    def mmove(self, a, f):
-        """The matrix f(rows, zero), for a function f of the rows of a
-        matrix and the zero entry that moves or repeats entries among
-        zeros (transpose, reshape, operator layouts)."""
-        return f(a, self.zero())
-
-    def matmul(self, a, b):
-        """A B for row lists A (n x k) and B (k x m)."""
-        return generic.matmul(a, b, self)
-
-    def matvec(self, a, v):
-        """A v for the list of scalars v, as the product of A with the
-        column v."""
-        if not v:
-            return [self.zero() for _ in a]
-        return [r[0] for r in self.matmul(a, [[x] for x in v])]
-
-    def solve(self, a, b):
-        """X with A X = B for square A, or None when elimination finds no
-        unit pivot for some column (A not invertible)."""
-        return generic.gauss_solve(a, b, self)
-
-    def pivot_columns(self, a):
-        """Columns in which row elimination of A finds a unit pivot; the
-        pivot is the first unit at or below the next pivot row (on
-        float64, the unit of largest magnitude)."""
-        return generic.eliminate([list(r) for r in a], self)[0]
+def _add_rows(a, b):
+    return [list(map(add, x, y)) for x, y in zip(a, b)]
 
 
 def _pivots(rows, p):
@@ -496,7 +436,7 @@ def _pivots(rows, p):
         cols.append(col)
         if len(rows) == 1:
             break
-        # Swap the pivot row up, as the generic elimination does.
+        # Swap the pivot row up, as Gauss-Jordan elimination does.
         prow = rows[i]
         rows[i] = rows[0]
         pv = prow[0]
@@ -568,45 +508,18 @@ def _solve_mod(rows, n, p):
     return [r[n:] for r in rows], 1
 
 
-class _Resident(Ring):
-    """A ring whose matrices keep a form of type `_form` for their whole
-    life (Packed or Jets). Its products, solves and pivot searches take
-    and return that form; rows of scalars given to matmul, matvec, solve
-    or pivot_columns are packed first, and the result is unpacked."""
+class _PackedField(Ring):
+    """A root field whose matrices stay packed (see Packed): Q (`_p` 0),
+    F_p and float64. Matrix works through the methods below, which take
+    and return that form; `pack` and `unpack` convert from and to rows
+    of scalars."""
 
-    def matmul(self, a, b):
-        if type(a) is not self._form:
-            return self.unpack(self.matmul(self.pack(a), self.pack(b)))
-        return self._matmul(a, b)
-
-    def matvec(self, a, v):
-        """A v; for A in the ring's form, v is a column in that form and
-        so is A v."""
-        if type(a) is not self._form:
-            return Ring.matvec(self, a, v)
-        if not v:
-            return self.ints([[0] for _ in range(len(a))])
-        return self._matmul(a, v)
-
-    def solve(self, a, b):
-        if type(a) is not self._form:
-            x = self.solve(self.pack(a), self.pack(b))
-            return None if x is None else self.unpack(x)
-        return self._solve(a, b)
-
-    def pivot_columns(self, a):
-        if type(a) is not self._form:
-            a = self.pack(a)
-        return self._pivot_columns(a)
-
-
-class _PackedField(_Resident):
-    """A root field whose matrices stay packed (see Packed): Q (`_p` 0)
-    and F_p."""
-
-    _form = Packed
+    # The zero entry of the packed form: layouts pad with it, and zero
+    # blocks hold it.
+    _zero_entry = 0
 
     def ints(self, rows):
+        """The matrix of integer rows, in the ring's form."""
         return self._reduce([list(r) for r in rows], 1)
 
     def _lincomb(self, a, b, op):
@@ -632,32 +545,43 @@ class _PackedField(_Resident):
     def mscale(self, a, s):
         t = self.pack([[s]])
         k = t[0][0]
-        return self._reduce([[x * k for x in r] for r in a], a.d * t.d)
+        return self._reduce([[k * x for x in r] for r in a], a.d * t.d)
 
     def mkron(self, a, b):
-        return self._reduce(Ring.mkron(self, a, b), a.d * b.d)
+        """The Kronecker product: entry [(i,j),(k,l)] is a[i][k] b[j][l]."""
+        return self._reduce(_kron(a, b), a.d * b.d)
 
     def mjoin(self, forms, across):
+        """The matrices side by side (`across`) or stacked."""
         # Over the lcm of their denominators the joined rows are in packed
         # form when every part is.
         d = lcm(*[f.d for f in forms])
         if d != 1:
             forms = [f if f.d == d else [[x * (d // f.d) for x in r]
                                          for r in f] for f in forms]
-        return Packed.of(Ring.mjoin(self, forms, across), d)
+        if across:
+            return Packed.of([list(chain.from_iterable(rs))
+                              for rs in zip(*forms)], d)
+        return Packed.of([r for f in forms for r in f], d)
 
     def mselect(self, a, rows, cols):
-        return self._reduce(Ring.mselect(self, a, rows, cols), a.d)
+        """The submatrix on `rows` and `cols`."""
+        return self._reduce([[a[i][j] for j in cols] for i in rows], a.d)
 
     def mmove(self, a, f):
-        return Packed.of(f(a, 0), a.d)
+        """The matrix f(rows, zero), for a function f of the rows of a
+        matrix and the zero entry that moves or repeats entries among
+        zeros (transpose, reshape, operator layouts)."""
+        return Packed.of(f(a, self._zero_entry), a.d)
 
-    def _matmul(self, a, b):
+    def matmul(self, a, b):
+        """A B for A (n x k) and B (k x m)."""
         cols = list(zip(*b))
         return self._reduce([[sum(map(mul, r, c)) for c in cols] for r in a],
                             a.d * b.d)
 
-    def _solve(self, a, b):
+    def solve(self, a, b):
+        """X with A X = B for square A, or None when A is not invertible."""
         # (A/d) X = B/e is (A) X = B d/e, and [A | B] is integral.
         out = self._solve_packed([x + y for x, y in zip(a, b)], len(a))
         if out is None:
@@ -667,7 +591,9 @@ class _PackedField(_Resident):
             x = [[v * a.d for v in r] for r in x]
         return self._reduce(x, den * b.d)
 
-    def _pivot_columns(self, a):
+    def pivot_columns(self, a):
+        """Columns in which row elimination of A finds a pivot: the first
+        non-zero entry at or below the next pivot row."""
         # Scaling by the denominator keeps the pivots.
         return _pivots(a, self._p)
 
@@ -729,9 +655,12 @@ class RationalRing(_PackedField):
 
 
 @dataclass(frozen=True)
-class Float64Ring(Ring):
-    unit_tol: float = 1e-12
+class Float64Ring(_PackedField):
     kind = "float64"
+    # A scalar is a unit, and a pivot candidate, when its magnitude is
+    # above this.
+    unit_tol = 1e-12
+    _zero_entry = 0.0
 
     def zero(self):
         return 0.0
@@ -750,19 +679,92 @@ class Float64Ring(Ring):
             raise NotAUnit(f"|{s}| below unit tolerance")
         return 1.0 / s
 
-    def pivot_magnitude(self, s):
-        return abs(s)
-
     def is_exact(self):
         return False
 
+    def pack(self, rows):
+        return Packed.of([list(map(float, r)) for r in rows])
+
+    # Integer rows convert as float rows do.
+    ints = pack
+
+    unpack = staticmethod(list)
+
     def _reduce(self, rows, d):
-        """Rows of floats are their own form (d is always 1)."""
-        return rows
+        """Float rows are in packed form as they are (d is always 1)."""
+        return Packed.of(rows)
+
+    def mscale(self, a, s):
+        return Packed.of([[s * x for x in r] for r in a])
+
+    def matmul(self, a, b):
+        # Each entry adds left to right from 0.0, as _fdot does. Index
+        # loops over the columns of B as tuples run faster here than one
+        # _fdot call per entry, and than indexing B, a list subclass.
+        cols, k = list(zip(*b)), len(b)
+        out = []
+        for r in a:
+            row = []
+            for c in cols:
+                acc = 0.0
+                for t in range(k):
+                    acc += r[t] * c[t]
+                row.append(acc)
+            out.append(row)
+        return Packed.of(out)
+
+    def _eliminate(self, rows, width):
+        """Gauss-Jordan elimination of the float `rows` in place, with
+        partial pivoting (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2002); returns the pivot columns.
+
+        Pivots are searched in the first `width` columns; each row
+        operation runs from the pivot's column to the last one. In each
+        column the pivot is the unit of largest magnitude at or below the
+        next pivot row, the first of equal ones. Its row is scaled by
+        1.0 / pivot and subtracted, times its entry, from every other row
+        whose entry in the column is not 0.0. Elimination stops once
+        every row has a pivot. Index loops run faster here than list
+        comprehensions on the small matrices of this package.
+        """
+        n = len(rows)
+        m = len(rows[0]) if rows else 0
+        cols = []
+        for col in range(width):
+            rank = len(cols)
+            if rank == n:
+                break
+            piv, best = -1, self.unit_tol
+            for r in range(rank, n):
+                mag = abs(rows[r][col])
+                if mag > best:
+                    piv, best = r, mag
+            if piv < 0:
+                continue
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            prow = rows[rank]
+            inv = 1.0 / prow[col]
+            for j in range(col, m):
+                prow[j] = inv * prow[j]
+            for r in range(n):
+                f = rows[r][col]
+                if r == rank or f == 0.0:
+                    continue
+                row = rows[r]
+                for j in range(col, m):
+                    row[j] = row[j] - f * prow[j]
+            cols.append(col)
+        return cols
 
     def _solve_packed(self, rows, n):
-        x = self.solve([r[:n] for r in rows], [r[n:] for r in rows])
-        return None if x is None else (x, 1)
+        if len(self._eliminate(rows, n)) < n:
+            return None
+        return [r[n:] for r in rows], 1
+
+    def pivot_columns(self, a):
+        """Columns in which row elimination of A finds a pivot: the unit
+        of largest magnitude at or below the next pivot row."""
+        return self._eliminate([list(r) for r in a], len(a[0]) if a else 0)
 
     def __repr__(self):
         return "R64"
@@ -830,7 +832,7 @@ class PrimeFieldRing(_PackedField):
 
 
 @dataclass(frozen=True)
-class DualRing(_Resident):
+class DualRing(Ring):
     """K[e1..ek]: the dual extension of `base`, whose scalars are jets
     (see Dual) over the root field K at the bottom of the tower."""
 
@@ -874,10 +876,8 @@ class DualRing(_Resident):
         if self._p is not None and not any(s.v[1:]):
             # An exact root scalar: its inverse, embedded.
             return self._from_root(self.root.invert(s._root(0)))
-        return self.solve([[s]], [[self.one()]])[0][0]
-
-    def pivot_magnitude(self, s):
-        return self.root.pivot_magnitude(s._root(0))
+        x = self.solve(self.pack([[s]]), self.ints([[1]]))
+        return self.unpack(x)[0][0]
 
     def is_exact(self):
         return self.root.is_exact()
@@ -891,9 +891,8 @@ class DualRing(_Resident):
         integers ks."""
         return _jet(tuple(self.root.ints([ks])[0]), 1, self._p)
 
-    # -- matrices in per-mask packed form (see Jets)
-
-    _form = Jets
+    # -- matrices in per-mask packed form (see Jets), with the methods
+    # of _PackedField
 
     def _blocks(self, a):
         """The mask blocks of a, as rows in the root's form; found once."""
@@ -923,11 +922,10 @@ class DualRing(_Resident):
         vs = [[x.v if x.d == d else tuple([c * (d // x.d) for c in x.v])
                for x in r] for r in rows]
         stack = [[v[m] for v in r] for m in range(self.size) for r in vs]
-        return Jets(stack if self._p is None else Packed.of(stack, d),
-                    len(rows))
+        return Jets(Packed.of(stack, d), len(rows))
 
     def unpack(self, a):
-        d, p = _den(a.stack), self._p
+        d, p = a.stack.d, self._p
         make = _jet if d == 1 else _reduced
         return [[make(v, d, p) for v in zip(*rows)]
                 for rows in zip(*self._blocks(a))]
@@ -939,7 +937,7 @@ class DualRing(_Resident):
     def mask0(self, a):
         """The mask-0 block of a: the matrix of its entries' re-parts over
         the root, in the root's form."""
-        return self.root._reduce(a.stack[:a.n], _den(a.stack))
+        return self.root._reduce(a.stack[:a.n], a.stack.d)
 
     def combine(self, re, eps):
         """re + eps e, for matrices re and eps in the base ring's form:
@@ -950,7 +948,7 @@ class DualRing(_Resident):
     def split(self, a):
         """(re, eps) of a, in the base ring's form: its lower and upper
         masks."""
-        s, d = a.stack, _den(a.stack)
+        s, d = a.stack, a.stack.d
         h = len(s) // 2
         parts = [self.root._reduce(s[:h], d), self.root._reduce(s[h:], d)]
         if self.base.kind == "dual":
@@ -986,13 +984,14 @@ class DualRing(_Resident):
         ba, bb = self._blocks(a), self._blocks(b)
         sa, sb = self._support(a), self._support(b)
         n = a.n * b.n
-        zero = [[0] * (len(a[0]) * len(b[0]) if n else 0)] * n
+        width = len(a[0]) * len(b[0]) if n else 0
+        zero = [[self.root._zero_entry] * width] * n
         stack = []
         for m, sub in enumerate(_subsets(self.size)):
-            terms = [Ring.mkron(self, ba[s], bb[m ^ s])
+            terms = [_kron(ba[s], bb[m ^ s])
                      for s in sub if s in sa and m ^ s in sb]
-            stack += reduce(generic.madd, terms) if terms else zero
-        return self._jets(stack, _den(a.stack) * _den(b.stack), n)
+            stack += reduce(_add_rows, terms) if terms else zero
+        return self._jets(stack, a.stack.d * b.stack.d, n)
 
     def mjoin(self, forms, across):
         stack = self.root.mjoin([f.stack for f in forms], across)
@@ -1019,7 +1018,7 @@ class DualRing(_Resident):
             r for m in range(size) for r in f(rows[m * n:(m + 1) * n], z)])
         return Jets(stack, len(stack) // size)
 
-    def _matmul(self, a, b):
+    def matmul(self, a, b):
         # C_m is the sum of A_s B_(m^s) over the subsets s of m, of which
         # only those with both blocks non-zero are formed. Row i of A and
         # column j of B are laid out per mask m as the concatenation, over
@@ -1029,7 +1028,7 @@ class DualRing(_Resident):
         ba, bb = self._blocks(a), self._blocks(b)
         sa, sb = self._support(a), self._support(b)
         cb = {s: list(zip(*bb[s])) for s in sb}
-        zero = [[0] * (len(b[0]) if b.n else 0)] * a.n
+        zero = [[self.root._zero_entry] * (len(b[0]) if b.n else 0)] * a.n
         dot = self._dot
         stack = []
         for m, sub in enumerate(_subsets(self.size)):
@@ -1045,9 +1044,9 @@ class DualRing(_Resident):
                 stack += zero
                 continue
             stack += [[dot(r, c) for c in cols] for r in rows]
-        return self._jets(stack, _den(a.stack) * _den(b.stack), a.n)
+        return self._jets(stack, a.stack.d * b.stack.d, a.n)
 
-    def _solve(self, a, b):
+    def solve(self, a, b):
         # A X = B splits by mask: A_0 X_m = B_m - sum of A_s X_(m^s) over
         # the non-empty s in m. One root solve of the integer rows
         # [A_0 | B_m .. | A_s ..], over the non-zero blocks B_m and A_s
@@ -1073,7 +1072,7 @@ class DualRing(_Resident):
         zs = {s: [r[off + j * n:off + (j + 1) * n] for r in sol]
               for j, s in enumerate(sa)}
         bits = [bin(k).count("1") for k in range(self.size)]
-        zero = [[0] * w] * n
+        zero = [[self.root._zero_entry] * w] * n
         dot = self._dot
         xs = {}
         for m, sub in enumerate(_subsets(self.size)):
@@ -1097,11 +1096,11 @@ class DualRing(_Resident):
             if k not in xs:
                 stack += zero
                 continue
-            f = den ** (e - 1 - bits[k]) * _den(a.stack)
+            f = den ** (e - 1 - bits[k]) * a.stack.d
             stack += xs[k] if f == 1 else [[y * f for y in r] for r in xs[k]]
-        return self._jets(stack, den ** e * _den(b.stack), n)
+        return self._jets(stack, den ** e * b.stack.d, n)
 
-    def _pivot_columns(self, a):
+    def pivot_columns(self, a):
         # An entry is a unit exactly when its mask-0 coordinate is, and
         # the mask-0 part of an elimination over K[e1..ek] is the
         # elimination of the mask-0 parts over K, so the pivots are those

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import generic_loops as generic
+from generic_loops import bits, on_rows
 from jordankit import _kernels as K
-from jordankit._kernels import generic
 from jordankit.algebra import (CoordinateBasis, Involution, LinearOperator,
                                Matrix, Vector, dual_combine, dual_split,
                                herm_split, left_mult, matrix_unit_basis,
@@ -208,8 +209,8 @@ def test_membership_on_free_rows_matches_full_reconstruction(ring):
             bump = Matrix.unit(ring, n, i, j).scale(rand_scalar(rng, ring))
             for x in (member, rand_matrix(rng, ring, n), member + bump):
                 flat = x.flatten()
-                c = K.matvec(space._left_inv.rows,
-                             [flat[r] for r in space._pivot_rows], ring)
+                c = on_rows(K.matvec, space._left_inv.rows,
+                            [flat[r] for r in space._pivot_rows], ring)
                 full = space.from_coords(c) == x
                 assert space.contains(x) == full
                 verdicts.add(full)
@@ -233,15 +234,19 @@ def test_embedded_basis_equals_fresh_basis(ring):
             assert lifted.basis == fresh.basis
 
 
-# -- packed and entry forms over Q, F_p and dual towers ----------------------
+# -- packed and entry forms over Q, F_p, float64 and dual towers -------------
 
 PACKED_RINGS = [Q, PrimeFieldRing(3), PrimeFieldRing(7),
-                PrimeFieldRing(2**31 - 1)]
+                PrimeFieldRing(2**31 - 1), FLOAT64]
 JET_RINGS = [DualRing(Q), DualRing(DualRing(Q)),
              DualRing(DualRing(DualRing(Q))), DualRing(PrimeFieldRing(5)),
              DualRing(FLOAT64)]
-# Over R64[e] these add in another order than the generic loops on jets.
+# Over R64[e] these add in another order than the generic loops on jets;
+# over float64 itself every operation repeats their arithmetic.
 ROUNDED = {"matmul", "solve", "inverse", "apply_flat"}
+# Layouts put 0.0 among the entries, where the reference's product with
+# the identity gives -0.0 next to a negative entry.
+LAYOUTS = {"left_mult", "right_mult"}
 
 
 def _root(ring):
@@ -316,10 +321,10 @@ def _is_packed(m):
             return False
         form = form.stack
     flat = [x for r in form for x in r]
-    if root == FLOAT64:
-        return type(form) is list and all(type(x) is float for x in flat)
     if type(form) is not Packed:
         return False
+    if root == FLOAT64:
+        return form.d == 1 and all(type(x) is float for x in flat)
     if root == Q:
         return form.d > 0 and gcd(form.d, *flat) == 1
     return form.d == 1 and all(0 <= x < root.p for x in flat)
@@ -377,7 +382,7 @@ def _generic_ops(ring):
     """(name, operation on matrices, reference on rows of scalars by the
     generic loops, argument shapes as (rows, columns) over n, m, k)."""
     def rank(a):
-        return len(generic.eliminate([list(r) for r in a], ring)[0])
+        return len(generic.pivots(a, ring))
 
     def kron(a, b):
         return [[x * y for x in ra for y in rb] for ra in a for rb in b]
@@ -386,7 +391,7 @@ def _generic_ops(ring):
         return generic.meye(n, ring)
 
     def matvec(a, v):
-        return [r[0] for r in generic.matmul(a, v, ring)]
+        return generic.matvec(a, [r[0] for r in v], ring)
 
     def lift(a, zero):
         return [[Dual(x, zero) for x in r] for r in a]
@@ -436,19 +441,20 @@ def _generic_ops(ring):
     return ops
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=220, deadline=None)
 @given(data=st.data(), ring=st.sampled_from(PACKED_RINGS + JET_RINGS),
        dims=st.tuples(st.integers(1, 3), st.integers(1, 3),
                       st.integers(1, 3)),
        g=st.sampled_from([1, 6]))
 def test_packed_matches_entry_rows_and_generic_loops(data, ring, dims, g):
-    """Every Matrix operation over Q, F_p and dual towers over them and
-    over float64 gives the same entries run on a matrix built packed, on
-    one built from rows of scalars, and by the generic row loops on the
-    rows (over float64 jets, up to rounding where the loops add in
-    another order); both constructions are equal matrices, and every
-    result is in canonical packed form: over a dual ring one stack of
-    per-mask blocks, over Q with d > 0 and gcd 1 across all masks."""
+    """Every Matrix operation over Q, F_p, float64 and dual towers over
+    them gives the same entries run on a matrix built packed, on one
+    built from rows of scalars, and by the generic row loops on the rows
+    (bit for bit over float64; over float64 jets, up to rounding where the
+    loops add in another order); both constructions are equal matrices,
+    and every result is in canonical packed form: over a dual ring one
+    stack of per-mask blocks, over Q with d > 0 and gcd 1 across all
+    masks."""
     size = dict(zip("nmk1", dims + (1,)))
     drawn = {}
 
@@ -469,8 +475,9 @@ def test_packed_matches_entry_rows_and_generic_loops(data, ring, dims, g):
         want = ref(*[e.rows for _, e in built])
         got = _rows_of(got_packed)
         assert got == _rows_of(got_entries), name
-        if ring.is_exact() or name not in ROUNDED:
+        if ring.is_exact() or ring.kind != "dual" or name not in ROUNDED:
             assert got == want, name
+            assert name in LAYOUTS or bits(got) == bits(want), name
         else:
             assert _close(got, want), name
     n, m = dims[:2]
@@ -484,7 +491,7 @@ def test_packed_matches_entry_rows_and_generic_loops(data, ring, dims, g):
         assert got == Matrix(ring, want) and _rows_of(got) == want
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=75, deadline=None)
 @given(data=st.data(), ring=st.sampled_from(PACKED_RINGS),
        n=st.integers(1, 3), flavor=st.sampled_from(["full", "hermitian"]),
        g=st.sampled_from([1, 6]))

@@ -1,12 +1,15 @@
-"""Kernel parity: the packed products, solves and integer pivot search
-that the rings provide must agree with the generic loops, which run on the
-scalar operators, over every ring that has a packed form (Q, F_3, F_5, F_7
-and F_(2^31-1), their jets at depths 1 to 3, and jets over float64 up to
-rounding), on square, rectangular, row, column and empty shapes.
-The one generic elimination must give consistent ranks, pivots and
-solutions, and the bases picked by one pivot search must equal the ones
-picked by adding one candidate at a time."""
+"""Kernel parity: the packed products, solves and pivot searches that
+the rings provide must agree with the generic loops of generic_loops.py,
+which run on the scalar operators, over every ring (Q, F_3, F_5, F_7 and
+F_(2^31-1) and their jets at depths 1 to 3, and float64 bit for bit;
+jets over float64 up to rounding), on square, rectangular, row, column
+and empty shapes. The kernels take the ring's form; these tests give
+them rows of scalars through `on_rows`. The one generic elimination must
+give consistent ranks, pivots and solutions, and the bases picked by one
+pivot search must equal the ones picked by adding one candidate at a
+time."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import generic_loops as generic
+from generic_loops import bits, on_rows
 from jordankit import _kernels as K
-from jordankit._kernels import generic
-from jordankit.algebra import Involution, Matrix, herm_split, matrix_unit_basis
+from jordankit.algebra import (Involution, LinearOperator, Matrix, herm_split,
+                               matrix_unit_basis)
 from jordankit.errors import NotInvertible
 from jordankit.jordan import JordanContext
 from jordankit.projline import standard_complement
@@ -38,6 +43,8 @@ PRIME_FIELDS = [PrimeFieldRing(3), PrimeFieldRing(7),
 JET_RINGS = [tower(root, depth) for root in [RATIONAL] + PRIME_FIELDS
              for depth in (1, 2, 3)]
 EXACT_RINGS = [RATIONAL, F5] + PRIME_FIELDS + JET_RINGS
+# The rings whose kernels repeat the generic loops' arithmetic bit for bit.
+PARITY_RINGS = EXACT_RINGS + [FLOAT64]
 FLOAT_JET_RINGS = [tower(FLOAT64, depth) for depth in (1, 2, 3)]
 R64E = DualRing(FLOAT64)
 QE = DualRing(RATIONAL)
@@ -68,10 +75,6 @@ def rand_rows(rng, ring, n, m):
     return [[rand_scalar(rng, ring) for _ in range(m)] for _ in range(n)]
 
 
-def generic_matvec(a, v, ring):
-    return [r[0] for r in generic.matmul(a, [[x] for x in v], ring)]
-
-
 def _cases(ring, seed=777):
     rng = random.Random(seed)
     for n, k, m in SHAPES:
@@ -87,7 +90,7 @@ def _systems(ring, seed=778):
     for n in (1, 2, 3, 4, 4):
         for _ in range(100):
             a = rand_rows(rng, ring, n, n)
-            if len(generic.eliminate([list(r) for r in a], ring)[0]) == n:
+            if len(generic.pivots(a, ring)) == n:
                 break
         yield a, rand_rows(rng, ring, n, rng.randint(1, 3))
     yield rand_rows(rng, ring, 3, 3), rand_rows(rng, ring, 3, 0)
@@ -112,30 +115,37 @@ def _rows_close(a, b):
         for ra, rb in zip(a, b))
 
 
-@pytest.mark.parametrize("ring", EXACT_RINGS, ids=repr)
+@pytest.mark.parametrize("ring", PARITY_RINGS, ids=repr)
 def test_matmul_parity(ring):
     for a, b in _cases(ring):
-        assert K.matmul(a, b, ring) == generic.matmul(a, b, ring)
+        got = on_rows(K.matmul, a, b, ring)
+        assert got == generic.matmul(a, b, ring)
+        assert bits(got) == bits(generic.matmul(a, b, ring))
 
 
-@pytest.mark.parametrize("ring", EXACT_RINGS, ids=repr)
+@pytest.mark.parametrize("ring", PARITY_RINGS, ids=repr)
 def test_matvec_parity(ring):
     for a, b in _cases(ring):
         if not b or not b[0]:
             continue
         v = [row[0] for row in b]
-        assert K.matvec(a, v, ring) == generic_matvec(a, v, ring)
+        got = on_rows(K.matvec, a, v, ring)
+        assert got == generic.matvec(a, v, ring)
+        assert bits(got) == bits(generic.matvec(a, v, ring))
 
 
-@pytest.mark.parametrize("ring", EXACT_RINGS, ids=repr)
+@pytest.mark.parametrize("ring", PARITY_RINGS, ids=repr)
 def test_solve_parity(ring):
+    """Over float64, A X equals B up to rounding only."""
+    same = list.__eq__ if ring.is_exact() else _rows_close
     solved = singular = 0
     for a, b in _systems(ring):
-        x = K.gauss_solve(a, b, ring)
+        x = on_rows(K.gauss_solve, a, b, ring)
         assert x == generic.gauss_solve(a, b, ring)
+        assert bits(x) == bits(generic.gauss_solve(a, b, ring))
         if x is not None:
             solved += 1
-            assert K.matmul(a, x, ring) == b
+            assert same(on_rows(K.matmul, a, x, ring), b)
         else:
             singular += 1
     assert solved >= 6
@@ -146,14 +156,14 @@ def test_float_dual_parity():
     """Jets over float64 sum in another order on the packed path."""
     for ring in FLOAT_JET_RINGS:
         for a, b in _cases(ring):
-            assert _rows_close(K.matmul(a, b, ring),
+            assert _rows_close(on_rows(K.matmul, a, b, ring),
                                generic.matmul(a, b, ring))
             if b and b[0]:
                 v = [row[0] for row in b]
-                assert _rows_close([K.matvec(a, v, ring)],
-                                   [generic_matvec(a, v, ring)])
+                assert _rows_close([on_rows(K.matvec, a, v, ring)],
+                                   [generic.matvec(a, v, ring)])
         for a, b in _systems(ring):
-            x = K.gauss_solve(a, b, ring)
+            x = on_rows(K.gauss_solve, a, b, ring)
             want = generic.gauss_solve(a, b, ring)
             assert (x is None) == (want is None)
             if x is not None:
@@ -175,7 +185,39 @@ def test_float_dual_depth_one_matches_generic_bitwise():
             generic.matmul(re, bre, FLOAT64),
             generic.matmul([r + e for r, e in zip(re, eps)], beps + bre,
                            FLOAT64))]
-        assert bits(K.matmul(a, b, R64E)) == bits(want)
+        assert bits(on_rows(K.matmul, a, b, R64E)) == bits(want)
+
+
+def test_float_summation_order_and_partial_pivoting():
+    """Float products add left to right from 0.0, as the generic loops
+    do: [1e16, 1.0, -1e16] times a column of ones is 0.0, where a
+    compensated sum (math.fsum, or sum() from Python 3.12) gives 1.0.
+    Float solves pivot on the entry of largest magnitude and refuse a
+    column whose only candidate is at most 1e-12 in magnitude."""
+    row = [1e16, 1.0, -1e16]
+    assert math.fsum(row) == 1.0
+    a = Matrix(FLOAT64, [row])
+    ones = Matrix(FLOAT64, [[1.0]] * 3)
+    assert (a @ ones).rows == [[0.0]]
+    assert list(LinearOperator(a).apply_flat([1.0] * 3)) == [0.0]
+    # Over R64[e], the row in the re-part and in the eps-part, times a
+    # column of ones: both parts of the product add left to right.
+    z = R64E.zero()
+    for entries in ([Dual(x, 0.0) for x in row], [Dual(0.0, x) for x in row]):
+        got = Matrix(R64E, [entries]) @ Matrix(R64E, [[R64E.one()]] * 3)
+        assert bits(got.rows) == bits([[z]])
+    # 1e-10 in the top row is a unit, but the row below is larger.
+    t = 1e-10
+    x = Matrix(FLOAT64, [[t, 1.0], [1.0, 1.0]]).solve(
+        Matrix(FLOAT64, [[1.0], [2.0]]))
+    x2 = 1.0 / (1.0 - t * 1.0) * (1.0 - t * 2.0)
+    assert bits(x.rows) == bits([[2.0 - 1.0 * x2], [x2]])
+    assert abs(Fraction(x[0, 0]) - 1 / (1 - Fraction(t))) < 1e-15
+    # After the first column, the only candidate left is about 1e-13.
+    a = [[2.0, 4.0], [1.0, 2.0 + 1e-13]]
+    assert 0.0 < a[1][1] - 2.0 < 1e-12
+    assert on_rows(K.gauss_solve, a, [[1.0], [1.0]], FLOAT64) is None
+    assert generic.gauss_solve(a, [[1.0], [1.0]], FLOAT64) is None
 
 
 def test_rational_large_denominators():
@@ -183,7 +225,7 @@ def test_rational_large_denominators():
     a = [[q(Fraction(-7, 10**20)), q(Fraction(3, 7))],
          [q(Fraction(1, 3)), q(Fraction(10**20 + 1, 10**20))]]
     b = [[q(Fraction(10**20, 9)), q(2)], [q(Fraction(-1, 12)), q(0)]]
-    got = K.matmul(a, b, RATIONAL)
+    got = on_rows(K.matmul, a, b, RATIONAL)
     assert got == generic.matmul(a, b, RATIONAL)
     assert got[0][0] == Fraction(-7, 9) + Fraction(3, 7) * Fraction(-1, 12)
     assert got[0][1] == Fraction(-7, 5 * 10**19)
@@ -191,11 +233,11 @@ def test_rational_large_denominators():
 
 def test_empty_shapes():
     z = RATIONAL.zero()
-    assert K.matmul([], [], RATIONAL) == []
-    assert K.matmul([[], []], [], RATIONAL) == [[], []]
-    assert K.matvec([[], []], [], RATIONAL) == [z, z]
+    assert on_rows(K.matmul, [], [], RATIONAL) == []
+    assert on_rows(K.matmul, [[], []], [], RATIONAL) == [[], []]
+    assert on_rows(K.matvec, [[], []], [], RATIONAL) == [z, z]
     ring = DualRing(RATIONAL)
-    assert K.gauss_solve([], [], ring) == []
+    assert on_rows(K.gauss_solve, [], [], ring) == []
 
 
 def test_backend_reported():
@@ -206,7 +248,7 @@ def test_solve_detects_singular():
     ring = RATIONAL
     a = [[ring.one(), ring.one()], [ring.one(), ring.one()]]
     b = [[ring.one()], [ring.zero()]]
-    assert K.gauss_solve(a, b, ring) is None
+    assert on_rows(K.gauss_solve, a, b, ring) is None
     assert generic.gauss_solve(a, b, ring) is None
 
 
@@ -219,26 +261,22 @@ def test_dual_solve_singular_re_part():
     a = [[Dual(q(x), q(y)) for x, y in zip(rr, re_)]
          for rr, re_ in zip(re, eps)]
     b = [[ring.one()], [ring.zero()]]
-    assert K.gauss_solve(a, b, ring) is None
+    assert on_rows(K.gauss_solve, a, b, ring) is None
     assert generic.gauss_solve(a, b, ring) is None
     nested = DualRing(ring)
     an = [[Dual(x, ring.zero()) for x in r] for r in a]
     bn = [[Dual(x, ring.zero()) for x in r] for r in b]
-    assert K.gauss_solve(an, bn, nested) is None
+    assert on_rows(K.gauss_solve, an, bn, nested) is None
 
 
 def test_dual_pivoting_uses_re_part():
     # eps is not an admissible pivot even though it is nonzero
     ring = DualRing(RATIONAL)
     eps = Dual(RATIONAL.zero(), RATIONAL.one())
-    assert K.gauss_solve([[eps]], [[ring.one()]], ring) is None
+    assert on_rows(K.gauss_solve, [[eps]], [[ring.one()]], ring) is None
     one_plus = Dual(RATIONAL.one(), RATIONAL.one())
-    x = K.gauss_solve([[one_plus]], [[ring.one()]], ring)
+    x = on_rows(K.gauss_solve, [[one_plus]], [[ring.one()]], ring)
     assert x[0][0] * one_plus == ring.one()
-
-
-def _generic_pivots(a, ring):
-    return generic.eliminate([list(r) for r in a], ring)[0]
 
 
 # (rows, columns, rank bound) of the pivot-search cases: square, wide,
@@ -246,7 +284,7 @@ def _generic_pivots(a, ring):
 PIVOT_SHAPES = [(1, 1, 1), (3, 0, 0), (2, 2, 0), (3, 3, 3), (3, 3, 2),
                 (4, 4, 4), (4, 4, 1), (2, 6, 2), (3, 7, 2), (6, 2, 2),
                 (7, 3, 1), (1, 5, 1), (5, 1, 1), (5, 5, 3), (4, 8, 3)]
-PIVOT_RINGS = EXACT_RINGS + FLOAT_JET_RINGS
+PIVOT_RINGS = PARITY_RINGS + FLOAT_JET_RINGS
 
 
 def _pure_eps(rng, ring):
@@ -286,11 +324,12 @@ def test_pivot_search_parity(ring):
     the same ring, compared exactly; the cases include rank deficiency."""
     deficient = 0
     for a in _pivot_cases(ring):
-        want = _generic_pivots(a, ring)
-        assert K.pivot_columns(a, ring) == want
-        assert K.gauss_rank(a, ring) == len(want)
+        want = generic.pivots(a, ring)
+        assert on_rows(K.pivot_columns, a, ring) == want
+        assert on_rows(K.gauss_rank, a, ring) == len(want)
         deficient += len(want) < min(len(a), len(a[0]))
-    assert K.pivot_columns([], ring) == [] and K.gauss_rank([], ring) == 0
+    assert on_rows(K.pivot_columns, [], ring) == []
+    assert on_rows(K.gauss_rank, [], ring) == 0
     assert deficient >= 10
 
 
@@ -310,9 +349,9 @@ def test_rational_pivots_with_large_denominators():
         a.append([big * x for x in a[0]])
         a.append([big * x + (_rational(Fraction(1, 10**20)) if j == m - 1
                              else 0) for j, x in enumerate(a[0])])
-        want = _generic_pivots(a, RATIONAL)
-        assert K.pivot_columns(a, RATIONAL) == want
-        assert K.gauss_rank(a, RATIONAL) == len(want)
+        want = generic.pivots(a, RATIONAL)
+        assert on_rows(K.pivot_columns, a, RATIONAL) == want
+        assert on_rows(K.gauss_rank, a, RATIONAL) == len(want)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 2**31 - 1])
@@ -326,15 +365,15 @@ def test_prime_field_pivots_from_unreduced_integers(p):
         a = [[ring.from_int(rng.choice([0, p, -p, 2 * p + 1, -1])
                             + p * rng.randint(-3, 3) * rng.randint(0, 2**40))
               for _ in range(m)] for _ in range(n)]
-        want = _generic_pivots(a, ring)
-        assert K.pivot_columns(a, ring) == want
-        assert K.gauss_rank(a, ring) == len(want)
+        want = generic.pivots(a, ring)
+        assert on_rows(K.pivot_columns, a, ring) == want
+        assert on_rows(K.gauss_rank, a, ring) == len(want)
 
 
-_SMALL_RINGS = [RATIONAL, PrimeFieldRing(3), PrimeFieldRing(7)]
+_SMALL_RINGS = [RATIONAL, PrimeFieldRing(3), PrimeFieldRing(7), FLOAT64]
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=400, deadline=None)
 @given(ring=st.sampled_from(_SMALL_RINGS),
        entries=st.integers(0, 5).flatmap(lambda m: st.lists(
            st.lists(st.tuples(st.integers(-3, 3),
@@ -345,14 +384,18 @@ def test_pivot_search_matches_generic_property(ring, entries):
     singular), equal those of the generic elimination."""
     if ring == RATIONAL:
         a = [[_rational(Fraction(k, d)) for k, d in row] for row in entries]
+    elif ring == FLOAT64:
+        a = [[k / d for k, d in row] for row in entries]
     else:
         a = [[ring.from_int(k * d) for k, d in row] for row in entries]
-    want = _generic_pivots(a, ring)
-    assert K.pivot_columns(a, ring) == want
-    assert K.gauss_rank(a, ring) == len(want)
+    want = generic.pivots(a, ring)
+    assert on_rows(K.pivot_columns, a, ring) == want
+    assert on_rows(K.gauss_rank, a, ring) == len(want)
     if a and len(a) == len(a[0]):
-        eye = K.meye(len(a), ring)
-        assert K.gauss_solve(a, eye, ring) == generic.gauss_solve(a, eye, ring)
+        eye = generic.meye(len(a), ring)
+        x = on_rows(K.gauss_solve, a, eye, ring)
+        assert x == generic.gauss_solve(a, eye, ring)
+        assert bits(x) == bits(generic.gauss_solve(a, eye, ring))
 
 
 def test_singular_mod_p_only():
@@ -366,7 +409,7 @@ def test_singular_mod_p_only():
         Matrix.from_ints(F5, ints).inverse()
     ring = DualRing(F5)
     a = [[Dual(F5.from_int(k), F5.one()) for k in row] for row in ints]
-    assert K.gauss_solve(a, K.meye(2, ring), ring) is None
+    assert on_rows(K.gauss_solve, a, generic.meye(2, ring), ring) is None
 
 
 # name -> (integer rows, pivot columns); every determinant involved is
@@ -404,10 +447,10 @@ def _check_elimination(ring, ints, pivots, rng):
     """Pivots, rank, reduced form and (for square input) the solve of one
     case agree with each other and with the expected pivot columns."""
     rows = _lift_rows(ints, ring, rng)
-    assert K.pivot_columns(rows, ring) == pivots
+    assert on_rows(K.pivot_columns, rows, ring) == pivots
     re_ring = RATIONAL if ring == QE else ring
     re_rows = [[x.re for x in r] for r in rows] if ring == QE else rows
-    assert K.gauss_rank(re_rows, re_ring) == len(pivots)
+    assert on_rows(K.gauss_rank, re_rows, re_ring) == len(pivots)
     if ints:
         assert Matrix(ring, rows).rank() == len(pivots)
     piv, reduced = generic.eliminate([list(r) for r in rows], ring)
@@ -422,7 +465,7 @@ def _check_elimination(ring, ints, pivots, rng):
     if len(rows) != width:
         return
     b = _lift_rows([[k + 1, 2 - k] for k in range(width)], ring, rng)
-    x = K.gauss_solve(rows, b, ring)
+    x = on_rows(K.gauss_solve, rows, b, ring)
     assert generic.gauss_solve(rows, b, ring) == x
     if len(pivots) < width:
         assert x is None
@@ -436,7 +479,7 @@ def _greedy_selection(vectors, ring):
     kept = []
     for k, v in enumerate(vectors):
         trial = [vectors[j] for j in kept] + [v]
-        if len(K.pivot_columns(trial, ring)) == len(trial):
+        if len(on_rows(K.pivot_columns, trial, ring)) == len(trial):
             kept.append(k)
     return kept
 
