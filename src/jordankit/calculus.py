@@ -1,7 +1,8 @@
 """Executable difference-quotient calculus: difference quotients,
-dual-number differentials, the chart vector-field bracket, and a checker
-that certifies closed-form derivative laws against dual evaluation, and
-the table of those laws shared by the CLI and the check suites.
+dual-number differentials, the chart vector-field bracket, and the
+closed-form derivative laws (map, closed form, sampler) that the CLI
+`derivative` request and the `derivative-laws` suite both certify
+against dual evaluation through `suites.law_check`.
 
 Map handles are ring-generic by construction: their evaluators receive
 the evaluation ring and inputs over it, and any captured constants are
@@ -18,7 +19,6 @@ from .algebra import dual_combine, dual_split, op_solve
 from .errors import DomainViolation, JordankitError, NotAUnit
 from .graded import denominators, in_chart
 from .jordan import rep_operators
-from .rings import DualRing
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ def squaring():
     return MapHandle("squaring", 1, lambda ring, x: x @ x)
 
 
-def identity_map():
-    return MapHandle("identity", 1, lambda ring, x: x)
-
-
-def constant_map(c):
-    return MapHandle("constant", 1, lambda ring, x: _lift(c, ring))
-
-
 def linear_map(a, name="linear"):
     return MapHandle(name, 1, lambda ring, x: _lift(a, ring) @ x)
 
@@ -75,15 +67,6 @@ def quasi_inverse_in_first(jctx, y):
         return quasi_inverse(jctx.at_ring(ring), x, _lift(y, ring))
 
     return MapHandle("quasi_inverse_x", 1, ev)
-
-
-def quasi_inverse_in_second(jctx, x):
-    from .jordan import quasi_inverse
-
-    def ev(ring, y):
-        return quasi_inverse(jctx.at_ring(ring), _lift(x, ring), y)
-
-    return MapHandle("quasi_inverse_y", 1, ev)
 
 
 def group_action(g):
@@ -130,26 +113,19 @@ def diff_quotient(f, x, h, t):
     return num.scale(ring.invert(t))
 
 
-def dual_derivative(f, x, v):
-    """eps-part of f(x + eps v) over the dual extension of x's ring."""
-    ring = x.ring
-    lifted = dual_combine(x, v)
-    try:
-        out = f(DualRing(ring), lifted)
-    except JordankitError as e:
-        raise DomainViolation(str(e)) from e
-    _, eps = dual_split(out)
-    return eps
-
-
 def tangent_map(f, x, v):
     """(f(x), df(x)v) in one dual evaluation."""
-    ring = x.ring
+    lifted = dual_combine(x, v)
     try:
-        out = f(DualRing(ring), dual_combine(x, v))
+        out = f(lifted.ring, lifted)
     except JordankitError as e:
         raise DomainViolation(str(e)) from e
     return dual_split(out)
+
+
+def dual_derivative(f, x, v):
+    """eps-part of f(x + eps v) over the dual extension of x's ring."""
+    return tangent_map(f, x, v)[1]
 
 
 def lie_bracket_fields(xfield, yfield, x):
@@ -174,70 +150,6 @@ def field_bracket(xfield, yfield):
     """The bracket as a field, so brackets can be nested."""
     return MapHandle(f"[{xfield.name},{yfield.name}]", 1,
                      lambda ring, p: lie_bracket_fields(xfield, yfield, p))
-
-
-@dataclass
-class CheckReport:
-    name: str
-    samples: int
-    passed: int
-    failed: int
-    skipped: int
-    exact: bool
-    max_deviation: float
-    first_failure: object = None
-
-    @property
-    def ok(self):
-        """No sample failed, and some sample ran: a check whose samples all
-        skipped has shown nothing (the rule of suites.CheckResult)."""
-        return self.failed == 0 and not 0 < self.samples == self.skipped
-
-    def to_json(self):
-        out = {"check": self.name, "samples": self.samples,
-               "passed": self.passed, "failed": self.failed,
-               "skipped": self.skipped, "exact": self.exact,
-               "max_deviation": self.max_deviation, "ok": self.ok}
-        if self.first_failure is not None:
-            out["first_counterexample"] = self.first_failure
-        return out
-
-
-def derivative_check(f, expected, sampler, samples=100, tol=1e-9):
-    """Compare dual_derivative(f, x, v) against a closed form expected(x, v)
-    on sampled pairs; exact agreement on exact rings, max deviation on
-    floats. Samples where x leaves the lifted domain are skipped."""
-    passed = failed = skipped = 0
-    max_dev = 0.0
-    first = None
-    exact = True
-    for i in range(samples):
-        pair = sampler(i)
-        if pair is None:
-            skipped += 1
-            continue
-        x, v = pair
-        try:
-            got = dual_derivative(f, x, v)
-            want = expected(x, v)
-        except DomainViolation:
-            skipped += 1
-            continue
-        if x.ring.is_exact():
-            good = got == want
-        else:
-            exact = False
-            dev = (got - want).max_abs()
-            max_dev = max(max_dev, dev)
-            good = dev <= tol
-        if good:
-            passed += 1
-        else:
-            failed += 1
-            if first is None:
-                first = {"sample": i}
-    return CheckReport(f.name, samples, passed, failed, skipped, exact,
-                       max_dev, first)
 
 
 # -- derivative laws ---------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import calculus, randgen, suites
+from . import calculus, suites
 from .errors import JordankitError, NonFiniteResult
 from .graded import act
 from .jordan import (bergman_operator, loos_bergman, loos_quasi_inverse,
@@ -81,9 +81,8 @@ def cmd_verify(args, out):
     if args.order is not None and args.order < 1:
         _emit({"error": "BadOrder", "order": args.order}, out)
         return 2
-    # An option the suite does not read would pass without effect; no
-    # suite reads --convention.
-    given = {o: getattr(args, o) for o in ("n", "tol", "order", "convention")
+    # An option the suite does not read would pass without effect.
+    given = {o: getattr(args, o) for o in ("n", "tol", "order")
              if getattr(args, o) is not None}
     unused = sorted(set(given) - suites.suite_options(args.suite))
     if unused:
@@ -236,11 +235,9 @@ def _compute_derivative(req):
     g = group_from_json(ctx.ring, ctx.n, req["g"]) if name == "act" else None
     law = laws[name](ctx, g)
     seed = int_from_json(req, "seed", 1)
-    report = calculus.derivative_check(
-        law.handle, law.expected,
-        lambda i: law.sample(randgen.trial_rng(seed, i)),
-        samples=samples, tol=tol)
-    return {"op": "derivative", "map": name, "report": report.to_json()}
+    res = suites.law_check(law.handle.name, law, samples, seed, tol)
+    return {"op": "derivative", "map": name,
+            "report": dict(res.to_json(), ok=res.ok)}
 
 
 def cmd_compute(args, out):
@@ -284,8 +281,6 @@ def build_parser():
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--tol", type=float, help="exp-tanh only (default 1e-9)")
     v.add_argument("--order", type=int, help="exp-tanh only (default 24)")
-    v.add_argument("--convention", choices=("ad", "loos"),
-                   help="read by no suite; refused when given")
     v.add_argument("--out", dest="outfile")
 
     c = sub.add_parser("compute", help="one-shot computation from JSON")

@@ -15,7 +15,6 @@ from .jordan import (is_jordan_invertible, jordan_inverse, mult_operator,
                      quad_triple_operator, triple_product)
 from .projline import (ProjectivePoint, chart_coords, gamma_chart,
                        mu_dilation)
-from .rings import DualRing
 
 
 class JordanUnitsSpace:
@@ -234,10 +233,9 @@ def tilde_field(ctx, v, p):
     if not ctx_r.tangent_contains(vr):
         raise NotInSpace("v is not tangent at the base point")
     inner = ctx_r.mul_chart(ctx_r.o_chart, p)
-    dring = DualRing(ring)
-    ctx_e = ctx.at_ring(dring)
     x_eps = dual_combine(ctx_r.o_chart, vr)
-    out = ctx_e.mul_chart(x_eps, inner.embed(dring))
+    dring = x_eps.ring
+    out = ctx.at_ring(dring).mul_chart(x_eps, inner.embed(dring))
     _, eps = dual_split(out)
     return eps.scale(ring.half())
 

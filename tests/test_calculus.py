@@ -2,7 +2,7 @@
 
 import pytest
 
-from jordankit import calculus
+from jordankit import calculus, suites
 from jordankit.algebra import Matrix
 from jordankit.errors import DomainViolation, NotAUnit, NotInvertible
 from jordankit.graded import GroupElement
@@ -19,6 +19,23 @@ def mat(rows):
 
 def frac(p, q):
     return Q.from_int(p) * Q.invert(Q.from_int(q))
+
+
+def _lift(m, ring):
+    return m.embed(ring) if m.ring != ring else m
+
+
+def constant_map(c):
+    return calculus.MapHandle("constant", 1, lambda ring, x: _lift(c, ring))
+
+
+def quasi_inverse_in_second(jctx, x):
+    from jordankit.jordan import quasi_inverse
+
+    def ev(ring, y):
+        return quasi_inverse(jctx.at_ring(ring), _lift(x, ring), y)
+
+    return calculus.MapHandle("quasi_inverse_y", 1, ev)
 
 
 def test_diff_quotient_examples():
@@ -46,7 +63,7 @@ def test_dual_derivative_examples():
     one = mat([[1]])
     assert calculus.dual_derivative(inv, two, one) == Matrix(Q, [[frac(-1, 4)]])
 
-    const = calculus.constant_map(mat([[5]]))
+    const = constant_map(mat([[5]]))
     assert calculus.dual_derivative(const, two, one) == Matrix.zeros(Q, 1)
 
     ctx = JordanContext(2, Q, "full")
@@ -70,7 +87,7 @@ def test_quasi_inverse_second_slot_derivative():
     for _ in range(10):
         x = rand_matrix(rng, Q, 2)
         v = rand_matrix(rng, Q, 2)
-        f = calculus.quasi_inverse_in_second(ctx, x)
+        f = quasi_inverse_in_second(ctx, x)
         got = calculus.dual_derivative(f, Matrix.zeros(Q, 2), v)
         assert got == -(x @ v @ x)
 
@@ -92,8 +109,8 @@ def test_bracket_examples():
     got = calculus.lie_bracket_fields(fa, fb, x)
     assert got == mat([[-1], [1]])
     assert calculus.lie_bracket_fields(fa, fa, x).is_zero()
-    c1 = calculus.constant_map(mat([[1], [2]]))
-    c2 = calculus.constant_map(mat([[3], [4]]))
+    c1 = constant_map(mat([[1], [2]]))
+    c2 = constant_map(mat([[3], [4]]))
     assert calculus.lie_bracket_fields(c1, c2, x).is_zero()
 
 
@@ -215,31 +232,59 @@ def test_derivative_check_reports():
         xi = x.inverse()
         return -(xi @ v @ xi)
 
-    def sampler(i):
-        rng = trial_rng(99, i)
-        x = rand_invertible(rng, Q, 2)
-        if x is None:
-            return None
-        return x, rand_matrix(rng, Q, 2)
-
-    rep = calculus.derivative_check(inv, expected, sampler, samples=30)
-    assert rep.ok and rep.passed == 30 and rep.exact
+    sample = calculus.alg_inverse_law(Q, 2).sample
+    law = calculus.DerivativeLaw(inv, expected, sample)
+    rep = suites.law_check(inv.name, law, 30, 99)
+    assert rep.ok and rep.passed == 30 and rep.max_deviation is None
     j = rep.to_json()
-    assert j["check"] == "alg_inversion" and j["failed"] == 0 and j["ok"]
+    assert j["check"] == "alg_inversion" and j["failed"] == 0
+    assert "max_deviation" not in j
 
     def wrong(x, v):
         return expected(x, v).scale(Q.from_int(2))
 
-    rep2 = calculus.derivative_check(inv, wrong, sampler, samples=5)
-    assert not rep2.ok and rep2.first_failure is not None
+    rep2 = suites.law_check(inv.name,
+                            calculus.DerivativeLaw(inv, wrong, sample), 5, 99)
+    assert not rep2.ok and rep2.first_counterexample is not None
 
 
 def test_derivative_check_with_every_sample_skipped_fails():
     """A check whose samples all skipped has shown nothing."""
-    rep = calculus.derivative_check(calculus.squaring(), lambda x, v: x,
-                                    lambda i: None, samples=5)
+    law = calculus.DerivativeLaw(calculus.squaring(), lambda x, v: x,
+                                 lambda rng: None)
+    rep = suites.law_check("squaring", law, 5, 1)
     assert rep.skipped == 5 and rep.passed == 0 and not rep.ok
-    assert rep.to_json()["ok"] is False
+    assert rep.to_json()["skipped"] == 5
+
+
+def test_law_check_over_float64_within_tolerance():
+    """Over float64 a trial passes within tol, and the report carries the
+    largest deviation; a wrong closed form fails at its first trial."""
+    inv = calculus.alg_inversion()
+    law = calculus.alg_inverse_law(FLOAT64, 2)
+    rep = suites.law_check(inv.name, law, 20, 7)
+    assert rep.ok and rep.passed + rep.skipped == 20 and rep.passed > 0
+    assert 0 <= rep.max_deviation <= 1e-9
+    assert rep.to_json()["max_deviation"] == rep.max_deviation
+
+    wrong = calculus.DerivativeLaw(
+        inv, lambda x, v: law.expected(x, v).scale(2.0), law.sample)
+    bad = suites.law_check(inv.name, wrong, 20, 7)
+    assert not bad.ok and bad.failed == rep.passed
+    assert bad.max_deviation > 1e-9
+    first = next(i for i in range(20)
+                 if law.sample(trial_rng(7, i)) is not None)
+    assert bad.first_counterexample == {"trial": first, "seed": 7}
+
+
+def test_law_check_skips_domain_violations():
+    """A sample whose dual evaluation leaves the domain is a skip, not an
+    error: here x = 0 is not invertible."""
+    law = calculus.DerivativeLaw(
+        calculus.alg_inversion(), lambda x, v: v,
+        lambda rng: (Matrix.zeros(Q, 2), rand_matrix(rng, Q, 2)))
+    rep = suites.law_check("alg_inversion", law, 3, 1)
+    assert rep.skipped == 3 and not rep.ok
 
 
 def test_schwarz_second_derivatives():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jordankit import cli
+from jordankit import cli, suites
 from jordankit.algebra import Matrix
 from jordankit.jordan import JordanContext, is_quasi_invertible
 from jordankit.randgen import rand_matrix, trial_rng
@@ -435,7 +435,26 @@ def test_compute_derivative_report():
     code, out, _ = run_cli(["compute"], stdin=json.dumps(req))
     assert code == 0
     rep = json.loads(out)["report"]
-    assert rep["failed"] == 0 and rep["exact"] is True and rep["ok"] is True
+    # exact over Q: no deviation to report
+    assert rep["failed"] == 0 and "max_deviation" not in rep
+    assert rep["ok"] is True and rep["trials"] == 20
+
+
+def test_compute_derivative_counts_match_the_suite_check():
+    """The derivative request and the derivative-laws suite's check run
+    one trial loop: at the same seed and trial count they count the same
+    passes, failures and skips."""
+    for seed in (1, 5):
+        req = {"op": "derivative", "map": "jordan_inverse",
+               "context": {"ring": "rational", "n": 2,
+                           "flavor": "hermitian"},
+               "samples": 6, "seed": seed}
+        code, out, _ = run_in_process(["compute"], json.dumps(req))
+        assert code == 0
+        rep = json.loads(out)["report"]
+        res = suites.check_deriv_jordan_inverse(RATIONAL, 2, 6, seed)
+        assert ((rep["passed"], rep["failed"], rep["skipped"])
+                == (res.passed, res.failed, res.skipped))
 
 
 def test_compute_derivative_over_float_dual_ring():
@@ -447,7 +466,7 @@ def test_compute_derivative_over_float_dual_ring():
     code, out, _ = run_in_process(["compute"], json.dumps(req))
     assert code == 0
     rep = json.loads(out)["report"]
-    assert rep["ok"] is True and rep["exact"] is False
+    assert rep["ok"] is True and 0 <= rep["max_deviation"] <= 1e-9
 
 
 def test_compute_over_dual_ring():
@@ -519,19 +538,25 @@ def test_convention_round_trip():
 
 
 def test_verify_refuses_options_no_check_reads():
-    """--convention is read by no suite, --tol and --order only by
-    exp-tanh: given anywhere else, each is a usage error before any trial
-    runs."""
-    for extra, suite in ((["--convention", "loos"], "bergman"),
-                         (["--convention", "ad"], "fundamental"),
-                         (["--tol", "1e-9"], "fundamental"),
-                         (["--order", "12"], "lts"),
-                         (["--convention", "loos"], "exp-tanh")):
+    """--tol and --order are read only by exp-tanh: given anywhere else,
+    each is a usage error before any trial runs. verify has no
+    --convention (no suite reads one), so argparse refuses it, also
+    with exit 2 before any trial runs."""
+    for extra, suite in ((["--tol", "1e-9"], "fundamental"),
+                         (["--order", "12"], "lts")):
         code, out, err = run_in_process(["verify", "--suite", suite,
                                          "--trials", "2"] + extra)
         assert code == 2, extra
         assert json.loads(out) == {"error": "UnusedOption", "suite": suite,
                                    "options": [extra[0]]}
+        assert "Traceback" not in err and "PASS" not in err
+    for extra, suite in ((["--convention", "loos"], "bergman"),
+                         (["--convention", "ad"], "fundamental"),
+                         (["--convention", "loos"], "exp-tanh")):
+        code, out, err = run_cli(["verify", "--suite", suite,
+                                  "--trials", "2"] + extra)
+        assert code == 2, extra
+        assert out == "" and "--convention" in err
         assert "Traceback" not in err and "PASS" not in err
 
 
