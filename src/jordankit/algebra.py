@@ -309,6 +309,19 @@ def dual_split(mat):
     return Matrix._of(ring.base, re), Matrix._of(ring.base, eps)
 
 
+def lift_once(obj, ring, build):
+    """`obj` over `ring`, an iterated dual extension of its ring: `obj`
+    itself on its own ring, else `build(ring)`, built once per ring and
+    kept in the dict `obj._lifts`. The `at_ring` of each context and
+    space goes through here."""
+    if ring == obj.ring:
+        return obj
+    lifted = obj._lifts.get(ring)
+    if lifted is None:
+        lifted = obj._lifts[ring] = build(ring)
+    return lifted
+
+
 class Involution:
     """x -> x*: plain transpose, or the adjoint with respect to an
     invertible (skew-)symmetric form B, x* = B^-1 x^T B."""
@@ -336,7 +349,7 @@ class Involution:
         return self._form_inv @ x.transpose() @ self.form
 
     def embed(self, ring):
-        if self.kind == "transpose":
+        if self.kind == "transpose" or ring == self.form.ring:
             return self
         return Involution("form_adjoint", self.form.embed(ring), self.symmetry)
 
@@ -434,15 +447,6 @@ def matrix_unit_basis(ring, n):
     return [Matrix.unit(ring, n, i, j) for i in range(n) for j in range(n)]
 
 
-def op_from_action(f, basis, ring):
-    """Materialize a linear map by applying it to a basis of its domain.
-
-    `f` maps Matrix -> Matrix; the result's columns are the flattened
-    images, so apply_flat works on row-major coordinates.
-    """
-    return LinearOperator.from_columns(ring, [f(b).vec() for b in basis])
-
-
 # Operators w -> a w b on A = M_n(K), on row-major coordinates, where
 # vec(a w b) = (a (x) b^T) vec(w): entry [(i,j),(k,l)] is a[i][k] b[l][j].
 
@@ -482,11 +486,6 @@ def sandwich(a, b):
     a._same(b)
     bt = b.transpose()
     return LinearOperator(Matrix._of(a.ring, a.ring.mkron(a._form, bt._form)))
-
-
-def op_apply(op, x):
-    """Apply an operator materialized on the full matrix-unit basis."""
-    return _matvec(op.mat, x.vec()).reshape(x.nrows, x.ncols)
 
 
 def op_solve(op, y):

@@ -33,10 +33,6 @@ class MapHandle:
         return self.evaluator(ring, *args)
 
 
-def _lift(m, ring):
-    return m.embed(ring) if m.ring != ring else m
-
-
 # -- built-in handles -------------------------------------------------------
 
 def alg_inversion():
@@ -48,7 +44,7 @@ def squaring():
 
 
 def linear_map(a, name="linear"):
-    return MapHandle(name, 1, lambda ring, x: _lift(a, ring) @ x)
+    return MapHandle(name, 1, lambda ring, x: a.embed(ring) @ x)
 
 
 def jordan_inversion(jctx):
@@ -64,7 +60,7 @@ def quasi_inverse_in_first(jctx, y):
     from .jordan import quasi_inverse
 
     def ev(ring, x):
-        return quasi_inverse(jctx.at_ring(ring), x, _lift(y, ring))
+        return quasi_inverse(jctx.at_ring(ring), x, y.embed(ring))
 
     return MapHandle("quasi_inverse_x", 1, ev)
 
@@ -73,7 +69,7 @@ def group_action(g):
     from .graded import act
 
     def ev(ring, x):
-        return act(g.embed(ring) if g.ring != ring else g, x)
+        return act(g.embed(ring), x)
 
     return MapHandle("group_action", 1, ev)
 
@@ -92,9 +88,9 @@ def bergman_inverse_apply(jctx, a, v):
 
     def ev(ring, x):
         ctx = jctx.at_ring(ring)
-        b = bergman_operator(ctx, x, _lift(a, ring))
+        b = bergman_operator(ctx, x, a.embed(ring))
         return ctx.space.from_coords(
-            b.solve_flat(ctx.space.coords(_lift(v, ring))))
+            b.solve_flat(ctx.space.coords(v.embed(ring))))
 
     return MapHandle("bergman_inverse_apply", 1, ev)
 

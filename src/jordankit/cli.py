@@ -4,7 +4,8 @@ computations with JSON input and output.
 Exit codes: 0 full pass / success, 1 suite failure or domain error,
 2 usage error (unknown suite, unsupported ring, bad dimension, trial
 count, tolerance or order, an option the suite does not read, malformed
-request).
+request, an `--in` file that cannot be read as UTF-8 text, an `--out`
+file that cannot be opened for writing).
 """
 
 from __future__ import annotations
@@ -241,11 +242,15 @@ def _compute_derivative(req):
 
 
 def cmd_compute(args, out):
-    if args.infile:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if args.infile:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as e:
+        _emit({"error": "UnreadableInput", "detail": str(e)}, out)
+        return 2
     try:
         req = json.loads(text)
     except json.JSONDecodeError as e:
@@ -296,10 +301,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     outfile = getattr(args, "outfile", None)
+    out = sys.stdout
     if outfile:
-        out = open(outfile, "w", encoding="utf-8")
-    else:
-        out = sys.stdout
+        try:
+            out = open(outfile, "w", encoding="utf-8")
+        except OSError as e:
+            _emit({"error": "UnwritableOutput", "detail": str(e)}, out)
+            return 2
     try:
         if args.command == "verify":
             return cmd_verify(args, out)

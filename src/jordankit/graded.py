@@ -45,11 +45,6 @@ def pr1(X, n):
     return X.submatrix(range(n), range(n, 2 * n))
 
 
-def pr0(X, n):
-    a, _, _, d = blocks(X, n)
-    return (a, d)
-
-
 def prm1(X, n):
     return X.submatrix(range(n, 2 * n), range(n))
 
@@ -71,22 +66,12 @@ def gl2_basis(ring, n):
     return matrix_unit_basis(ring, 2 * n)
 
 
-def degree_basis(ring, n, degree):
-    units = matrix_unit_basis(ring, n)
-    if degree == 1:
-        return [hat(u) for u in units]
-    if degree == -1:
-        return [check(u) for u in units]
-    if degree == 0:
-        z = Matrix.zeros(ring, n)
-        return [diag_embed(u, z) for u in units] + [diag_embed(z, u) for u in units]
-    raise ValueError(f"degree {degree} not in the grading")
-
-
 def ad_blocks(v, degree):
     """The nonzero blocks of ad(v^) for v^ = hat(v) (degree +1) or
     check(v) (degree -1), keyed by source degree, as matrices on the
-    coordinates of `degree_basis`:
+    row-major coordinates of each degree piece: of its n x n block in
+    degrees +1 and -1, and of the diagonal blocks (a, d), a first, in
+    degree 0:
 
         ad(hat(v)):   g_0 -> g_1    (a, d) -> v d - a v   [-R_v | L_v]
                       g_-1 -> g_0   w -> (v w, -w v)      [L_v ; -R_v]
@@ -99,16 +84,6 @@ def ad_blocks(v, degree):
     if degree == -1:
         return {1: (-rv).vstack(lv), 0: lv.hstack(-rv)}
     raise ValueError("degree must be +1 or -1")
-
-
-def degree_component(X, n, degree):
-    """Flattened coordinates of the degree component of X."""
-    if degree == 1:
-        return pr1(X, n).flatten()
-    if degree == -1:
-        return prm1(X, n).flatten()
-    a, d = pr0(X, n)
-    return a.flatten() + d.flatten()
 
 
 class GroupElement:
@@ -214,6 +189,8 @@ class GroupElement:
         return self.mat @ X @ self.inverse_mat()
 
     def embed(self, ring):
+        if ring == self.ring:
+            return self
         word = None
         if self.word is not None:
             word = tuple((deg, v.embed(ring)) for deg, v in self.word)
@@ -232,15 +209,6 @@ def ad_operator(g):
     gi = g.inverse_mat()
     return LinearOperator.from_columns(
         g.ring, [(g.mat @ b @ gi).vec() for b in gl2_basis(g.ring, g.n)])
-
-
-def grading_block(g, i, j):
-    """Component of Ad(g) mapping the degree-j piece to the degree-i piece."""
-    ring, n = g.ring, g.n
-    gi = g.inverse_mat()
-    return LinearOperator.from_columns(
-        ring, [degree_component(g.mat @ b @ gi, n, i)
-               for b in degree_basis(ring, n, j)])
 
 
 def denominators(g, x):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from . import _kernels as K
 from .algebra import (CoordinateBasis, LinearOperator, Matrix, herm_split,
-                      left_mult, matrix_unit_basis, right_mult, sandwich)
+                      left_mult, lift_once, matrix_unit_basis, right_mult,
+                      sandwich)
 from .errors import (NotInSubspace, NotInvertible, NotQuasiInvertible,
                      SingularOperator)
 from .graded import ad_blocks
@@ -75,14 +76,10 @@ class JordanContext:
     def at_ring(self, ring):
         """The same context with all data embedded into a dual extension;
         built once per ring and reused."""
-        if ring == self.ring:
-            return self
-        lifted = self._lifts.get(ring)
-        if lifted is None:
-            inv = self.involution.embed(ring) if self.involution else None
-            lifted = self._lifts[ring] = JordanContext(
-                self.n, ring, self.flavor, inv, _space=self.space.embed(ring))
-        return lifted
+        return lift_once(self, ring, lambda r: JordanContext(
+            self.n, r, self.flavor,
+            self.involution.embed(r) if self.involution else None,
+            _space=self.space.embed(r)))
 
     def __repr__(self):
         return f"JordanContext(n={self.n}, {self.ring!r}, {self.flavor})"

@@ -39,6 +39,8 @@ class ProjectivePoint:
         raise TypeError("projective points compare by column space; no hash")
 
     def embed(self, ring):
+        if ring == self.ring:
+            return self
         return ProjectivePoint(self.rep.embed(ring), self.n)
 
     def __repr__(self):
@@ -228,6 +230,8 @@ class Polarity:
         return transversal(E, self.apply(E))
 
     def embed(self, ring):
+        if ring == self.S.ring:
+            return self
         return Polarity(self.mode, S=self.S.embed(ring), j=self.j,
                         involution=(self.involution.embed(ring)
                                     if self.involution else None),

@@ -36,7 +36,7 @@ from itertools import chain
 from math import gcd, isfinite, lcm
 from operator import add, mul, sub
 
-from .errors import NotAUnit, NotDual, RingMismatch
+from .errors import NotAUnit, RingMismatch
 
 try:
     from gmpy2 import mpq as _rational
@@ -612,9 +612,6 @@ class RationalRing(_PackedField):
     def from_int(self, k):
         return _rational(k)
 
-    def from_fraction(self, q):
-        return _rational(q.numerator) / _rational(q.denominator)
-
     def is_unit(self, s):
         return s != 0
 
@@ -770,14 +767,31 @@ class Float64Ring(_PackedField):
         return "R64"
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly
+# below _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_odd_prime(p):
+    """Whether the int p, below _MR_LIMIT, is an odd prime."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -787,8 +801,13 @@ class PrimeFieldRing(_PackedField):
     kind = "prime_field"
 
     def __post_init__(self):
-        if not _is_odd_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not an odd prime")
+        p = self.p
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError(f"modulus must be an integer, not {p!r}")
+        if p >= _MR_LIMIT:
+            raise ValueError(f"modulus {p} is not below {_MR_LIMIT}")
+        if not _is_odd_prime(p):
+            raise ValueError(f"modulus {p} is not an odd prime")
 
     def zero(self):
         return Fp(0, self.p)
@@ -1115,12 +1134,6 @@ RATIONAL = RationalRing()
 FLOAT64 = Float64Ring()
 
 
-def dual_parts(ring, s):
-    if ring.kind != "dual":
-        raise NotDual(f"{ring!r} is not a dual ring")
-    return s.re, s.eps
-
-
 def _extension(src, dst):
     """The number of jet coordinates that `dst`, `src` or an iterated dual
     over it, adds to a scalar of `src`."""
@@ -1132,13 +1145,6 @@ def _extension(src, dst):
     if dst == src:
         return 0
     return dst.size - (src.size if src.kind == "dual" else 1)
-
-
-def embed_scalar(s, src, dst):
-    """Embed a scalar from `src` into `dst`, an iterated dual over `src`:
-    zero-padding of its jet coordinates."""
-    k = _extension(src, dst)
-    return _as_jet(s)._pad(k) if k else s
 
 
 def ring_to_json(ring):

@@ -39,24 +39,9 @@ def matrix_from_json(ring, obj, n=None):
                          for r in rows])
 
 
-def element_to_json(x):
-    if x.shape == (1, 1):
-        return {"n": 1, "ring": ring_to_json(x.ring),
-                "entries": scalar_to_json(x.ring, x.rows[0][0])}
-    return {"n": x.nrows, "ring": ring_to_json(x.ring),
-            "entries": matrix_to_json(x)}
-
-
 def element_from_json(obj, ring=None, n=None):
     ring = ring_from_json(obj["ring"]) if ring is None else ring
     return matrix_from_json(ring, obj["entries"], n)
-
-
-def involution_to_json(iota):
-    if iota.kind == "transpose":
-        return {"kind": "transpose"}
-    return {"kind": "form_adjoint", "B": matrix_to_json(iota.form),
-            "symmetry": iota.symmetry}
 
 
 def _require_object(obj, what):
@@ -153,17 +138,6 @@ def point_from_json(obj, ring=None, n=None):
         raise ValueError(f"point rep must be {2 * n} x {n}, "
                          f"got {rep.nrows} x {rep.ncols}")
     return ProjectivePoint(rep, n)
-
-
-def polarity_to_json(spec):
-    out = {"mode": spec.mode}
-    if spec.mode == "semilinear":
-        out["j"] = spec.j
-        out["involution"] = involution_to_json(spec.involution)
-    out["S"] = group_to_json(spec.S)
-    if spec.H is not None:
-        out["H"] = matrix_to_json(spec.H)
-    return out
 
 
 def polarity_from_json(ring, n, obj):

@@ -8,7 +8,7 @@ tanh exponential.
 
 from __future__ import annotations
 
-from .algebra import Matrix, dual_combine, dual_split, herm_split
+from .algebra import Matrix, dual_combine, dual_split, herm_split, lift_once
 from .errors import (NotInSpace, NotInvertible, NotTransversal,
                      SeriesNotInvertible, SingularOperator)
 from .jordan import (is_jordan_invertible, jordan_inverse, mult_operator,
@@ -72,13 +72,8 @@ class JordanUnitsSpace:
 
     def at_ring(self, ring):
         """The space over a dual extension, validated once per ring."""
-        if ring == self.ring:
-            return self
-        lifted = self._lifts.get(ring)
-        if lifted is None:
-            lifted = self._lifts[ring] = JordanUnitsSpace(
-                self.jctx.at_ring(ring), self.o.embed(ring))
-        return lifted
+        return lift_once(self, ring, lambda r: JordanUnitsSpace(
+            self.jctx.at_ring(r), self.o.embed(r)))
 
 
 class GroupSpace:
@@ -95,6 +90,7 @@ class GroupSpace:
         self.kind = kind
         self.involution = involution
         self.o = Matrix.identity(ring, n) if o is None else o
+        self._lifts = {}
 
     @property
     def ring(self):
@@ -133,10 +129,11 @@ class GroupSpace:
         return (uv @ w - w @ uv).scale(quarter)
 
     def at_ring(self, ring):
-        if ring == self.ring:
-            return self
-        inv = self.involution.embed(ring) if self.involution else None
-        return GroupSpace(self.n, ring, self.kind, inv, self.o.embed(ring))
+        """The space over a dual extension, built once per ring."""
+        return lift_once(self, ring, lambda r: GroupSpace(
+            self.n, r, self.kind,
+            self.involution.embed(r) if self.involution else None,
+            self.o.embed(r)))
 
 
 class ProjectiveSpace:
@@ -190,14 +187,8 @@ class ProjectiveSpace:
 
     def at_ring(self, ring):
         """The space over a dual extension, validated once per ring."""
-        if ring == self.ring:
-            return self
-        lifted = self._lifts.get(ring)
-        if lifted is None:
-            lifted = self._lifts[ring] = ProjectiveSpace(
-                self.polarity.embed(ring), self.jctx.at_ring(ring),
-                self.o.embed(ring))
-        return lifted
+        return lift_once(self, ring, lambda r: ProjectiveSpace(
+            self.polarity.embed(r), self.jctx.at_ring(r), self.o.embed(r)))
 
 
 def sym_mul(ctx, x, y):
@@ -229,7 +220,7 @@ def tilde_field(ctx, v, p):
     """
     ring = p.ring
     ctx_r = ctx.at_ring(ring)
-    vr = v.embed(ring) if v.ring != ring else v
+    vr = v.embed(ring)
     if not ctx_r.tangent_contains(vr):
         raise NotInSpace("v is not tangent at the base point")
     inner = ctx_r.mul_chart(ctx_r.o_chart, p)

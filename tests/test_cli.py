@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -605,6 +606,64 @@ def test_verify_config_without_options_keeps_defaults():
         '"ring": {"kind": "rational"}, "seed": 3, "tol": 1e-09, '
         '"trials": 2}')
 
+
+
+# -- files and moduli that the CLI refuses as usage errors --------------------
+
+QI_REQUEST = '{"op": "quasi_inverse", "ring": "rational", "n": 1, "x": 1, "y": 1}'
+
+
+def assert_usage_error(args, error, stdin=QI_REQUEST):
+    """Exit 2 with the named error as strict JSON; run in process, so a
+    traceback would fail the test."""
+    code, out, err = run_in_process(args, stdin)
+    assert code == 2, args
+    assert json.loads(out, parse_constant=_strict)["error"] == error
+    assert "Traceback" not in err
+
+
+def test_compute_refuses_missing_input_file(tmp_path):
+    assert_usage_error(["compute", "--in", str(tmp_path / "none.json")],
+                       "UnreadableInput")
+
+
+def test_compute_refuses_directory_as_input_file(tmp_path):
+    assert_usage_error(["compute", "--in", str(tmp_path)], "UnreadableInput")
+
+
+def test_compute_refuses_non_utf8_input_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"op": "caf\u00e9"}'.encode("latin-1"))
+    assert_usage_error(["compute", "--in", str(path)], "UnreadableInput")
+
+
+def test_compute_refuses_unwritable_output_file(tmp_path):
+    assert_usage_error(["compute", "--out", str(tmp_path / "no" / "x.json")],
+                       "UnwritableOutput")
+
+
+def test_verify_refuses_unwritable_output_file(tmp_path):
+    assert_usage_error(["verify", "--suite", "mu", "--trials", "2",
+                        "--out", str(tmp_path)], "UnwritableOutput")
+
+
+def test_prime_moduli_are_integers_decided_exactly():
+    """A modulus must be an int, not a bool, and an odd prime; 2^61 - 1
+    parses at once, where trial division would try about 7.6e8 odd
+    divisors up to its square root."""
+    t0 = time.perf_counter()
+    code, out, _ = run_in_process(["verify", "--suite", "mu", "--trials",
+                                   "2", "--ring", "fp:2305843009213693951"])
+    assert code == 0 and time.perf_counter() - t0 < 1.0
+    assert json.loads(out)["config"]["ring"] == {"kind": "prime_field",
+                                                  "p": 2 ** 61 - 1}
+    for p in ("561", "5.0", '"5"', "True"):
+        assert_usage_error(["verify", "--suite", "mu", "--trials", "2",
+                            "--ring", f"fp:{p}"], "UnknownRing")
+    for p in (561, 5.0, "5", True):
+        req = {"op": "quasi_inverse", "ring": {"kind": "prime_field", "p": p},
+               "n": 1, "x": 1, "y": 1}
+        assert_usage_error(["compute"], "MalformedRequest", json.dumps(req))
 
 
 # -- the compute contract under fuzzed requests -------------------------------

@@ -16,8 +16,7 @@ from jordankit.jordan import (JordanContext, bergman_closed,
                               loos_quasi_inverse, quad_triple_operator,
                               quasi_inverse, rep_operators, triple_product)
 from jordankit.randgen import rand_in_context, rand_matrix, trial_rng
-from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing,
-                             embed_scalar)
+from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing
 from jordankit.suites import check_units_literal, literal_units
 from jordankit.symspace import JordanUnitsSpace
 
@@ -332,7 +331,8 @@ def exact_lift(m):
     def lift(s):
         if isinstance(s, Dual):
             return Dual(lift(s.re), lift(s.eps))
-        return Q.from_fraction(Fraction(s))
+        f = Fraction(s)
+        return Q.from_int(f.numerator) * Q.invert(Q.from_int(f.denominator))
     ring, r = Q, m.ring
     while isinstance(r, DualRing):
         ring, r = DualRing(ring), r.base
@@ -370,9 +370,8 @@ def embedded_element(rng, ctx):
     """An element of V whose top eps-part is zero, from coordinates over
     the ring one level down (the lifted contexts have such a basis)."""
     base = ctx.ring.base
-    return ctx.space.from_coords([embed_scalar(rand_coord(rng, base), base,
-                                               ctx.ring)
-                                  for _ in range(ctx.dim)])
+    coords = Matrix(base, [[rand_coord(rng, base)] for _ in range(ctx.dim)])
+    return ctx.space.from_coords(coords.embed(ctx.ring))
 
 
 def assert_inverse_parity(ctx, x):
@@ -482,8 +481,8 @@ def test_units_results_are_bit_hermitian_over_floats(ring, scale):
             x, y = (ctx.space.from_coords([rand_coord(rng, ring)
                                            for _ in range(ctx.dim)])
                     for _ in range(2))
-            x = x.scale(embed_scalar(scale, FLOAT64, ring))
-            y = y.scale(embed_scalar(scale ** -2, FLOAT64, ring))
+            x = x.scale(Matrix(FLOAT64, [[scale]]).embed(ring)[0, 0])
+            y = y.scale(Matrix(FLOAT64, [[scale ** -2]]).embed(ring)[0, 0])
             for z in (space.mul(x, y), jordan_inverse(ctx, x),
                       jordan_inverse(ctx, y)):
                 assert z == ctx.involution.apply(z)

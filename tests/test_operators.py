@@ -9,18 +9,19 @@ import random
 import pytest
 
 from jordankit.algebra import (Involution, LinearOperator, Matrix,
-                               left_mult, matrix_unit_basis, op_from_action,
-                               right_mult, sandwich)
+                               left_mult, matrix_unit_basis, right_mult,
+                               sandwich)
 from jordankit.errors import NotInSubspace
 from jordankit.graded import (GroupElement, ad_blocks, ad_bracket, check,
-                              degree_basis, degree_component, denominators,
-                              grading_block, hat, pr1)
+                              denominators, hat, pr1)
 from jordankit.jordan import (JordanContext, bergman_closed,
                               bergman_operator, quad_triple_operator,
                               rep_operators)
 from jordankit.randgen import rand_group_word, rand_in_context, rand_matrix
 from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing,
                              PrimeFieldRing)
+from operator_oracles import (degree_basis, degree_component, grading_block,
+                              op_from_action)
 
 RINGS = [RATIONAL, PrimeFieldRing(5), DualRing(PrimeFieldRing(7)),
          DualRing(RATIONAL), DualRing(DualRing(RATIONAL)), FLOAT64]

@@ -7,14 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordankit.algebra import Matrix, dual_split
 from jordankit.errors import NotAUnit, NotDual, RingMismatch
 from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing, Fp,
-                             PrimeFieldRing, dual_parts, embed_scalar,
-                             ring_from_json, ring_to_json, scalar_from_json,
-                             scalar_to_json)
+                             PrimeFieldRing, ring_from_json, ring_to_json,
+                             scalar_from_json, scalar_to_json)
 
 F5 = PrimeFieldRing(5)
 QE = DualRing(RATIONAL)
+
+
+def frac(f):
+    """The rational scalar of the Fraction f."""
+    return (RATIONAL.from_int(f.numerator)
+            * RATIONAL.invert(RATIONAL.from_int(f.denominator)))
 
 
 def test_unit_predicates():
@@ -29,8 +35,7 @@ def test_unit_predicates():
 
 
 def test_invert_examples():
-    assert RATIONAL.invert(RATIONAL.from_int(2)) == RATIONAL.from_fraction(
-        __import__("fractions").Fraction(1, 2))
+    assert RATIONAL.invert(RATIONAL.from_int(2)) == frac(Fraction(1, 2))
     # brute-force oracle over the residues of F_5
     inv3 = [k for k in range(5) if (3 * k) % 5 == 1]
     assert inv3 == [2]
@@ -46,9 +51,11 @@ def test_invert_examples():
 def test_dual_lift_round_trip():
     ring, s = DualRing(RATIONAL), Dual(RATIONAL.from_int(3), RATIONAL.one())
     assert ring == QE
-    assert dual_parts(ring, s) == (RATIONAL.from_int(3), RATIONAL.one())
+    assert (s.re, s.eps) == (RATIONAL.from_int(3), RATIONAL.one())
+    re, eps = dual_split(Matrix(ring, [[s]]))
+    assert (re[0, 0], eps[0, 0]) == (RATIONAL.from_int(3), RATIONAL.one())
     with pytest.raises(NotDual):
-        dual_parts(RATIONAL, RATIONAL.from_int(5))
+        dual_split(Matrix(RATIONAL, [[RATIONAL.from_int(5)]]))
 
 
 def test_eps_squares_to_zero():
@@ -69,19 +76,22 @@ def test_prime_validation():
         PrimeFieldRing(9)
     with pytest.raises(ValueError):
         PrimeFieldRing(2)
+    # Carmichael; the least strong pseudoprime to the first 12 prime
+    # bases; non-integers; a modulus past the exact range of the test.
+    for p in (561, 318665857834031151167461, 5.0, "5", True, 2 ** 82):
+        with pytest.raises(ValueError):
+            PrimeFieldRing(p)
+    for p in (2 ** 61 - 1, 2 ** 81 - 51):
+        assert PrimeFieldRing(p).p == p
 
 
 scalar_q = st.fractions(min_value="-50", max_value="50", max_denominator=9)
 
 
-def _q(f):
-    return RATIONAL.from_fraction(f)
-
-
 @settings(max_examples=200, deadline=None)
 @given(scalar_q, scalar_q, scalar_q)
 def test_ring_axioms_rational(a, b, c):
-    a, b, c = _q(a), _q(b), _q(c)
+    a, b, c = frac(a), frac(b), frac(c)
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
@@ -100,7 +110,7 @@ def test_ring_axioms_fp(a, b, c):
 @settings(max_examples=200, deadline=None)
 @given(scalar_q)
 def test_double_inversion(a):
-    s = _q(a)
+    s = frac(a)
     if s == 0:
         return
     assert RATIONAL.invert(RATIONAL.invert(s)) == s
@@ -117,7 +127,7 @@ def test_double_inversion_fp_exhaustive():
 @given(scalar_q, scalar_q, scalar_q, scalar_q)
 def test_dual_inversion(a, b, c, d):
     ring = DualRing(QE)
-    s = Dual(Dual(_q(a), _q(b)), Dual(_q(c), _q(d)))
+    s = Dual(Dual(frac(a), frac(b)), Dual(frac(c), frac(d)))
     if not ring.is_unit(s):
         with pytest.raises(NotAUnit):
             ring.invert(s)
@@ -169,17 +179,17 @@ def test_mixed_term_survives():
 
 
 def test_embed_scalar():
-    s = RATIONAL.from_int(7)
+    s = Matrix(RATIONAL, [[RATIONAL.from_int(7)]])
     ring2 = DualRing(DualRing(RATIONAL))
-    e = embed_scalar(s, RATIONAL, ring2)
-    assert e == ring2.from_int(7)
+    e = s.embed(ring2)
+    assert e[0, 0] == ring2.from_int(7)
     with pytest.raises(RingMismatch):
-        embed_scalar(s, RATIONAL, F5)
+        s.embed(F5)
 
 
 def test_json_round_trips():
     cases = [
-        (RATIONAL, RATIONAL.from_fraction(__import__("fractions").Fraction(-3, 7))),
+        (RATIONAL, frac(Fraction(-3, 7))),
         (F5, Fp(4, 5)),
         (FLOAT64, 1.25),
         (QE, Dual(RATIONAL.one(), RATIONAL.from_int(-2))),
@@ -216,8 +226,8 @@ def _rand_jet(rng, ring):
               else _rand_jet(rng, ring.base))
         return Dual(re, _rand_jet(rng, ring.base))
     if ring == RATIONAL:
-        return RATIONAL.from_fraction(Fraction(rng.randint(-10**6, 10**6),
-                                               rng.choice(DENOMS)))
+        return frac(Fraction(rng.randint(-10**6, 10**6),
+                           rng.choice(DENOMS)))
     if ring == FLOAT64:
         return float(rng.randint(-9, 9))
     return ring.from_int(rng.choice([rng.randint(-9, 9),
@@ -278,12 +288,11 @@ def test_jet_arithmetic_matches_part_formulas(ring):
 def test_rational_jets_are_reduced():
     """Over Q a jet keeps one reduced denominator, so values reached by
     different routes are equal and hash alike."""
-    half = Dual(RATIONAL.from_fraction(Fraction(1, 2)),
-                RATIONAL.from_fraction(Fraction(1, 2)))
+    half = Dual(frac(Fraction(1, 2)), frac(Fraction(1, 2)))
     two = QE.from_int(2)
     assert half * two == Dual(RATIONAL.one(), RATIONAL.one())
     assert hash(half * two) == hash(Dual(RATIONAL.one(), RATIONAL.one()))
-    big = RATIONAL.from_fraction(Fraction(10**20 + 1, 10**20))
+    big = frac(Fraction(10**20 + 1, 10**20))
     s = Dual(big, -big)
     assert s + (-s) == QE.zero() and hash(s - s) == hash(QE.zero())
     assert (s * QE.invert(s)) == QE.one()
@@ -304,7 +313,7 @@ def test_jet_ring_mismatches():
 
 _jet_q = st.tuples(st.integers(-10**6, 10**6),
                    st.sampled_from(DENOMS)).map(
-    lambda t: RATIONAL.from_fraction(Fraction(*t)))
+    lambda t: frac(Fraction(*t)))
 
 
 def _jet_strategy(ring, leaf):

@@ -7,12 +7,11 @@ from jordankit.graded import GroupElement
 from jordankit.projline import Polarity
 from jordankit.randgen import (rand_group_word, rand_matrix, rand_point,
                                trial_rng)
-from jordankit.rings import RATIONAL, PrimeFieldRing
-from jordankit.serialize import (element_from_json, element_to_json,
-                                 group_from_json, group_to_json,
-                                 involution_from_json, involution_to_json,
-                                 point_from_json, point_to_json,
-                                 polarity_from_json, polarity_to_json,
+from jordankit.rings import RATIONAL, PrimeFieldRing, ring_to_json
+from jordankit.serialize import (element_from_json, group_from_json,
+                                 group_to_json, involution_from_json,
+                                 matrix_to_json, point_from_json,
+                                 point_to_json, polarity_from_json,
                                  symspace_context_from_json)
 
 Q = RATIONAL
@@ -22,10 +21,13 @@ def test_element_round_trip():
     rng = trial_rng(1, 0)
     for ring in (Q, PrimeFieldRing(5)):
         x = rand_matrix(rng, ring, 2)
-        assert element_from_json(element_to_json(x)) == x
+        obj = {"n": 2, "ring": ring_to_json(ring),
+               "entries": matrix_to_json(x)}
+        assert element_from_json(obj) == x
     # scalar shorthand for n = 1
     x = rand_matrix(rng, Q, 1)
-    obj = element_to_json(x)
+    obj = {"n": 1, "ring": ring_to_json(Q),
+           "entries": matrix_to_json(x)[0][0]}
     assert not isinstance(obj["entries"], list)
     assert element_from_json(obj) == x
 
@@ -52,21 +54,29 @@ def test_point_round_trip():
 def test_involution_round_trip():
     iota = Involution("form_adjoint", Matrix.from_ints(Q, [[0, 1], [-1, 0]]),
                       "skew")
-    assert involution_from_json(Q, involution_to_json(iota)) == iota
+    obj = {"kind": "form_adjoint", "B": [["0", "1"], ["-1", "0"]],
+           "symmetry": "skew"}
+    assert involution_from_json(Q, obj) == iota
+    assert involution_from_json(Q, {"kind": "transpose"}) == Involution()
     assert involution_from_json(Q, None) == Involution()
 
 
 def test_polarity_round_trip():
     rng = trial_rng(4, 0)
     e = rand_point(rng, Q, 2)
+    ident = GroupElement.identity(Q, 2)
     specs = [
-        Polarity("linear", S=GroupElement.i11(Q, 2)),
-        Polarity("semilinear", j=3, ring=Q, n=2),
-        Polarity("linear", S=GroupElement.identity(Q, 2),
-                 H=Matrix.from_ints(Q, [[2, 1], [1, 1]])),
+        (Polarity("linear", S=GroupElement.i11(Q, 2)),
+         {"mode": "linear", "S": "I11"}),
+        (Polarity("semilinear", j=3, ring=Q, n=2),
+         {"mode": "semilinear", "j": 3, "involution": {"kind": "transpose"},
+          "S": group_to_json(ident)}),
+        (Polarity("linear", S=ident, H=Matrix.from_ints(Q, [[2, 1], [1, 1]])),
+         {"mode": "linear", "S": group_to_json(ident),
+          "H": [["2", "1"], ["1", "1"]]}),
     ]
-    for spec in specs:
-        back = polarity_from_json(Q, 2, polarity_to_json(spec))
+    for spec, obj in specs:
+        back = polarity_from_json(Q, 2, obj)
         assert back.apply(e) == spec.apply(e)
 
 

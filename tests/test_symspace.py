@@ -8,17 +8,18 @@ import pytest
 from jordankit.algebra import (CoordinateBasis, Involution, Matrix,
                                dual_combine, dual_split)
 from jordankit.errors import NotInSpace
+from jordankit.graded import GroupElement
 from jordankit.jordan import JordanContext, jordan_inverse, jordan_product
-from jordankit.projline import chart_coords, gamma_chart
+from jordankit.projline import Polarity, chart_coords, gamma_chart
 from jordankit.randgen import (rand_filtered, rand_in_context, rand_invertible,
                                rand_matrix, rand_orthogonal2, trial_rng)
 from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing
-from jordankit.suites import (group_space, literal_units, numeric_lts,
-                              proj_space_i11, proj_space_jmat, proj_space_swap,
+from jordankit.suites import (group_space, jordan_ctx, literal_units,
+                              numeric_lts, proj_space_i11, proj_space_swap,
                               unitary_space, units_space)
-from jordankit.symspace import (JordanUnitsSpace, exp_tanh, lts_bracket,
-                                quadratic_rep_point, sym_mul, tilde_field,
-                                transvection)
+from jordankit.symspace import (JordanUnitsSpace, ProjectiveSpace, exp_tanh,
+                                lts_bracket, quadratic_rep_point, sym_mul,
+                                tilde_field, transvection)
 
 Q = RATIONAL
 
@@ -72,11 +73,24 @@ def test_lifts_are_built_once_per_ring():
     ctx = JordanContext(2, Q, "hermitian", Involution())
     assert ctx.at_ring(DualRing(Q)) is ctx.at_ring(DualRing(Q))
     assert ctx.at_ring(Q) is ctx
-    for space in (units_space(Q, 2), proj_space_swap(Q, 2)):
+    for space in (units_space(Q, 2), proj_space_swap(Q, 2),
+                  unitary_space(Q, 2)):
         lifted = space.at_ring(d1)
+        assert space.at_ring(Q) is space
         assert space.at_ring(DualRing(Q)) is lifted
-        assert lifted.jctx is space.jctx.at_ring(d1)
+        if hasattr(space, "jctx"):
+            assert lifted.jctx is space.jctx.at_ring(d1)
         assert lifted.at_ring(d2) is lifted.at_ring(DualRing(DualRing(Q)))
+
+
+def test_embed_is_the_identity_on_its_own_ring():
+    form = mat([[0, 1], [-1, 0]])
+    g = GroupElement.jmat(Q, 2)
+    polarities = (Polarity("linear", S=g, H=mat([[2, 1], [1, 1]])),
+                  Polarity("semilinear", j=3, ring=Q, n=2))
+    for obj in (form, g, Involution("form_adjoint", form, "skew"),
+                Involution(), *polarities, gamma_chart(mat([[1, 2], [3, 4]]))):
+        assert obj.embed(Q) is obj
 
 
 def dual_units_spaces():
@@ -337,7 +351,8 @@ def test_exp_tanh_doubling_sym2():
 
 
 def test_jmat_polarity_satisfies_axioms():
-    space = proj_space_jmat(Q, 1)
+    space = ProjectiveSpace(Polarity("linear", S=GroupElement.jmat(Q, 1)),
+                            jordan_ctx(Q, 1))
     rng = trial_rng(9, 0)
     hits = 0
     while hits < 10:
