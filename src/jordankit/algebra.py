@@ -8,7 +8,8 @@ whole life. Over Q, F_p and float64 that is the packed form
 rows. Over a dual ring it is one such matrix per nilpotent mask, over
 one denominator (rings.Jets). Sums, products, scaling, transpose,
 reshape, stacking, embedding, the eps-split, rank, solve and inverse,
-the operator builders and coordinate vectors all take and return it.
+and the operator builders all take and return it, and a coordinate
+vector is a column Matrix.
 The rows of scalars, `rows`, are a view built once, when a caller first
 reads entries (`rows`, indexing, `flatten`, `column`, serialization and
 the float tolerance checks). A Matrix is immutable, so neither form goes
@@ -50,13 +51,6 @@ class Matrix:
         m = cls.__new__(cls)
         m._adopt(ring, form)
         return m
-
-    @classmethod
-    def _new(cls, ring, rows):
-        """Internal fast path: adopts rows of scalars (list of row lists)
-        without checking their shape, packing them into the ring's
-        form."""
-        return cls._of(ring, ring.pack(rows))
 
     @property
     def rows(self):
@@ -246,44 +240,12 @@ def _components(s):
     return [s]
 
 
-class Vector:
-    """A coordinate vector: a column matrix read as the sequence of its
-    scalars. It keeps its ring's form, and the scalars are built only
-    when a caller reads them."""
-
-    __slots__ = ("col",)
-
-    def __init__(self, col):
-        self.col = col
-
-    def __len__(self):
-        return self.col.nrows
-
-    def __iter__(self):
-        return (r[0] for r in self.col.rows)
-
-    def __getitem__(self, i):
-        return self.col.rows[i][0]
-
-    def __eq__(self, other):
-        if isinstance(other, Vector):
-            return self.col == other.col
-        return list(self) == other
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Vector({list(self)!r})"
-
-
 def _column(ring, v):
-    """A vector (a Vector, a column matrix or a sequence of scalars) as a
-    column matrix."""
-    if isinstance(v, Vector):
-        return v.col
+    """A vector (a column matrix or a sequence of scalars) as a column
+    matrix."""
     if isinstance(v, Matrix):
         return v
-    return Matrix._new(ring, [[x] for x in v])
+    return Matrix._of(ring, ring.pack([[x] for x in v]))
 
 
 def _matvec(a, v):
@@ -385,30 +347,14 @@ class LinearOperator:
     def identity(cls, ring, dim):
         return cls(Matrix.identity(ring, dim))
 
-    @classmethod
-    def from_columns(cls, ring, cols):
-        """The operator whose j-th column is `cols[j]`, the image of the
-        j-th basis vector (a vector, a column matrix or a sequence of
-        scalars)."""
-        cols = [_column(ring, c) for c in cols]
-        if not cols:
-            return cls(Matrix.zeros(ring, 0))
-        return cls(cols[0].hstack(*cols[1:]))
-
-    @property
-    def dim_out(self):
-        return self.mat.nrows
-
-    @property
-    def dim_in(self):
-        return self.mat.ncols
-
     @property
     def ring(self):
         return self.mat.ring
 
     def apply_flat(self, flat):
-        return Vector(_matvec(self.mat, _column(self.ring, flat)))
+        """The column op(v) for v a column matrix or a sequence of
+        scalars."""
+        return _matvec(self.mat, _column(self.ring, flat))
 
     def compose(self, other):
         """self after other."""
@@ -433,13 +379,14 @@ class LinearOperator:
             raise SingularOperator(str(e)) from e
 
     def solve_flat(self, flat):
-        return Vector(self.mat.solve(_column(self.ring, flat)))
+        """The column z with op(z) = v, for v as in `apply_flat`."""
+        return self.mat.solve(_column(self.ring, flat))
 
     def __eq__(self, other):
         return isinstance(other, LinearOperator) and self.mat == other.mat
 
     def __repr__(self):
-        return f"LinearOperator({self.dim_out}x{self.dim_in})"
+        return f"LinearOperator({self.mat.nrows}x{self.mat.ncols})"
 
 
 def matrix_unit_basis(ring, n):
@@ -500,8 +447,9 @@ class CoordinateBasis:
     precomputed left inverse on pivot rows, then membership is the check
     that the reconstruction reproduces the element. On pivot rows the
     reconstruction cols[piv] L^-1 flat[piv] is flat[piv] by construction,
-    so only the remaining (free) rows are compared. Coordinates are
-    Vectors, in the ring's form.
+    so only the remaining (free) rows are compared. A coordinate vector
+    is a column Matrix, in the ring's form; `from_coords` also takes a
+    sequence of scalars.
     """
 
     __slots__ = ("ring", "n", "basis", "_cols", "_pivot_rows", "_left_inv",
@@ -546,7 +494,7 @@ class CoordinateBasis:
                 _matvec(self._free_cols, c),
                 flat.submatrix(self._free_rows, [0])):
             raise NotInSubspace("element is outside the subspace")
-        return Vector(c)
+        return c
 
     def _agree(self, got, want):
         """Whether two matrices are equal: exactly over exact rings,

@@ -24,27 +24,24 @@ from .jordan import rep_operators
 @dataclass(frozen=True)
 class MapHandle:
     name: str
-    arity: int
     evaluator: Callable
 
-    def __call__(self, ring, *args):
-        if len(args) != self.arity:
-            raise TypeError(f"{self.name} takes {self.arity} argument(s)")
-        return self.evaluator(ring, *args)
+    def __call__(self, ring, x):
+        return self.evaluator(ring, x)
 
 
 # -- built-in handles -------------------------------------------------------
 
 def alg_inversion():
-    return MapHandle("alg_inversion", 1, lambda ring, x: x.inverse())
+    return MapHandle("alg_inversion", lambda ring, x: x.inverse())
 
 
 def squaring():
-    return MapHandle("squaring", 1, lambda ring, x: x @ x)
+    return MapHandle("squaring", lambda ring, x: x @ x)
 
 
 def linear_map(a, name="linear"):
-    return MapHandle(name, 1, lambda ring, x: a.embed(ring) @ x)
+    return MapHandle(name, lambda ring, x: a.embed(ring) @ x)
 
 
 def jordan_inversion(jctx):
@@ -53,7 +50,7 @@ def jordan_inversion(jctx):
     def ev(ring, x):
         return jordan_inverse(jctx.at_ring(ring), x)
 
-    return MapHandle("jordan_inversion", 1, ev)
+    return MapHandle("jordan_inversion", ev)
 
 
 def quasi_inverse_in_first(jctx, y):
@@ -62,7 +59,7 @@ def quasi_inverse_in_first(jctx, y):
     def ev(ring, x):
         return quasi_inverse(jctx.at_ring(ring), x, y.embed(ring))
 
-    return MapHandle("quasi_inverse_x", 1, ev)
+    return MapHandle("quasi_inverse_x", ev)
 
 
 def group_action(g):
@@ -71,14 +68,12 @@ def group_action(g):
     def ev(ring, x):
         return act(g.embed(ring), x)
 
-    return MapHandle("group_action", 1, ev)
+    return MapHandle("group_action", ev)
 
 
 def compose(f, g):
     """f after g."""
-    if g.arity != 1 or f.arity != 1:
-        raise TypeError("composition needs unary handles")
-    return MapHandle(f"{f.name}.{g.name}", 1,
+    return MapHandle(f"{f.name}.{g.name}",
                      lambda ring, x: f(ring, g(ring, x)))
 
 
@@ -92,7 +87,7 @@ def bergman_inverse_apply(jctx, a, v):
         return ctx.space.from_coords(
             b.solve_flat(ctx.space.coords(v.embed(ring))))
 
-    return MapHandle("bergman_inverse_apply", 1, ev)
+    return MapHandle("bergman_inverse_apply", ev)
 
 
 # -- differentiation --------------------------------------------------------
@@ -144,7 +139,7 @@ def lie_bracket_fields(xfield, yfield, x):
 
 def field_bracket(xfield, yfield):
     """The bracket as a field, so brackets can be nested."""
-    return MapHandle(f"[{xfield.name},{yfield.name}]", 1,
+    return MapHandle(f"[{xfield.name},{yfield.name}]",
                      lambda ring, p: lie_bracket_fields(xfield, yfield, p))
 
 

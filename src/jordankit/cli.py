@@ -40,10 +40,6 @@ def _emit(obj, out):
     out.write(text + "\n")
 
 
-def _parse_ring(text):
-    return ring_from_json(text)
-
-
 def _tolerance_error(tol):
     """Why `tol` cannot be a tolerance, or None if it can: it must be a
     finite, non-negative number."""
@@ -62,7 +58,7 @@ def cmd_list_suites(args, out):
 
 def cmd_verify(args, out):
     try:
-        ring = _parse_ring(args.ring)
+        ring = ring_from_json(args.ring)
     except ValueError as e:
         _emit({"error": "UnknownRing", "detail": str(e)}, out)
         return 2
@@ -127,12 +123,12 @@ def _element_out(ctx, m):
     return matrix_to_json(m)
 
 
-def compute(req, convention="ad"):
+def compute(req):
     """Dispatch one compute request; returns the response dict."""
     if not isinstance(req, dict):
         raise ValueError("request must be a JSON object")
     op = req.get("op")
-    convention = req.get("convention", convention)
+    convention = req.get("convention", "ad")
     if convention not in ("ad", "loos"):
         raise ValueError(f"unknown convention {convention!r}")
 
@@ -192,7 +188,7 @@ def compute(req, convention="ad"):
         return {"op": op, "result": point_to_json(e),
                 "chart": matrix_to_json(chart_coords(e))}
 
-    if op in ("cayley", "cayley_identity"):
+    if op == "cayley":
         ring = ring_from_json(req.get("ring", "rational"))
         n = n_from_json(req)
         res = suites.check_cayley_identities(ring, n)
@@ -216,7 +212,7 @@ def compute(req, convention="ad"):
         r = scalar_from_json(x.ring, req["r"])
         return {"op": op, "result": point_to_json(mu_dilation(r, x, a, y))}
 
-    if op in ("derivative", "derivative_check"):
+    if op == "derivative":
         return _compute_derivative(req)
 
     raise ValueError(f"unknown op {op!r}")
@@ -253,11 +249,12 @@ def cmd_compute(args, out):
         return 2
     try:
         req = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: the request nests deeper than the decoder goes.
         _emit({"error": "MalformedRequest", "detail": str(e)}, out)
         return 2
     try:
-        resp = compute(req, convention=args.convention)
+        resp = compute(req)
         _emit(resp, out)
     except JordankitError as e:
         _emit({"error": type(e).__name__, "detail": str(e)}, out)
@@ -291,7 +288,6 @@ def build_parser():
     c = sub.add_parser("compute", help="one-shot computation from JSON")
     c.add_argument("--in", dest="infile")
     c.add_argument("--out", dest="outfile")
-    c.add_argument("--convention", choices=("ad", "loos"), default="ad")
 
     sub.add_parser("list-suites", help="list the available suites")
     return p

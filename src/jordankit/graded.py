@@ -9,8 +9,7 @@ membership in the subgroup they generate.
 
 from __future__ import annotations
 
-from .algebra import (LinearOperator, Matrix, left_mult, matrix_unit_basis,
-                      op_solve, right_mult, sandwich)
+from .algebra import Matrix, left_mult, op_solve, right_mult, sandwich
 from .errors import NotInChart, NotInvertible, RingMismatch, ShapeMismatch
 
 
@@ -45,10 +44,6 @@ def pr1(X, n):
     return X.submatrix(range(n), range(n, 2 * n))
 
 
-def prm1(X, n):
-    return X.submatrix(range(n, 2 * n), range(n))
-
-
 def euler(ring, n):
     """E = (1/2) diag(1, -1); ad(E) acts as the degree."""
     h = ring.half()
@@ -59,11 +54,6 @@ def euler(ring, n):
 def ad_bracket(X, Y):
     """[X, Y] = XY - YX in gl_2(A)."""
     return X @ Y - Y @ X
-
-
-def gl2_basis(ring, n):
-    """Matrix units of M_2n(K), row-major: a basis of gl_2(A) over K."""
-    return matrix_unit_basis(ring, 2 * n)
 
 
 def ad_blocks(v, degree):
@@ -205,10 +195,9 @@ class GroupElement:
 
 
 def ad_operator(g):
-    """Ad(g) materialized on the matrix-unit basis of gl_2(A)."""
-    gi = g.inverse_mat()
-    return LinearOperator.from_columns(
-        g.ring, [(g.mat @ b @ gi).vec() for b in gl2_basis(g.ring, g.n)])
+    """Ad(g) on the row-major coordinates of gl_2(A) = M_2n(K):
+    vec(g X g^-1) = (g (x) g^-T) vec(X), the sandwich by g and g^-1."""
+    return sandwich(g.mat, g.inverse_mat())
 
 
 def denominators(g, x):

@@ -198,22 +198,15 @@ class Polarity:
 
     __slots__ = ("mode", "S", "j", "involution", "H", "_eff")
 
-    def __init__(self, mode, S=None, j=None, involution=None, H=None,
-                 ring=None, n=None):
+    def __init__(self, mode, S, j=None, involution=None, H=None):
         if mode not in ("linear", "semilinear"):
             raise ValueError(f"unknown polarity mode {mode!r}")
-        if mode == "linear" and S is None:
-            raise ValueError("linear polarity needs a matrix S")
         if mode == "semilinear":
             if j not in (1, 2, 3, 4):
                 raise ValueError("semilinear polarity needs j in 1..4")
             if involution is None:
                 from .algebra import Involution
                 involution = Involution()
-            if S is None:
-                if ring is None or n is None:
-                    raise ValueError("semilinear polarity needs S or (ring, n)")
-                S = GroupElement.identity(ring, n)
         self.mode = mode
         self.S = S
         self.j = j

@@ -38,10 +38,9 @@ from operator import add, mul, sub
 
 from .errors import NotAUnit, RingMismatch
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # gmpy2 is the optional `fast` extra
-    _rational = Fraction
+# The one rational type, named so the benchmark's `# env` line can report
+# it.
+_rational = Fraction
 
 
 class Fp:
@@ -112,24 +111,6 @@ def _subsets(size):
     """For each mask m < size, the masks s that are subsets of m, in
     increasing order."""
     return [[s for s in range(m + 1) if s & m == s] for m in range(size)]
-
-
-@cache
-def _convolution(size):
-    """The subset convolution c_m = sum of a_s b_(m^s) over the subsets s
-    of m, for coordinate tuples a and b of `size` entries: the jet product
-    before reduction to the root's packed form.
-
-    It is compiled to one straight-line expression per mask, which runs
-    several times faster than a loop over the (s, m^s) pairs; the terms
-    are added in increasing s.
-    """
-    terms = [" + ".join(f"a[{s}] * b[{m ^ s}]" for s in sub)
-             for m, sub in enumerate(_subsets(size))]
-    namespace = {}
-    exec(f"def conv(a, b):\n    return ({', '.join(terms)},)\n",
-         namespace)
-    return namespace["conv"]
 
 
 class Dual:
@@ -227,8 +208,12 @@ class Dual:
     def __mul__(self, o):
         v, p = self.v, self.p
         if type(o) is Dual:
+            # The subset convolution c_m = sum of v_s w_(m^s) over the
+            # subsets s of m, added in increasing s from the first term.
             w = self._other(o)
-            return _reduced(_convolution(len(v))(v, w), self.d * o.d, p)
+            return _reduced(tuple([reduce(add, [v[s] * w[m ^ s] for s in sub])
+                                   for m, sub in enumerate(_subsets(len(v)))]),
+                            self.d * o.d, p)
         if isinstance(o, int):
             return _reduced(tuple([x * o for x in v]), self.d, p)
         return NotImplemented
@@ -1159,7 +1144,28 @@ def ring_to_json(ring):
     raise ValueError(ring.kind)
 
 
+# The most nilpotents a ring read from JSON may nest: a scalar of
+# K[e1..ek] has 2^k jet coordinates, and a product costs 3^k of them.
+MAX_DUAL_DEPTH = 8
+
+
 def ring_from_json(obj):
+    """A shorthand string or a {"kind": ...} object; a dual tower nests
+    at most MAX_DUAL_DEPTH {"kind": "dual", "base": ...} levels."""
+    depth = 0
+    while isinstance(obj, dict) and obj.get("kind") == "dual":
+        if depth == MAX_DUAL_DEPTH:
+            raise ValueError(f"a dual tower has at most {MAX_DUAL_DEPTH} "
+                             "nilpotents")
+        depth += 1
+        obj = obj["base"]
+    ring = _field_from_json(obj)
+    for _ in range(depth):
+        ring = DualRing(ring)
+    return ring
+
+
+def _field_from_json(obj):
     if isinstance(obj, str):
         if obj == "rational":
             return RATIONAL
@@ -1175,8 +1181,6 @@ def ring_from_json(obj):
         return FLOAT64
     if kind == "prime_field":
         return PrimeFieldRing(obj["p"])
-    if kind == "dual":
-        return DualRing(ring_from_json(obj["base"]))
     raise ValueError(f"unknown ring kind {kind!r}")
 
 
@@ -1194,6 +1198,8 @@ def scalar_to_json(ring, s):
 
 
 def scalar_from_json(ring, obj):
+    if isinstance(obj, bool):
+        raise ValueError(f"a boolean is not a scalar: {obj!r}")
     if ring.kind == "rational":
         if isinstance(obj, (str, int)):
             try:
@@ -1212,11 +1218,12 @@ def scalar_from_json(ring, obj):
     if ring.kind == "prime_field":
         if isinstance(obj, int):
             return Fp(obj, ring.p)
-        if not (isinstance(obj, dict) and isinstance(obj.get("fp"), int)):
+        fp = obj.get("fp") if isinstance(obj, dict) else None
+        if not isinstance(fp, int) or isinstance(fp, bool):
             raise ValueError(f"bad prime-field payload {obj!r}")
         if obj.get("p", ring.p) != ring.p:
             raise RingMismatch(f"payload mod {obj['p']} in F_{ring.p}")
-        return Fp(obj["fp"], ring.p)
+        return Fp(fp, ring.p)
     if ring.kind == "dual":
         if isinstance(obj, dict) and "re" in obj:
             return Dual(scalar_from_json(ring.base, obj["re"]),

@@ -142,15 +142,14 @@ def point_from_json(obj, ring=None, n=None):
 
 def polarity_from_json(ring, n, obj):
     mode = obj["mode"]
-    s = group_from_json(ring, n, obj["S"]) if "S" in obj else None
+    s = (group_from_json(ring, n, obj["S"]) if "S" in obj
+         else GroupElement.identity(ring, n))
     h = matrix_from_json(ring, obj["H"], n) if "H" in obj else None
     if mode == "linear":
-        if s is None:
-            s = GroupElement.identity(ring, n)
         return Polarity("linear", S=s, H=h)
     iota = involution_from_json(ring, obj.get("involution"), n)
     return Polarity("semilinear", S=s, j=int_from_json(obj, "j", None),
-                    involution=iota, H=h, ring=ring, n=n)
+                    involution=iota, H=h)
 
 
 def jordan_context_from_json(obj):

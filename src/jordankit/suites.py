@@ -768,7 +768,7 @@ def numeric_lts(space, u, v, w):
     nested dual layers."""
     def handle(vec, tag):
         return calculus.MapHandle(
-            tag, 1, lambda ring, p: tilde_field(space, vec, p))
+            tag, lambda ring, p: tilde_field(space, vec, p))
 
     ut, vt, wt = handle(u, "u~"), handle(v, "v~"), handle(w, "w~")
     inner = calculus.field_bracket(ut, vt)
@@ -1059,7 +1059,7 @@ def check_schwarz(ring, n, trials, seed):
 
         def second(a, b):
             g = calculus.MapHandle(
-                "d_b", 1,
+                "d_b",
                 lambda rr, p: calculus.dual_derivative(f, p, b.embed(rr)))
             return calculus.dual_derivative(g, x, a)
 

@@ -249,16 +249,14 @@ def exp_tanh(ctx, v, order=24):
     from .algebra import LinearOperator
     cosh = LinearOperator.identity(ring, d)
     power = LinearOperator.identity(ring, d)
-    vcoords = jctx.space.coords(v)
-    sinh = list(vcoords)
+    vcoords = sinh = jctx.space.coords(v)
     fact = 1
     for k in range(1, order + 1):
         power = power.compose(qv)
         fact *= (2 * k - 1) * (2 * k)
         cosh = cosh + power.scale(ring.inv_int(fact))
-        qkv = power.apply_flat(vcoords)
         inv = ring.inv_int(fact * (2 * k + 1))
-        sinh = [s + inv * t for s, t in zip(sinh, qkv)]
+        sinh = sinh + power.apply_flat(vcoords).scale(inv)
     try:
         c = cosh.solve_flat(sinh)
     except SingularOperator as e:

@@ -2,13 +2,29 @@
 basis of its domain, one column per basis element.
 
 `op_from_action` is the oracle of the Kronecker-form builders
-`left_mult`, `right_mult` and `sandwich`; `grading_block` (with the
-degree pieces `degree_basis` and `degree_component` of gl_2(A)) is the
-oracle of the chart denominators of `graded.denominators`.
+`left_mult`, `right_mult` and `sandwich` and of `graded.ad_operator`;
+`grading_block` (with the degree pieces `degree_basis` and
+`degree_component` of gl_2(A)) is the oracle of the chart denominators
+of `graded.denominators`.
 """
 
 from jordankit.algebra import LinearOperator, Matrix, matrix_unit_basis
-from jordankit.graded import blocks, check, diag_embed, hat, pr1, prm1
+from jordankit.graded import blocks, check, diag_embed, hat, pr1
+
+
+def from_columns(ring, cols):
+    """The operator whose j-th column is `cols[j]`, the image of the j-th
+    basis vector (a column matrix or a sequence of scalars)."""
+    cols = [c if isinstance(c, Matrix) else Matrix(ring, [[x] for x in c])
+            for c in cols]
+    if not cols:
+        return LinearOperator(Matrix.zeros(ring, 0))
+    return LinearOperator(cols[0].hstack(*cols[1:]))
+
+
+def prm1(X, n):
+    """The degree -1 block of X: its lower-left n x n block."""
+    return X.submatrix(range(n, 2 * n), range(n))
 
 
 def op_from_action(f, basis, ring):
@@ -17,7 +33,7 @@ def op_from_action(f, basis, ring):
     `f` maps Matrix -> Matrix; the result's columns are the flattened
     images, so apply_flat works on row-major coordinates.
     """
-    return LinearOperator.from_columns(ring, [f(b).vec() for b in basis])
+    return from_columns(ring, [f(b).vec() for b in basis])
 
 
 def degree_basis(ring, n, degree):
@@ -48,6 +64,6 @@ def grading_block(g, i, j):
     """Component of Ad(g) mapping the degree-j piece to the degree-i piece."""
     ring, n = g.ring, g.n
     gi = g.inverse_mat()
-    return LinearOperator.from_columns(
+    return from_columns(
         ring, [degree_component(g.mat @ b @ gi, n, i)
                for b in degree_basis(ring, n, j)])

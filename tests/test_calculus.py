@@ -22,7 +22,7 @@ def frac(p, q):
 
 
 def constant_map(c):
-    return calculus.MapHandle("constant", 1, lambda ring, x: c.embed(ring))
+    return calculus.MapHandle("constant", lambda ring, x: c.embed(ring))
 
 
 def quasi_inverse_in_second(jctx, x):
@@ -31,7 +31,7 @@ def quasi_inverse_in_second(jctx, x):
     def ev(ring, y):
         return quasi_inverse(jctx.at_ring(ring), x.embed(ring), y)
 
-    return calculus.MapHandle("quasi_inverse_y", 1, ev)
+    return calculus.MapHandle("quasi_inverse_y", ev)
 
 
 def test_diff_quotient_examples():
@@ -136,7 +136,7 @@ def bracket_reference(xfield, yfield, x):
 
 def reference_field(xfield, yfield):
     return calculus.MapHandle(
-        "ref", 1, lambda ring, p: bracket_reference(xfield, yfield, p))
+        "ref", lambda ring, p: bracket_reference(xfield, yfield, p))
 
 
 @pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q),
@@ -169,7 +169,7 @@ def counted(handle, log):
     def ev(ring, x):
         log.append((handle.name, ring.depth))
         return handle(ring, x)
-    return calculus.MapHandle(handle.name, 1, ev)
+    return calculus.MapHandle(handle.name, ev)
 
 
 def test_bracket_evaluates_three_times():
@@ -202,7 +202,7 @@ def test_bracket_field_undefined_at_x_raises_its_own_error():
         if ring.kind == "dual":
             raise NotInvertible("no dual extension")
         return p
-    odd = calculus.MapHandle("base_only", 1, base_only)
+    odd = calculus.MapHandle("base_only", base_only)
     for xf, yf in ((odd, sq), (sq, odd)):
         with pytest.raises(DomainViolation):
             calculus.lie_bracket_fields(xf, yf, x)
@@ -292,7 +292,7 @@ def test_schwarz_second_derivatives():
 
     def second(aa, bb):
         g = calculus.MapHandle(
-            "partial", 1,
+            "partial",
             lambda rr, p: calculus.dual_derivative(inv, p, bb.embed(rr)))
         return calculus.dual_derivative(g, x, aa)
 

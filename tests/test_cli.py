@@ -17,7 +17,7 @@ from jordankit import cli, suites
 from jordankit.algebra import Matrix
 from jordankit.jordan import JordanContext, is_quasi_invertible
 from jordankit.randgen import rand_matrix, trial_rng
-from jordankit.rings import RATIONAL
+from jordankit.rings import RATIONAL, ring_from_json, scalar_from_json
 
 
 def run_cli(args, stdin=None):
@@ -119,7 +119,7 @@ def test_compute_act_not_in_chart():
 
 
 def test_compute_cayley_identity():
-    code, out, _ = run_cli(["compute"], stdin='{"op": "cayley_identity"}')
+    code, out, _ = run_cli(["compute"], stdin='{"op": "cayley"}')
     assert code == 0
     assert json.loads(out)["holds"] is True
 
@@ -422,11 +422,18 @@ def test_compute_rank_deficient_point_is_domain_error():
 
 
 def test_compute_derivative_alias():
-    req = {"op": "derivative_check", "map": "squaring",
+    """Each op has one name: the former aliases derivative_check and
+    cayley_identity are unknown ops."""
+    req = {"op": "derivative", "map": "squaring",
            "context": {"ring": "rational", "n": 2}, "samples": 10}
     code, out, _ = run_cli(["compute"], stdin=json.dumps(req))
     assert code == 0
     assert json.loads(out)["report"]["failed"] == 0
+    for alias in ("derivative_check", "cayley_identity"):
+        code, out, _ = run_in_process(["compute"],
+                                      stdin=json.dumps(dict(req, op=alias)))
+        assert code == 2, alias
+        assert json.loads(out)["error"] == "MalformedRequest", alias
 
 
 def test_compute_derivative_report():
@@ -514,8 +521,8 @@ def test_plain_ring_responses_are_unchanged():
 
 
 def test_convention_round_trip():
-    """Under the loos flag, (x, w) computes the ad-convention value at
-    (x, -w); 50 scalar trials through the dispatch layer."""
+    """Under the loos convention, (x, w) computes the ad-convention value
+    at (x, -w); 50 scalar trials through the dispatch layer."""
     ctx = JordanContext(1, RATIONAL, "full")
     hits = 0
     i = 0
@@ -531,9 +538,9 @@ def test_convention_round_trip():
         req = {"op": "quasi_inverse", "ring": "rational", "n": 1,
                "x": scalar_to_json(RATIONAL, x[0, 0]),
                "y": scalar_to_json(RATIONAL, w[0, 0])}
-        loos = cli.compute(dict(req), convention="loos")
+        loos = cli.compute(dict(req, convention="loos"))
         req["y"] = scalar_to_json(RATIONAL, -w[0, 0])
-        ad = cli.compute(dict(req), convention="ad")
+        ad = cli.compute(dict(req, convention="ad"))
         assert loos["result"] == ad["result"]
         assert loos["convention"] == "loos"
 
@@ -664,6 +671,56 @@ def test_prime_moduli_are_integers_decided_exactly():
         req = {"op": "quasi_inverse", "ring": {"kind": "prime_field", "p": p},
                "n": 1, "x": 1, "y": 1}
         assert_usage_error(["compute"], "MalformedRequest", json.dumps(req))
+
+
+def _dual_tower(depth):
+    ring = "rational"
+    for _ in range(depth):
+        ring = {"kind": "dual", "base": ring}
+    return ring
+
+
+def test_dual_towers_from_requests_are_bounded():
+    """A ring read from a request nests at most 8 nilpotents, since a
+    scalar of K[e1..ek] has 2^k jet coordinates: a depth-8 tower is
+    answered, a depth-9 or depth-70 one is malformed input."""
+    req = {"op": "quasi_inverse", "n": 1, "x": 1, "y": 1}
+    code, out, _ = run_in_process(
+        ["compute"], json.dumps(dict(req, ring=_dual_tower(8))))
+    assert code == 0
+    ring = ring_from_json(_dual_tower(8))
+    assert ring.depth == 8
+    assert (scalar_from_json(ring, json.loads(out)["result"])
+            == ring.invert(ring.from_int(2)))
+    for depth in (9, 70):
+        assert_usage_error(["compute"], "MalformedRequest",
+                           json.dumps(dict(req, ring=_dual_tower(depth))))
+
+
+def test_compute_refuses_deeply_nested_json():
+    """A request nested deeper than the JSON decoder goes is malformed."""
+    deep = '{"op": "quasi_inverse", "x": ' + "[" * 5000 + "]" * 5000 + "}"
+    assert_usage_error(["compute"], "MalformedRequest", deep)
+
+
+def test_booleans_are_not_scalars():
+    """true is refused as an entry over Q, float64 and F_p, bare or as
+    the residue of an F_p payload, as a request's integers are."""
+    for ring, x in (("rational", True), ("float64", True), ("fp:5", True),
+                    ("fp:5", {"fp": True, "p": 5}),
+                    ({"kind": "dual", "base": "rational"},
+                     {"re": 1, "eps": True})):
+        req = {"op": "quasi_inverse", "ring": ring, "n": 1, "x": x, "y": 1}
+        assert_usage_error(["compute"], "MalformedRequest", json.dumps(req))
+
+
+def test_compute_has_no_convention_option():
+    """The convention is the request's "convention" field; compute has
+    no --convention, so argparse refuses it."""
+    code, out, err = run_cli(["compute", "--convention", "loos"],
+                             stdin=QI_REQUEST)
+    assert code == 2
+    assert out == "" and "--convention" in err and "Traceback" not in err
 
 
 # -- the compute contract under fuzzed requests -------------------------------

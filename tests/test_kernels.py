@@ -199,7 +199,7 @@ def test_float_summation_order_and_partial_pivoting():
     a = Matrix(FLOAT64, [row])
     ones = Matrix(FLOAT64, [[1.0]] * 3)
     assert (a @ ones).rows == [[0.0]]
-    assert list(LinearOperator(a).apply_flat([1.0] * 3)) == [0.0]
+    assert LinearOperator(a).apply_flat([1.0] * 3).flatten() == [0.0]
     # Over R64[e], the row in the re-part and in the eps-part, times a
     # column of ones: both parts of the product add left to right.
     z = R64E.zero()

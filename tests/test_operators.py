@@ -12,16 +12,16 @@ from jordankit.algebra import (Involution, LinearOperator, Matrix,
                                left_mult, matrix_unit_basis, right_mult,
                                sandwich)
 from jordankit.errors import NotInSubspace
-from jordankit.graded import (GroupElement, ad_blocks, ad_bracket, check,
-                              denominators, hat, pr1)
+from jordankit.graded import (GroupElement, ad_blocks, ad_bracket,
+                              ad_operator, check, denominators, hat, pr1)
 from jordankit.jordan import (JordanContext, bergman_closed,
                               bergman_operator, quad_triple_operator,
                               rep_operators)
 from jordankit.randgen import rand_group_word, rand_in_context, rand_matrix
 from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing,
                              PrimeFieldRing)
-from operator_oracles import (degree_basis, degree_component, grading_block,
-                              op_from_action)
+from operator_oracles import (degree_basis, degree_component, from_columns,
+                              grading_block, op_from_action)
 
 RINGS = [RATIONAL, PrimeFieldRing(5), DualRing(PrimeFieldRing(7)),
          DualRing(RATIONAL), DualRing(DualRing(RATIONAL)), FLOAT64]
@@ -59,8 +59,8 @@ def matrix(rng, ring, n):
 def per_basis(space, f):
     """The restriction of f to the subspace, found one basis element at a
     time: the coordinates of f(b) for each basis element b."""
-    return LinearOperator.from_columns(
-        space.ring, [space.coords(f(b)) for b in space.basis])
+    return from_columns(space.ring,
+                        [space.coords(f(b)) for b in space.basis])
 
 
 def _close(a, b, scale):
@@ -117,6 +117,19 @@ def test_kronecker_operators_match_per_basis_evaluation(ring):
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_ad_operator_matches_per_basis_conjugation(ring):
+    """Ad(g), built as the sandwich by g and g^-1, is X -> g X g^-1
+    evaluated on the matrix units of M_2n(K)."""
+    rng = random.Random(45)
+    for n in (1, 2, 3):
+        g = rand_group_word(rng, ring, n, length=3)
+        gi = g.inverse_mat()
+        assert_same(ad_operator(g),
+                    op_from_action(lambda w: g.mat @ w @ gi,
+                                   matrix_unit_basis(ring, 2 * n), ring))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
 def test_jordan_operators_match_per_basis_evaluation(ring):
     rng = random.Random(42)
     half, quarter = ring.half(), ring.inv_int(4)
@@ -151,7 +164,7 @@ def test_ad_blocks_match_degree_components(ring):
             blocks = ad_blocks(v, degree)
             assert sorted(blocks) == sorted({0, -degree})
             for j, block in blocks.items():
-                want = LinearOperator.from_columns(ring, [
+                want = from_columns(ring, [
                     degree_component(ad_bracket(vv, e), n, j + degree)
                     for e in degree_basis(ring, n, j)])
                 assert_same(block, want)

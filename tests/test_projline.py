@@ -183,7 +183,7 @@ def test_gamma_units_exhaustive_f5():
 
 
 def test_polarity_semilinear_j3():
-    pol = Polarity("semilinear", j=3, ring=Q, n=1)
+    pol = Polarity("semilinear", GroupElement.identity(Q, 1), j=3)
     assert pol.apply(base_plus(Q, 1)) == base_minus(Q, 1)
     assert pol.nonisotropic(base_plus(Q, 1))
     e = gamma_chart(mat([[2]]))

@@ -285,6 +285,29 @@ def test_jet_arithmetic_matches_part_formulas(ring):
     assert units >= 10
 
 
+def _rand_float_jet(rng, ring):
+    """A jet over R64[e..] with coordinates that are not integers, so
+    products round."""
+    if isinstance(ring, DualRing):
+        return Dual(_rand_float_jet(rng, ring.base),
+                    _rand_float_jet(rng, ring.base))
+    return rng.uniform(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("ring", [_tower(RATIONAL, 3), _tower(F5, 2),
+                                  _tower(FLOAT64, 2)], ids=repr)
+def test_jet_product_matches_one_by_one_matmul(ring):
+    """The scalar product of two jets is the entry of their 1 x 1 product
+    by DualRing.matmul: both are the subset convolution of the
+    coordinates, added in increasing subset order."""
+    rng = random.Random(4343)
+    draw = _rand_float_jet if ring.root == FLOAT64 else _rand_jet
+    for _ in range(60):
+        x, y = draw(rng, ring), draw(rng, ring)
+        want = (Matrix(ring, [[x]]) @ Matrix(ring, [[y]]))[0, 0]
+        assert x * y == want and hash(x * y) == hash(want)
+
+
 def test_rational_jets_are_reduced():
     """Over Q a jet keeps one reduced denominator, so values reached by
     different routes are equal and hash alike."""

@@ -68,7 +68,7 @@ def test_polarity_round_trip():
     specs = [
         (Polarity("linear", S=GroupElement.i11(Q, 2)),
          {"mode": "linear", "S": "I11"}),
-        (Polarity("semilinear", j=3, ring=Q, n=2),
+        (Polarity("semilinear", ident, j=3),
          {"mode": "semilinear", "j": 3, "involution": {"kind": "transpose"},
           "S": group_to_json(ident)}),
         (Polarity("linear", S=ident, H=Matrix.from_ints(Q, [[2, 1], [1, 1]])),

@@ -87,7 +87,7 @@ def test_embed_is_the_identity_on_its_own_ring():
     form = mat([[0, 1], [-1, 0]])
     g = GroupElement.jmat(Q, 2)
     polarities = (Polarity("linear", S=g, H=mat([[2, 1], [1, 1]])),
-                  Polarity("semilinear", j=3, ring=Q, n=2))
+                  Polarity("semilinear", GroupElement.identity(Q, 2), j=3))
     for obj in (form, g, Involution("form_adjoint", form, "skew"),
                 Involution(), *polarities, gamma_chart(mat([[1, 2], [3, 4]]))):
         assert obj.embed(Q) is obj
