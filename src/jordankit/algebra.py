@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import _kernels as K
 from .errors import (NotDual, NotInvertible, NotInSubspace, RingMismatch,
-                     ShapeMismatch, SingularOperator)
+                     ShapeMismatch, SingularOperator, _echo)
 from .rings import Dual, DualRing
 
 
@@ -292,7 +292,7 @@ class Involution:
 
     def __init__(self, kind="transpose", form=None, symmetry="symmetric"):
         if kind not in ("transpose", "form_adjoint"):
-            raise ValueError(f"unknown involution kind {kind!r}")
+            raise ValueError(f"unknown involution kind {_echo(kind)}")
         self.kind = kind
         self.form = form
         self.symmetry = symmetry

@@ -17,8 +17,9 @@ from typing import Callable
 from . import randgen
 from .algebra import dual_combine, dual_split, op_solve
 from .errors import DomainViolation, JordankitError, NotAUnit
-from .graded import denominators, in_chart
-from .jordan import rep_operators
+from .graded import act, denominators, in_chart
+from .jordan import (bergman_operator, jordan_inverse, quasi_inverse,
+                     rep_operators)
 
 
 @dataclass(frozen=True)
@@ -45,30 +46,17 @@ def linear_map(a, name="linear"):
 
 
 def jordan_inversion(jctx):
-    from .jordan import jordan_inverse
-
-    def ev(ring, x):
-        return jordan_inverse(jctx.at_ring(ring), x)
-
-    return MapHandle("jordan_inversion", ev)
+    return MapHandle("jordan_inversion", lambda ring, x: jordan_inverse(
+        jctx.at_ring(ring), x))
 
 
 def quasi_inverse_in_first(jctx, y):
-    from .jordan import quasi_inverse
-
-    def ev(ring, x):
-        return quasi_inverse(jctx.at_ring(ring), x, y.embed(ring))
-
-    return MapHandle("quasi_inverse_x", ev)
+    return MapHandle("quasi_inverse_x", lambda ring, x: quasi_inverse(
+        jctx.at_ring(ring), x, y.embed(ring)))
 
 
 def group_action(g):
-    from .graded import act
-
-    def ev(ring, x):
-        return act(g.embed(ring), x)
-
-    return MapHandle("group_action", ev)
+    return MapHandle("group_action", lambda ring, x: act(g.embed(ring), x))
 
 
 def compose(f, g):
@@ -79,8 +67,6 @@ def compose(f, g):
 
 def bergman_inverse_apply(jctx, a, v):
     """x -> B(x, a)^-1 v, the operator-family quotient map."""
-    from .jordan import bergman_operator
-
     def ev(ring, x):
         ctx = jctx.at_ring(ring)
         b = bergman_operator(ctx, x, a.embed(ring))

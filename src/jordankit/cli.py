@@ -16,10 +16,9 @@ import math
 import sys
 
 from . import calculus, suites
-from .errors import JordankitError, NonFiniteResult
+from .errors import JordankitError, NonFiniteResult, _echo
 from .graded import act
-from .jordan import (bergman_operator, loos_bergman, loos_quasi_inverse,
-                     quasi_inverse)
+from .jordan import bergman_operator, quasi_inverse
 from .projline import (act_frac, chart_coords, classify_point,
                        mu_dilation, phi_involution)
 from .rings import ring_from_json, scalar_from_json, scalar_to_json
@@ -46,7 +45,8 @@ def _tolerance_error(tol):
     if (isinstance(tol, bool) or not isinstance(tol, (int, float))
             or (isinstance(tol, float) and not math.isfinite(tol))
             or tol < 0):
-        return f"tolerance must be a finite non-negative number, not {tol!r}"
+        return ("tolerance must be a finite non-negative number, "
+                f"not {_echo(tol)}")
     return None
 
 
@@ -105,11 +105,12 @@ def cmd_verify(args, out):
     return 0 if report.ok else 1
 
 
-def _jordan_args(req):
+def _jordan_args(req, convention):
+    """Context, x and y of a pair request; "loos" sends its w as y = -w."""
     ctx = jordan_context_from_json(req)
     x = matrix_from_json(ctx.ring, req["x"], ctx.n)
     y = matrix_from_json(ctx.ring, req["y"], ctx.n)
-    return ctx, x, y
+    return ctx, x, (y if convention == "ad" else -y)
 
 
 def _space_n(space):
@@ -117,9 +118,9 @@ def _space_n(space):
     return getattr(space, "jctx", space).n
 
 
-def _element_out(ctx, m):
-    if ctx.n == 1:
-        return scalar_to_json(ctx.ring, m[0, 0])
+def _element_out(m):
+    if m.shape == (1, 1):
+        return scalar_to_json(m.ring, m[0, 0])
     return matrix_to_json(m)
 
 
@@ -130,29 +131,24 @@ def compute(req):
     op = req.get("op")
     convention = req.get("convention", "ad")
     if convention not in ("ad", "loos"):
-        raise ValueError(f"unknown convention {convention!r}")
+        raise ValueError(f"unknown convention {_echo(convention)}")
 
     if op == "quasi_inverse":
-        ctx, x, y = _jordan_args(req)
-        fn = quasi_inverse if convention == "ad" else loos_quasi_inverse
-        out = fn(ctx, x, y)
+        ctx, x, y = _jordan_args(req, convention)
         return {"op": op, "convention": convention,
-                "result": _element_out(ctx, out)}
+                "result": _element_out(quasi_inverse(ctx, x, y))}
 
     if op == "bergman":
-        ctx, x, y = _jordan_args(req)
-        fn = bergman_operator if convention == "ad" else loos_bergman
+        ctx, x, y = _jordan_args(req, convention)
         return {"op": op, "convention": convention,
-                "result": matrix_to_json(fn(ctx, x, y).mat)}
+                "result": matrix_to_json(bergman_operator(ctx, x, y).mat)}
 
     if op == "act":
         ring = ring_from_json(req.get("ring", "rational"))
         n = n_from_json(req)
         g = group_from_json(ring, n, req["g"])
         x = matrix_from_json(ring, req["x"], n)
-        out = act(g, x)
-        return {"op": op, "result": matrix_to_json(out) if n > 1
-                else scalar_to_json(ring, out[0, 0])}
+        return {"op": op, "result": _element_out(act(g, x))}
 
     if op == "act_frac":
         e = point_from_json(req["E"])
@@ -215,7 +211,7 @@ def compute(req):
     if op == "derivative":
         return _compute_derivative(req)
 
-    raise ValueError(f"unknown op {op!r}")
+    raise ValueError(f"unknown op {_echo(op)}")
 
 
 def _compute_derivative(req):
@@ -228,7 +224,7 @@ def _compute_derivative(req):
     ctx = jordan_context_from_json(req.get("context", req))
     laws = calculus.DERIVATIVE_LAWS
     if not isinstance(name, str) or name not in laws:
-        raise ValueError(f"unknown derivative map {name!r}")
+        raise ValueError(f"unknown derivative map {_echo(name)}")
     g = group_from_json(ctx.ring, ctx.n, req["g"]) if name == "act" else None
     law = laws[name](ctx, g)
     seed = int_from_json(req, "seed", 1)

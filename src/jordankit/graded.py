@@ -15,15 +15,13 @@ from .errors import NotInChart, NotInvertible, RingMismatch, ShapeMismatch
 
 def hat(x):
     """Embed x in degree +1: (0 x; 0 0)."""
-    n = x.nrows
-    z = Matrix.zeros(x.ring, n)
+    z = Matrix.zeros(x.ring, x.nrows)
     return z.hstack(x).vstack(z.hstack(z))
 
 
 def check(y):
     """Embed y in degree -1: (0 0; y 0)."""
-    n = y.nrows
-    z = Matrix.zeros(y.ring, n)
+    z = Matrix.zeros(y.ring, y.nrows)
     return z.hstack(z).vstack(y.hstack(z))
 
 
@@ -34,8 +32,7 @@ def diag_embed(a, d):
 
 def blocks(X, n):
     """(a, b, c, d) blocks of a 2n x 2n matrix."""
-    rows = range(n)
-    rows2 = range(n, 2 * n)
+    rows, rows2 = range(n), range(n, 2 * n)
     return (X.submatrix(rows, rows), X.submatrix(rows, rows2),
             X.submatrix(rows2, rows), X.submatrix(rows2, rows2))
 

@@ -6,8 +6,8 @@ Convention: the triple product is T(x,y,z) = xyz + zyx (the double
 bracket [[x^,y^],z^] in gl_2), the Bergman operator is
 id + ad(x^)ad(y^) + (1/4)ad(x^)^2 ad(y^)^2, which closes to
 z -> (1+xy)z(1+yx), and the quasi-inverse is B(x,y)^-1 (x + Q(x)y)
-= x(1+yx)^-1. The opposite ("loos") sign convention is reachable through
-loos_bergman / loos_quasi_inverse, which negate the second slot.
+= x(1+yx)^-1. The opposite ("loos") sign convention negates the second
+slot; it is a field of compute requests (see cli.compute).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .algebra import (CoordinateBasis, LinearOperator, Matrix, herm_split,
                       left_mult, lift_once, matrix_unit_basis, right_mult,
                       sandwich)
 from .errors import (NotInSubspace, NotInvertible, NotQuasiInvertible,
-                     SingularOperator)
+                     SingularOperator, _echo)
 from .graded import ad_blocks
 
 FLAVORS = ("full", "hermitian", "antihermitian")
@@ -31,7 +31,7 @@ class JordanContext:
 
     def __init__(self, n, ring, flavor="full", involution=None, _space=None):
         if flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
+            raise ValueError(f"unknown flavor {_echo(flavor)}")
         if flavor != "full" and involution is None:
             raise ValueError(f"flavor {flavor!r} needs an involution")
         self.n = n
@@ -217,16 +217,6 @@ def quasi_inverse(ctx, x, y):
             and not bergman_operator(ctx, y, x).is_invertible()):
         raise NotQuasiInvertible("Bergman operator is singular")
     return ctx.space.from_coords(c)
-
-
-def loos_bergman(ctx, x, w):
-    """Bergman operator in the opposite sign convention."""
-    return bergman_operator(ctx, x, -w)
-
-
-def loos_quasi_inverse(ctx, x, w):
-    """Quasi-inverse in the opposite sign convention: x(1-wx)^-1."""
-    return quasi_inverse(ctx, x, -w)
 
 
 def full_quasi_inverse_oracle(ctx, x, y):

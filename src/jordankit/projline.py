@@ -7,10 +7,10 @@ point classification, the Cayley transform and polarities.
 from __future__ import annotations
 
 from . import _kernels as K
-from .algebra import Matrix
-from .errors import (NotInChart, NotTransversal, RingMismatch,
-                     ShapeMismatch)
-from .graded import GroupElement
+from .algebra import Involution, Matrix
+from .errors import (NotAUnit, NotInChart, NotInvertible, NotTransversal,
+                     RingMismatch, ShapeMismatch, SingularOperator, _echo)
+from .graded import GroupElement, blocks
 
 
 class ProjectivePoint:
@@ -35,8 +35,7 @@ class ProjectivePoint:
             return False
         return self.rep.hstack(other.rep).rank() == self.n
 
-    def __hash__(self):
-        raise TypeError("projective points compare by column space; no hash")
+    __hash__ = None
 
     def embed(self, ring):
         if ring == self.ring:
@@ -60,8 +59,7 @@ def base_plus(ring, n):
 
 def base_minus(ring, n):
     """o- = [(0; 1)] = Gamma_0."""
-    one = Matrix.identity(ring, n)
-    return ProjectivePoint(Matrix.zeros(ring, n).vstack(one), n)
+    return gamma_chart(Matrix.zeros(ring, n))
 
 
 def chart_coords(E):
@@ -69,9 +67,10 @@ def chart_coords(E):
     n = E.n
     p = E.rep.submatrix(range(n), range(n))
     q = E.rep.submatrix(range(n, 2 * n), range(n))
-    if q.rank() != n:
-        raise NotInChart("point is not transversal to o+")
-    return p @ q.inverse()
+    try:
+        return p @ q.inverse()
+    except NotInvertible:
+        raise NotInChart("point is not transversal to o+") from None
 
 
 def in_chart(E):
@@ -79,9 +78,13 @@ def in_chart(E):
     return E.rep.submatrix(range(n, 2 * n), range(n)).rank() == n
 
 
-def transversal(E, F):
-    if E.ring != F.ring or E.n != F.n:
+def _same_line(E, *others):
+    if any(F.ring != E.ring or F.n != E.n for F in others):
         raise RingMismatch("points of different lines")
+
+
+def transversal(E, F):
+    _same_line(E, F)
     return E.rep.hstack(F.rep).rank() == 2 * E.n
 
 
@@ -93,17 +96,20 @@ def act_frac(g, E):
 def mu_dilation(r, x, a, y):
     """Image of y under (id on the x-summand) + (r on the a-summand) of
     K^{2n} = x + a; in the chart with origin x and infinity a this scales
-    coordinates by r."""
-    ring = x.ring
-    if not ring.is_unit(r):
-        from .errors import NotAUnit
+    coordinates by r. The solve y = x P + a Q fails exactly when x meets
+    a; [y | a] = [x | a] (P 0; Q 1), so y meets a exactly when P is
+    singular."""
+    if not x.ring.is_unit(r):
         raise NotAUnit("dilation factor must be a unit")
-    if not (transversal(x, a) and transversal(y, a)):
-        raise NotTransversal("dilation needs x and y transversal to a")
-    m = x.rep.hstack(a.rep)
-    pq = m.solve(y.rep)
+    _same_line(a, x, y)
     n = x.n
-    p = pq.submatrix(range(n), range(n))
+    try:
+        pq = x.rep.hstack(a.rep).solve(y.rep)
+        p = pq.submatrix(range(n), range(n))
+    except SingularOperator:
+        p = None
+    if p is None or p.rank() != n:
+        raise NotTransversal("dilation needs x and y transversal to a")
     q = pq.submatrix(range(n, 2 * n), range(n))
     return ProjectivePoint(x.rep @ p + a.rep @ q.scale(r), n)
 
@@ -112,22 +118,17 @@ def mu_dilation(r, x, a, y):
 
 def phi_matrix(j, iota, X, n):
     """Phi_j applied to a 2n x 2n matrix seen as an element of M_2(A)."""
-    rows, rows2 = range(n), range(n, 2 * n)
-    a = iota.apply(X.submatrix(rows, rows))
-    b = iota.apply(X.submatrix(rows, rows2))
-    c = iota.apply(X.submatrix(rows2, rows))
-    d = iota.apply(X.submatrix(rows2, rows2))
+    a, b, c, d = (iota.apply(m) for m in blocks(X, n))
     if j == 1:
-        blocks = (d, -b, -c, a)
+        p, q, r, s = d, -b, -c, a
     elif j == 2:
-        blocks = (d, b, c, a)
+        p, q, r, s = d, b, c, a
     elif j == 3:
-        blocks = (a, -c, -b, d)
+        p, q, r, s = a, -c, -b, d
     elif j == 4:
-        blocks = (a, c, b, d)
+        p, q, r, s = a, c, b, d
     else:
         raise ValueError(f"no involution Phi_{j}")
-    p, q, r, s = blocks
     return p.hstack(q).vstack(r.hstack(s))
 
 
@@ -159,11 +160,20 @@ def projection_onto(E, F):
 
 def phi_involution(j, iota, E, complement=None):
     """Point map of Phi_j: im(p) -> ker(Phi_j(p)); independent of the
-    complement used to build the projection p."""
+    complement used to build the projection p. The inverse of [E | F]
+    that builds p decides that F is a complement of E."""
     F = complement if complement is not None else standard_complement(E)
-    if not transversal(E, F):
-        raise NotTransversal("complement is not transversal to the point")
-    p = projection_onto(E, F)
+    _same_line(E, F)
+    try:
+        p = projection_onto(E, F)
+    except NotInvertible:
+        raise NotTransversal(
+            "complement is not transversal to the point") from None
+    return _phi_image(j, iota, E, p)
+
+
+def _phi_image(j, iota, E, p):
+    """ker(Phi_j(p)) for a projection p with image E."""
     q = phi_matrix(j, iota, p, E.n)
     # ker(q) = im(1 - q) for idempotent q.
     kmat = Matrix.identity(E.ring, 2 * E.n) - q
@@ -175,12 +185,11 @@ def phi_involution(j, iota, E, complement=None):
 
 def classify_point(iota, E):
     """Fixed-point flags under the point maps of Phi_1, Phi_2, Phi_3; on
-    chart points these are z* = z, z* = -z, z* = z^-1."""
-    return {
-        "hermitian": phi_involution(1, iota, E) == E,
-        "antihermitian": phi_involution(2, iota, E) == E,
-        "unitary": phi_involution(3, iota, E) == E,
-    }
+    chart points these are z* = z, z* = -z, z* = z^-1. One projection
+    serves all three point maps."""
+    p = projection_onto(E, standard_complement(E))
+    return {flag: _phi_image(j, iota, E, p) == E for j, flag in
+            enumerate(("hermitian", "antihermitian", "unitary"), 1)}
 
 
 # -- polarities -------------------------------------------------------------
@@ -200,12 +209,11 @@ class Polarity:
 
     def __init__(self, mode, S, j=None, involution=None, H=None):
         if mode not in ("linear", "semilinear"):
-            raise ValueError(f"unknown polarity mode {mode!r}")
+            raise ValueError(f"unknown polarity mode {_echo(mode)}")
         if mode == "semilinear":
             if j not in (1, 2, 3, 4):
                 raise ValueError("semilinear polarity needs j in 1..4")
             if involution is None:
-                from .algebra import Involution
                 involution = Involution()
         self.mode = mode
         self.S = S

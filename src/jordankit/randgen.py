@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .algebra import Matrix
 from .graded import GroupElement
-from .projline import gamma_chart
+from .jordan import is_quasi_invertible
+from .projline import act_frac, gamma_chart
 from .rings import DualRing
 
 RETRY_CAP = 1000
@@ -69,7 +70,6 @@ def rand_filtered(rng, gen, pred):
 
 
 def rand_quasi_invertible(rng, jctx):
-    from .jordan import is_quasi_invertible
     for _ in range(RETRY_CAP):
         x = rand_in_context(rng, jctx)
         y = rand_in_context(rng, jctx)
@@ -93,7 +93,6 @@ def rand_point(rng, ring, n):
     chart point, so points off the standard chart occur."""
     z = rand_matrix(rng, ring, n)
     g = rand_group_word(rng, ring, n, length=rng.randint(0, 2))
-    from .projline import act_frac
     return act_frac(g, gamma_chart(z))
 
 

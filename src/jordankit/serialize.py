@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .algebra import Involution, Matrix
+from .errors import _echo
 from .graded import GroupElement
 from .jordan import JordanContext
 from .projline import Polarity, ProjectivePoint
@@ -28,7 +29,7 @@ def matrix_from_json(ring, obj, n=None):
     malformed input (ValueError)."""
     rows = obj if isinstance(obj, list) else [[obj]]
     if not all(isinstance(r, list) for r in rows):
-        raise ValueError(f"matrix rows must be lists, not {obj!r}")
+        raise ValueError(f"matrix rows must be lists, not {_echo(obj)}")
     shape = (len(rows), len(rows[0]) if rows else 0)
     if any(len(r) != shape[1] for r in rows):
         raise ValueError("ragged matrix rows")
@@ -46,7 +47,7 @@ def element_from_json(obj, ring=None, n=None):
 
 def _require_object(obj, what):
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, not {obj!r}")
+        raise ValueError(f"{what} must be a JSON object, not {_echo(obj)}")
 
 
 def int_from_json(obj, key, default, least=None):
@@ -56,7 +57,7 @@ def int_from_json(obj, key, default, least=None):
     if (isinstance(val, bool) or not isinstance(val, int)
             or (least is not None and val < least)):
         bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{key} must be an integer{bound}, not {val!r}")
+        raise ValueError(f"{key} must be an integer{bound}, not {_echo(val)}")
     return val
 
 
@@ -89,7 +90,7 @@ def group_from_json(ring, n, obj):
         try:
             return STANDARD_GROUP[obj](ring, n)
         except KeyError:
-            raise ValueError(f"unknown standard matrix {obj!r}") from None
+            raise ValueError(f"unknown standard matrix {_echo(obj)}") from None
     if "standard" in obj:
         return STANDARD_GROUP[obj["standard"]](ring, n)
     word = _word_from_json(ring, n, obj["word"]) if "word" in obj else None
@@ -148,7 +149,7 @@ def polarity_from_json(ring, n, obj):
     if mode == "linear":
         return Polarity("linear", S=s, H=h)
     iota = involution_from_json(ring, obj.get("involution"), n)
-    return Polarity("semilinear", S=s, j=int_from_json(obj, "j", None),
+    return Polarity(mode, S=s, j=int_from_json(obj, "j", None),
                     involution=iota, H=h)
 
 
@@ -182,4 +183,4 @@ def symspace_context_from_json(obj):
         pol = polarity_from_json(jctx.ring, jctx.n, obj["polarity"])
         o = point_from_json(obj["o"], jctx.ring, jctx.n) if "o" in obj else None
         return ProjectiveSpace(pol, jctx, o)
-    raise ValueError(f"unknown context variant {variant!r}")
+    raise ValueError(f"unknown context variant {_echo(variant)}")

@@ -425,14 +425,11 @@ def check_phi_antiautomorphism(ring, n, trials, seed):
     return run_check("phi-antiautomorphism", trials, seed, trial)
 
 
-def _rand_transversal(rng, ring, n, e, first=True):
-    """A random point f transversal to the point e, tested as
-    transversal(e, f), or as transversal(f, e) when not `first`; None
-    when the draws run out."""
+def _rand_transversal(rng, ring, n, e):
+    """A random point transversal to the point e, or None."""
     return randgen.rand_filtered(
         rng, lambda r: randgen.rand_point(r, ring, n),
-        (lambda f: transversal(e, f)) if first
-        else (lambda f: transversal(f, e)))
+        lambda f: transversal(e, f))
 
 
 def check_phi_complement_independence(ring, n, trials, seed, complements=5):
@@ -501,6 +498,16 @@ def check_phi_equivariance(ring, n, trials, seed):
     return run_check("phi-equivariance", trials, seed, trial)
 
 
+def _rand_dilation_points(rng, ring, n):
+    """Random points x, a, y with x and y transversal to a, or None."""
+    x = randgen.rand_point(rng, ring, n)
+    a = _rand_transversal(rng, ring, n, x)
+    if a is None:
+        return None
+    y = _rand_transversal(rng, ring, n, a)
+    return None if y is None else (x, a, y)
+
+
 def check_mu_examples(ring, n, trials, seed):
 
     def trial(rng, i):
@@ -512,13 +519,10 @@ def check_mu_examples(ring, n, trials, seed):
         gamma0 = base_minus(ring, n)
         if mu_dilation(r, gamma0, o_plus, gamma_chart(z)) != gamma_chart(z.scale(r)):
             return False
-        x = randgen.rand_point(rng, ring, n)
-        a = _rand_transversal(rng, ring, n, x)
-        if a is None:
+        xay = _rand_dilation_points(rng, ring, n)
+        if xay is None:
             return None
-        y = _rand_transversal(rng, ring, n, a, first=False)
-        if y is None:
-            return None
+        x, a, y = xay
         if mu_dilation(ring.one(), x, a, y) != y:
             return False
         return mu_dilation(-ring.one(), x, a, x) == x
@@ -529,13 +533,10 @@ def check_mu_examples(ring, n, trials, seed):
 def check_mu_coherence(ring, n, trials, seed):
 
     def trial(rng, i):
-        x = randgen.rand_point(rng, ring, n)
-        a = _rand_transversal(rng, ring, n, x)
-        if a is None:
+        xay = _rand_dilation_points(rng, ring, n)
+        if xay is None:
             return None
-        y = _rand_transversal(rng, ring, n, a, first=False)
-        if y is None:
-            return None
+        x, a, y = xay
         r = randgen.rand_unit(rng, ring)
         s = randgen.rand_unit(rng, ring)
         if r is None or s is None:

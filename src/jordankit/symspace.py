@@ -8,13 +8,14 @@ tanh exponential.
 
 from __future__ import annotations
 
-from .algebra import Matrix, dual_combine, dual_split, herm_split, lift_once
+from .algebra import (LinearOperator, Matrix, dual_combine, dual_split,
+                      herm_split, lift_once)
 from .errors import (NotInSpace, NotInvertible, NotTransversal,
-                     SeriesNotInvertible, SingularOperator)
+                     SeriesNotInvertible, SingularOperator, _echo)
 from .jordan import (is_jordan_invertible, jordan_inverse, mult_operator,
                      quad_triple_operator, triple_product)
 from .projline import (ProjectivePoint, chart_coords, gamma_chart,
-                       mu_dilation)
+                       mu_dilation, transversal)
 
 
 class JordanUnitsSpace:
@@ -82,7 +83,7 @@ class GroupSpace:
 
     def __init__(self, n, ring, kind="full_linear", involution=None, o=None):
         if kind not in ("full_linear", "unitary"):
-            raise ValueError(f"unknown group kind {kind!r}")
+            raise ValueError(f"unknown group kind {_echo(kind)}")
         if kind == "unitary" and involution is None:
             raise ValueError("unitary group needs an involution")
         self.n = n
@@ -97,9 +98,8 @@ class GroupSpace:
         return self._ring
 
     def contains(self, x):
-        if x.shape != (self.n, self.n) or x.ring != self.ring:
-            return False
-        if not x.is_invertible():
+        if (x.shape != (self.n, self.n) or x.ring != self.ring
+                or not x.is_invertible()):
             return False
         if self.kind == "unitary":
             return self.involution.apply(x) @ x == Matrix.identity(self.ring, self.n)
@@ -157,14 +157,12 @@ class ProjectiveSpace:
 
     def mul(self, x, y):
         px = self.polarity.apply(x)
-        from .projline import transversal
         if not transversal(x, px):
             raise NotInSpace("left argument is isotropic")
         if not self.contains(y):
             raise NotInSpace("right argument is isotropic")
-        minus_one = -self.ring.one()
         try:
-            return mu_dilation(minus_one, x, px, y)
+            return mu_dilation(-self.ring.one(), x, px, y)
         except NotTransversal as e:
             # the chart realization of sigma_x needs y transversal to p(x)
             raise NotInSpace(str(e)) from e
@@ -246,7 +244,6 @@ def exp_tanh(ctx, v, order=24):
         raise ValueError("exp_tanh needs rational or float64 scalars")
     qv = quad_triple_operator(jctx, v)
     d = jctx.dim
-    from .algebra import LinearOperator
     cosh = LinearOperator.identity(ring, d)
     power = LinearOperator.identity(ring, d)
     vcoords = sinh = jctx.space.coords(v)

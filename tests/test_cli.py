@@ -714,6 +714,51 @@ def test_booleans_are_not_scalars():
         assert_usage_error(["compute"], "MalformedRequest", json.dumps(req))
 
 
+def test_float64_scalars_are_json_numbers():
+    """Over float64 a scalar is a JSON number: a string, even one that
+    reads as a float, is malformed; ints and floats are read."""
+    for x in ('"1.5"', '" 2 "', '"1e3"', "null", "[[\"1\"]]"):
+        text = ('{"op": "quasi_inverse", "ring": "float64", "n": 1, '
+                f'"x": {x}, "y": 1}}')
+        assert_usage_error(["compute"], "MalformedRequest", text)
+    for x, want in (("1.5", 0.6), ("2", 2 / 3)):
+        text = ('{"op": "quasi_inverse", "ring": "float64", "n": 1, '
+                f'"x": {x}, "y": 1}}')
+        code, out, err = run_in_process(["compute"], text)
+        assert code == 0 and json.loads(out)["result"] == want
+
+
+def test_error_details_echo_bounded_payloads():
+    """A malformed value is echoed in the detail cut in depth and length;
+    a short one reads as its repr."""
+    deep = json.loads('{"a": ' + "[" * 900 + "]" * 900 + "}")
+    long = list(range(5000))
+    for field, val in (("x", deep), ("x", long), ("op", deep),
+                       ("convention", long)):
+        req = {"op": "quasi_inverse", "ring": "rational", "n": 1,
+               "x": 1, "y": 1, field: val}
+        code, out, err = run_in_process(["compute"], json.dumps(req))
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"] == "MalformedRequest"
+        assert len(out) < 500, field
+    req = {"op": "quasi_inverse", "ring": "rational", "n": 1,
+           "x": {"p": 5, "fp": [1.5, None]}, "y": 1}
+    code, out, _ = run_in_process(["compute"], json.dumps(req))
+    assert json.loads(out)["detail"] == \
+        "bad rational payload {'p': 5, 'fp': [1.5, None]}"
+
+
+def test_unknown_polarity_mode_is_malformed():
+    """A polarity's mode is "linear" or "semilinear"; any other is a
+    usage error, not a semilinear polarity."""
+    point = {"ring": "rational", "rep": [["0"], ["1"]]}
+    for mode in ("bogus", ["semilinear"]):
+        req = {"op": "sym_mul", "x": point, "y": point,
+               "context": {"variant": "projective", "ring": "rational",
+                           "n": 1, "polarity": {"mode": mode, "j": 3}}}
+        assert_usage_error(["compute"], "MalformedRequest", json.dumps(req))
+
+
 def test_compute_has_no_convention_option():
     """The convention is the request's "convention" field; compute has
     no --convention, so argparse refuses it."""

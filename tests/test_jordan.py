@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from jordankit import cli
 from jordankit.algebra import Involution, Matrix, dual_combine, dual_split
 from jordankit.errors import (NotInSubspace, NotInvertible,
                               NotQuasiInvertible, SingularOperator)
 from jordankit.jordan import (JordanContext, bergman_closed,
                               bergman_operator, full_quasi_inverse_oracle,
                               is_jordan_invertible, is_quasi_invertible,
-                              jordan_inverse,
-                              jordan_product, loos_bergman,
-                              loos_quasi_inverse, quad_triple_operator,
-                              quasi_inverse, rep_operators, triple_product)
+                              jordan_inverse, jordan_product,
+                              quad_triple_operator, quasi_inverse,
+                              rep_operators, triple_product)
 from jordankit.randgen import rand_in_context, rand_matrix, trial_rng
 from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing
+from jordankit.serialize import matrix_from_json, matrix_to_json
 from jordankit.suites import check_units_literal, literal_units
 from jordankit.symspace import JordanUnitsSpace
 
@@ -273,19 +274,42 @@ def test_quad_apply_needs_product_closed_flavor(aherm2, herm2):
 
 
 def test_loos_convention_round_trip(full2):
+    """A "loos" request with w answers as the "ad" request with -w: the
+    same quasi-inverse, x(1 - wx)^-1, the same Bergman operator and the
+    same failure."""
+    def ask(op, convention, x, y):
+        req = {"op": op, "ring": "rational", "n": 2,
+               "convention": convention,
+               "x": matrix_to_json(x), "y": matrix_to_json(y)}
+        try:
+            resp = cli.compute(req)
+        except NotQuasiInvertible as e:
+            return {"error": str(e)}
+        assert resp.pop("convention") == convention
+        return resp
+
     rng = trial_rng(13, 0)
     hits = 0
     while hits < 20:
         x = rand_matrix(rng, Q, 2)
         w = rand_matrix(rng, Q, 2)
+        loos = ask("quasi_inverse", "loos", x, w)
+        ad = ask("quasi_inverse", "ad", x, -w)
+        assert loos == ad
         if not is_quasi_invertible(full2, x, -w):
+            assert "error" in loos
             continue
         hits += 1
-        assert loos_quasi_inverse(full2, x, w) == quasi_inverse(full2, x, -w)
-        assert loos_bergman(full2, x, w) == bergman_operator(full2, x, -w)
-        # closed Loos form: x (1 - w x)^-1
-        assert loos_quasi_inverse(full2, x, w) \
+        assert matrix_from_json(Q, loos["result"]) \
+            == quasi_inverse(full2, x, -w) \
             == x @ (full2.unit() - w @ x).inverse()
+        assert matrix_from_json(Q, ask("bergman", "loos", x, w)["result"]) \
+            == bergman_operator(full2, x, -w).mat
+    # w = x^-1 makes 1 - wx zero: both conventions refuse it alike.
+    x = mat([[1, 2], [3, 4]])
+    loos = ask("quasi_inverse", "loos", x, x.inverse())
+    assert loos == ask("quasi_inverse", "ad", x, -x.inverse())
+    assert loos == {"error": "Bergman operator is singular"}
 
 
 def test_symplectic_involution_flavors():

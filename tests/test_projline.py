@@ -13,8 +13,8 @@ from jordankit.projline import (Polarity, ProjectivePoint, act_frac,
                                 phi_involution, standard_complement,
                                 transversal)
 from jordankit.randgen import (rand_group_word, rand_matrix, rand_point,
-                               trial_rng)
-from jordankit.rings import RATIONAL, PrimeFieldRing
+                               rand_unit, trial_rng)
+from jordankit.rings import RATIONAL, DualRing, PrimeFieldRing
 
 Q = RATIONAL
 
@@ -234,3 +234,113 @@ def test_j_factorization_and_base_point_swap():
     j = GroupElement.jmat(Q, 2)
     assert GroupElement.from_word(Q, 2, j.word).mat == j.mat
     assert act_frac(j, base_plus(Q, 2)) == base_minus(Q, 2)
+
+
+# -- one elimination per decision, against the rank-based decisions ---------
+
+QE = DualRing(Q)
+F5 = PrimeFieldRing(5)
+
+
+def _mu_by_ranks(r, x, a, y):
+    """mu_r(x, a, y) gated by two ranks, as the dilation was first
+    written: None when x or y meets a."""
+    if not (transversal(x, a) and transversal(y, a)):
+        return None
+    n = x.n
+    pq = x.rep.hstack(a.rep).solve(y.rep)
+    p = pq.submatrix(range(n), range(n))
+    q = pq.submatrix(range(n, 2 * n), range(n))
+    return ProjectivePoint(x.rep @ p + a.rep @ q.scale(r), n)
+
+
+def _meeting(rng, ring, a):
+    """A point sharing the first column of a and, for n > 1, at least one
+    random other column; None when the draw is rank-deficient."""
+    n = a.n
+    rows = [[a.rep[i, 0]] + list(rand_matrix(rng, ring, 1, n - 1).rows[0])
+            for i in range(2 * n)]
+    rep = Matrix(ring, rows)
+    return ProjectivePoint(rep, n) if rep.rank() == n else None
+
+
+@pytest.mark.parametrize("ring", [Q, F5, QE], ids=["Q", "F5", "Q[e]"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mu_decides_transversality_as_the_ranks_do(ring, n):
+    rng = trial_rng(40, n)
+    pol = Polarity("linear", S=GroupElement.i11(ring, n))
+    for _ in range(8):
+        r = rand_unit(rng, ring)
+        x, a, y = (rand_point(rng, ring, n) for _ in range(3))
+        # A singular z makes Gamma_z isotropic for the I_{1,1} polarity.
+        z = rand_matrix(rng, ring, n)
+        z = Matrix(ring, list(z.rows[:-1]) + [[ring.zero()] * n])
+        iso = gamma_chart(z)
+        assert not pol.nonisotropic(iso)
+        cases = [(x, a, y), (x, x, y), (x, a, a), (iso, pol.apply(iso), y),
+                 (iso, pol.apply(iso), pol.apply(iso)),
+                 (x, pol.apply(x), y)]
+        meet = _meeting(rng, ring, a)
+        if meet is not None:
+            cases.append((x, a, meet))
+        for x_, a_, y_ in cases:
+            want = _mu_by_ranks(r, x_, a_, y_)
+            if want is None:
+                with pytest.raises(NotTransversal,
+                                   match="^dilation needs x and y "
+                                         "transversal to a$"):
+                    mu_dilation(r, x_, a_, y_)
+            else:
+                assert mu_dilation(r, x_, a_, y_) == want
+
+
+@pytest.mark.parametrize("ring", [Q, F5, QE], ids=["Q", "F5", "Q[e]"])
+def test_chart_coords_refuses_exactly_off_chart(ring):
+    rng = trial_rng(41, 0)
+    points = [base_plus(ring, 2), base_minus(ring, 2)]
+    points += [rand_point(rng, ring, n) for n in (1, 2, 3) for _ in range(10)]
+    assert not all(in_chart(e) for e in points)
+    for e in points:
+        if in_chart(e):
+            assert gamma_chart(chart_coords(e)) == e
+        else:
+            with pytest.raises(NotInChart,
+                               match="^point is not transversal to o\\+$"):
+                chart_coords(e)
+
+
+@pytest.mark.parametrize("ring", [Q, F5], ids=["Q", "F5"])
+def test_classify_matches_the_three_point_maps(ring):
+    rng = trial_rng(42, 0)
+    skew = Matrix.from_ints(ring, [[0, 1], [-1, 0]])
+    involutions = [Involution(), Involution("form_adjoint", skew, "skew")]
+    flags = {"hermitian": 1, "antihermitian": 2, "unitary": 3}
+    seen = set()
+    for iota in involutions:
+        for _ in range(12):
+            z = rand_matrix(rng, ring, 2)
+            chart = [gamma_chart(m) for m in
+                     (z, z + iota.apply(z), z - iota.apply(z),
+                      Matrix.identity(ring, 2))]
+            g = rand_group_word(rng, ring, 2, length=2)
+            for e in chart + [act_frac(g, c) for c in chart] \
+                    + [rand_point(rng, ring, 2)]:
+                got = classify_point(iota, e)
+                assert got == {k: phi_involution(j, iota, e) == e
+                               for k, j in flags.items()}
+                seen.update(k for k, v in got.items() if v)
+                seen.add("off-chart" if not in_chart(e) else "chart")
+    assert seen == set(flags) | {"chart", "off-chart"}
+
+
+def test_phi_refuses_a_non_complement():
+    rng = trial_rng(43, 0)
+    for ring in (Q, F5):
+        e = rand_point(rng, ring, 2)
+        meet = _meeting(rng, ring, e)
+        for f in (e, meet):
+            if f is None:
+                continue
+            with pytest.raises(NotTransversal, match="^complement is not "
+                               "transversal to the point$"):
+                phi_involution(1, Involution(), e, complement=f)
