@@ -6,8 +6,11 @@ Convention: the triple product is T(x,y,z) = xyz + zyx (the double
 bracket [[x^,y^],z^] in gl_2), the Bergman operator is
 id + ad(x^)ad(y^) + (1/4)ad(x^)^2 ad(y^)^2, which closes to
 z -> (1+xy)z(1+yx), and the quasi-inverse is B(x,y)^-1 (x + Q(x)y)
-= x(1+yx)^-1. The opposite ("loos") sign convention negates the second
-slot; it is a field of compute requests (see cli.compute).
+= x(1+yx)^-1. `quasi_inverse` computes the closed form with one n x n
+solve in A; the literal forms `bergman_operator` and
+`quasi_inverse_literal` stay as its oracles, with `bergman_closed`. The
+opposite ("loos") sign convention negates the second slot; it is a
+field of compute requests (see cli.compute).
 """
 
 from __future__ import annotations
@@ -195,27 +198,38 @@ def bergman_closed(ctx, x, y):
 
 
 def is_quasi_invertible(ctx, x, y):
-    """Both B(x,y) and B(y,x) invertible."""
+    """Whether x and y lie in V and 1 + yx is invertible in A, that is,
+    whether B(x,y) and B(y,x) are invertible on V (see `quasi_inverse`)."""
     if not (ctx.contains(x) and ctx.contains(y)):
         return False
-    return (bergman_operator(ctx, x, y).is_invertible()
-            and bergman_operator(ctx, y, x).is_invertible())
+    return (ctx.unit() + y @ x).is_invertible()
 
 
 def quasi_inverse(ctx, x, y):
-    """B(x,y)^-1 (x + Q(x)y); equals x(1+yx)^-1 in the full case and the
-    chart action of (1 0; y 1)."""
-    b = bergman_operator(ctx, x, y)
-    nom = x + x @ y @ x
+    """The quasi-inverse x(1+yx)^-1 = (1+xy)^-1 x, by one n x n solve in A.
+
+    (x, y) is quasi-invertible exactly when 1 + yx, or equally 1 + xy, is
+    invertible in A, and then B(x,y)^-1 (x + Q(x)y) = x(1+yx)^-1 (Loos,
+    Jordan Pairs, LNM 460, 1975); it also equals the chart action of
+    (1 0; y 1). For x, y in V the result lies in V, so it is projected
+    onto V as `jordan_inverse` does. `suites.check_quasi_closed` compares
+    it with `quasi_inverse_literal`, failures included."""
+    ctx.require(x, y)
     try:
-        c = b.solve_flat(ctx.space.coords(nom))
+        q = (ctx.unit() + x @ y).solve(x)
     except SingularOperator as e:
         raise NotQuasiInvertible("Bergman operator is singular") from e
-    # B(x,y) is invertible exactly when B(y,x) is (Loos, Jordan Pairs,
-    # 1975), so only float rounding can make the second rank disagree.
-    if (not ctx.ring.is_exact()
-            and not bergman_operator(ctx, y, x).is_invertible()):
-        raise NotQuasiInvertible("Bergman operator is singular")
+    return ctx.space.project(q)
+
+
+def quasi_inverse_literal(ctx, x, y):
+    """B(x,y)^-1 (x + Q(x)y), solved with the literal Bergman operator on
+    V; the oracle of `quasi_inverse`."""
+    b = bergman_operator(ctx, x, y)
+    try:
+        c = b.solve_flat(ctx.space.coords(x + x @ y @ x))
+    except SingularOperator as e:
+        raise NotQuasiInvertible("Bergman operator is singular") from e
     return ctx.space.from_coords(c)
 
 

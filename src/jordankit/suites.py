@@ -23,7 +23,8 @@ from .graded import (GroupElement, act, ad_bracket, ad_operator, check,
                      denominators, hat, in_chart, pr1)
 from .jordan import (JordanContext, bergman_closed, bergman_operator,
                      jordan_inverse, jordan_product, mult_operator,
-                     quasi_inverse, rep_operators, triple_product)
+                     quasi_inverse, quasi_inverse_literal, rep_operators,
+                     triple_product)
 from .projline import (Polarity, act_frac, base_minus, base_plus,
                        chart_coords, classify_point, gamma_chart,
                        in_chart as point_in_chart, mu_dilation,
@@ -235,7 +236,8 @@ def check_bergman_coherence(ring, n, trials, seed, flavor="full"):
 
 
 def check_quasi_full_oracle(ring, n, trials, seed):
-    """Quasi-inverse equals x(1+yx)^-1 in the full flavor."""
+    """The literal quasi-inverse B(x,y)^-1 (x + Q(x)y) equals x(1+yx)^-1
+    in the full flavor."""
     ctx = jordan_ctx(ring, n)
 
     def trial(rng, i):
@@ -243,9 +245,37 @@ def check_quasi_full_oracle(ring, n, trials, seed):
         if pair is None:
             return None
         x, y = pair
-        return quasi_inverse(ctx, x, y) == jordan.full_quasi_inverse_oracle(ctx, x, y)
+        return (quasi_inverse_literal(ctx, x, y)
+                == jordan.full_quasi_inverse_oracle(ctx, x, y))
 
     return run_check("quasi-full-oracle", trials, seed, trial)
+
+
+def check_quasi_closed(ring, n, trials, seed, flavor="full"):
+    """quasi_inverse, the closed form x(1+yx)^-1, equals the literal
+    B(x,y)^-1 (x + Q(x)y), and both refuse the same pairs. An odd trial
+    with an invertible x takes y = w - x^-1, so that 1 + yx = wx is
+    singular exactly when w is: w = 0 (y = -x^-1) on trials 1, 5, 9, ...
+    and a draw from [-1, 1] on trials 3, 7, 11, ..."""
+    ctx = jordan_ctx(ring, n, flavor)
+
+    def outcome(f, x, y):
+        try:
+            return f(ctx, x, y)
+        except NotQuasiInvertible:
+            return None
+
+    def trial(rng, i):
+        x = randgen.rand_in_context(rng, ctx)
+        y = randgen.rand_in_context(rng, ctx)
+        if i % 2 and x.is_invertible():
+            w = (ctx.zero() if i % 4 == 1
+                 else randgen.rand_in_context(rng, ctx, -1, 1))
+            y = w - x.inverse()
+        return (outcome(quasi_inverse, x, y)
+                == outcome(quasi_inverse_literal, x, y))
+
+    return run_check(f"quasi-closed[{flavor}]", trials, seed, trial)
 
 
 def check_quasi_vs_act(ring, n, trials, seed):
@@ -1250,7 +1280,10 @@ SUITES = {
     "bergman": (EXACT, (
         Check(check_bergman_coherence, flavor="full"),
         Check(check_bergman_coherence, flavor="hermitian"),
-        Check(check_quasi_full_oracle))),
+        Check(check_quasi_full_oracle),
+        Check(check_quasi_closed, flavor="full"),
+        Check(check_quasi_closed, flavor="hermitian"),
+        Check(check_quasi_closed, flavor="antihermitian"))),
     "cocycle": (EXACT, (Check(check_cocycle),)),
     "thm46": (EXACT, (
         Check(check_quasi_vs_act),

@@ -97,18 +97,25 @@ class GroupSpace:
     def ring(self):
         return self._ring
 
-    def contains(self, x):
-        if (x.shape != (self.n, self.n) or x.ring != self.ring
-                or not x.is_invertible()):
+    def _fits(self, x):
+        """Shape and ring, and x*x = 1 in the unitary group; whether x is
+        invertible is left to the caller."""
+        if x.shape != (self.n, self.n) or x.ring != self.ring:
             return False
-        if self.kind == "unitary":
-            return self.involution.apply(x) @ x == Matrix.identity(self.ring, self.n)
-        return True
+        return (self.kind != "unitary" or self.involution.apply(x) @ x
+                == Matrix.identity(self.ring, self.n))
+
+    def contains(self, x):
+        return self._fits(x) and x.is_invertible()
 
     def mul(self, x, y):
-        if not (self.contains(x) and self.contains(y)):
-            raise NotInSpace("arguments must lie in the group")
-        return x @ y.inverse() @ x
+        """x y^-1 x; the inverse of y decides whether y is invertible."""
+        if self.contains(x) and self._fits(y):
+            try:
+                return x @ y.inverse() @ x
+            except NotInvertible:
+                pass
+        raise NotInSpace("arguments must lie in the group")
 
     mul_chart = mul
 

@@ -721,7 +721,9 @@ def test_float64_scalars_are_json_numbers():
         text = ('{"op": "quasi_inverse", "ring": "float64", "n": 1, '
                 f'"x": {x}, "y": 1}}')
         assert_usage_error(["compute"], "MalformedRequest", text)
-    for x, want in (("1.5", 0.6), ("2", 2 / 3)):
+    # The quasi-inverse x(1 + yx)^-1 is solved as 1.5 * fl(1 / 2.5) and
+    # 2 * fl(1 / 3).
+    for x, want in (("1.5", 0.6000000000000001), ("2", 2 / 3)):
         text = ('{"op": "quasi_inverse", "ring": "float64", "n": 1, '
                 f'"x": {x}, "y": 1}}')
         code, out, err = run_in_process(["compute"], text)

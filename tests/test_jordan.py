@@ -7,14 +7,14 @@ import pytest
 
 from jordankit import cli
 from jordankit.algebra import Involution, Matrix, dual_combine, dual_split
-from jordankit.errors import (NotInSubspace, NotInvertible,
-                              NotQuasiInvertible, SingularOperator)
+from jordankit.errors import NotInSubspace, NotInvertible, NotQuasiInvertible
 from jordankit.jordan import (JordanContext, bergman_closed,
                               bergman_operator, full_quasi_inverse_oracle,
                               is_jordan_invertible, is_quasi_invertible,
                               jordan_inverse, jordan_product,
                               quad_triple_operator, quasi_inverse,
-                              rep_operators, triple_product)
+                              quasi_inverse_literal, rep_operators,
+                              triple_product)
 from jordankit.randgen import rand_in_context, rand_matrix, trial_rng
 from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing
 from jordankit.serialize import matrix_from_json, matrix_to_json
@@ -206,16 +206,12 @@ def test_quasi_inverse_stays_hermitian(herm2):
 
 
 def quasi_inverse_two_ranks(ctx, x, y):
-    """The quasi-inverse with both Bergman operators checked: solve with
-    B(x,y), then rank B(y,x) as well, on every ring."""
-    try:
-        c = bergman_operator(ctx, x, y).solve_flat(
-            ctx.space.coords(x + x @ y @ x))
-    except SingularOperator as e:
-        raise NotQuasiInvertible("Bergman operator is singular") from e
+    """The literal quasi-inverse with both Bergman operators checked:
+    solve with B(x,y), then rank B(y,x) as well, on every ring."""
+    q = quasi_inverse_literal(ctx, x, y)
     if not bergman_operator(ctx, y, x).is_invertible():
         raise NotQuasiInvertible("Bergman operator is singular")
-    return ctx.space.from_coords(c)
+    return q
 
 
 def outcome(f, *args):
@@ -225,21 +221,78 @@ def outcome(f, *args):
         return type(e)
 
 
-@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q)],
-                         ids=str)
+def _quasi_contexts(ring, n):
+    """Every flavor under the transpose and, at n = 2, the hermitian and
+    antihermitian flavors of the symplectic adjoint."""
+    iotas = [Involution()]
+    if n == 2:
+        iotas.append(Involution("form_adjoint",
+                                Matrix.from_ints(ring, [[0, 1], [-1, 0]]),
+                                "skew"))
+    yield JordanContext(n, ring, "full")
+    for iota in iotas:
+        for flavor in ("hermitian", "antihermitian"):
+            yield JordanContext(n, ring, flavor, iota)
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(3), PrimeFieldRing(5),
+                                  DualRing(Q)], ids=str)
 def test_quasi_inverse_equals_two_rank_reference(ring):
+    """quasi_inverse, x(1+yx)^-1 by one n x n solve, equals the literal
+    B(x,y)^-1 (x + Q(x)y) with both Bergman operators ranked, refusals
+    included, and is_quasi_invertible, by whether 1 + yx is invertible,
+    decides as those two ranks do. At n = 1..3, under the transpose and
+    the symplectic adjoint; a y = w - x^-1 makes 1 + yx = wx, singular
+    when w is."""
     rng = trial_rng(16, 0)
-    refused = 0
-    for n in (1, 2):
-        for flavor in ("full", "hermitian", "antihermitian"):
-            ctx = JordanContext(n, ring, flavor, Involution())
-            for _ in range(40):
+    refused = pairs = 0
+    for n in (1, 2, 3):
+        for ctx in _quasi_contexts(ring, n):
+            for _ in range(12):
                 x = rand_in_context(rng, ctx, lo=-1, hi=1)
-                y = rand_in_context(rng, ctx, lo=-1, hi=1)
-                got = outcome(quasi_inverse, ctx, x, y)
-                assert got == outcome(quasi_inverse_two_ranks, ctx, x, y)
-                refused += got is NotQuasiInvertible
-    assert 0 < refused < 240
+                ys = [rand_in_context(rng, ctx, lo=-1, hi=1)]
+                if x.is_invertible():
+                    ys.append(rand_in_context(rng, ctx, lo=-1, hi=1)
+                              - x.inverse())
+                for y in ys:
+                    want = outcome(quasi_inverse_two_ranks, ctx, x, y)
+                    assert outcome(quasi_inverse, ctx, x, y) == want
+                    assert outcome(quasi_inverse_literal, ctx, x, y) == want
+                    assert is_quasi_invertible(ctx, x, y) == (
+                        want is not NotQuasiInvertible)
+                    refused += want is NotQuasiInvertible
+                    pairs += 1
+    assert 0 < refused < pairs
+
+
+def test_float_quasi_inverse_is_no_less_accurate_than_literal():
+    """Over float64, the largest error of quasi_inverse against the exact
+    result over Q, on the same integer inputs, is no larger than that of
+    quasi_inverse_literal. Pairs that are not quasi-invertible over Q are
+    skipped; 1 + yx then has an integer determinant of at least 1."""
+    rng = trial_rng(20, 0)
+    worst = {quasi_inverse: 0, quasi_inverse_literal: 0}
+    compared = 0
+    for n in (1, 2, 3):
+        fctx, qctx = JordanContext(n, FLOAT64), JordanContext(n, Q)
+        for _ in range(60):
+            ints = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                    for _ in range(2)]
+            try:
+                want = quasi_inverse(qctx, *(mat(m) for m in ints))
+            except NotQuasiInvertible:
+                continue
+            compared += 1
+            xf, yf = (Matrix.from_ints(FLOAT64, m) for m in ints)
+            scale = max(1, max(abs(e) for r in want.rows for e in r))
+            for f in worst:
+                got = f(fctx, xf, yf)
+                err = max(abs(Fraction(g) - w) for gr, wr
+                          in zip(got.rows, want.rows) for g, w in zip(gr, wr))
+                worst[f] = max(worst[f], err / scale)
+    assert compared > 100
+    assert worst[quasi_inverse] <= worst[quasi_inverse_literal]
+    assert worst[quasi_inverse] < 1e-12
 
 
 @pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q),

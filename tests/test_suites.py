@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from jordankit import suites
+from jordankit.errors import NotQuasiInvertible
+from jordankit.jordan import quasi_inverse
 from jordankit.rings import FLOAT64, RATIONAL, PrimeFieldRing
 
 RING_OF = {"rational": RATIONAL, "float64": FLOAT64,
@@ -61,6 +63,34 @@ def test_size_three_core_identities():
     r3 = suites.check_fundamental_formula(RATIONAL, 3, 10, 33, "hermitian")
     for r in (r1, r2, r3):
         assert r.ok, r.name
+
+
+@pytest.mark.parametrize("flavor", ["full", "hermitian", "antihermitian"])
+def test_quasi_closed_sees_a_wrong_value_and_a_missed_refusal(flavor,
+                                                              monkeypatch):
+    """check_quasi_closed passes, and fails once its closed side answers
+    (1+yx)^-1 x, or answers x where it should refuse. At n = 3 every
+    flavor holds x, y with (1+yx)^-1 x != x(1+yx)^-1; at n = 2 every
+    flavor holds invertible x, whose draws y = w - x^-1 are refused when
+    w is singular (the antihermitian part at n = 3 holds no invertible
+    element)."""
+    def left_side(ctx, x, y):
+        quasi_inverse(ctx, x, y)
+        return (ctx.unit() + y @ x).inverse() @ x
+
+    def never_refuses(ctx, x, y):
+        try:
+            return quasi_inverse(ctx, x, y)
+        except NotQuasiInvertible:
+            return x
+
+    for ring in (RATIONAL, PrimeFieldRing(5)):
+        for wrong, n in ((left_side, 3), (never_refuses, 2)):
+            assert suites.check_quasi_closed(ring, n, 8, 1, flavor).ok
+            with monkeypatch.context() as m:
+                m.setattr(suites, "quasi_inverse", wrong)
+                res = suites.check_quasi_closed(ring, n, 8, 1, flavor)
+            assert res.failed, (ring, wrong.__name__)
 
 
 def test_check_whose_trials_all_skip_fails():

@@ -382,3 +382,56 @@ def test_i11_space_group_multiplication():
             continue
         hits += 1
         assert got == x @ y.inverse() @ x
+
+
+def _group_mul_by_ranks(space, x, y):
+    """m(x, y) = x y^-1 x gated by the membership of both arguments, as
+    GroupSpace.mul was first written: None when either is refused."""
+    if not (space.contains(x) and space.contains(y)):
+        return None
+    return x @ y.inverse() @ x
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q)],
+                         ids=["Q", "F5", "Q[e]"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_mul_decides_invertibility_as_the_rank_does(ring, n):
+    """GroupSpace.mul lets the inverse of y decide whether y is
+    invertible; its results and refusals are those of the rank-gated
+    product. Draws include singular matrices (a cleared row; over Q[e]
+    also a singular re-part under a non-zero eps-part) and, over Q at
+    n = 2, the unitary group with orthogonal and other draws."""
+    rng = trial_rng(43, n)
+    spaces = [group_space(ring, n)]
+    if ring == Q and n == 2:
+        spaces.append(unitary_space(ring))
+    refused = 0
+    for space in spaces:
+        for _ in range(8):
+            x, y, s = (rand_matrix(rng, ring, n) for _ in range(3))
+            s = Matrix(ring, list(s.rows[:-1]) + [[ring.zero()] * n])
+            draws = [x, y, s]
+            if isinstance(ring, DualRing):
+                draws.append(dual_combine(dual_split(s)[0],
+                                          rand_matrix(rng, Q, n)))
+            if space.kind == "unitary":
+                draws += [rand_orthogonal2(rng, ring) for _ in range(2)]
+            for a, b in itertools.product(draws, repeat=2):
+                want = _group_mul_by_ranks(space, a, b)
+                if want is None:
+                    refused += 1
+                    with pytest.raises(NotInSpace, match="^arguments must "
+                                                         "lie in the group$"):
+                        space.mul(a, b)
+                else:
+                    assert space.mul(a, b) == want
+        # The shape, ring and unitary tests stay.
+        one = Matrix.identity(ring, n)
+        bad = [Matrix.identity(ring, n + 1), Matrix.identity(FLOAT64, n)]
+        if space.kind == "unitary":
+            bad.append(one.scale(ring.from_int(2)))
+        for b in bad:
+            for args in ((one, b), (b, one)):
+                with pytest.raises(NotInSpace):
+                    space.mul(*args)
+    assert refused
