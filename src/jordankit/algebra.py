@@ -372,12 +372,6 @@ class LinearOperator:
     def is_invertible(self):
         return self.mat.is_invertible()
 
-    def inverse(self):
-        try:
-            return LinearOperator(self.mat.inverse())
-        except NotInvertible as e:
-            raise SingularOperator(str(e)) from e
-
     def solve_flat(self, flat):
         """The column z with op(z) = v, for v as in `apply_flat`."""
         return self.mat.solve(_column(self.ring, flat))

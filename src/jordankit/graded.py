@@ -10,7 +10,8 @@ membership in the subgroup they generate.
 from __future__ import annotations
 
 from .algebra import Matrix, left_mult, op_solve, right_mult, sandwich
-from .errors import NotInChart, NotInvertible, RingMismatch, ShapeMismatch
+from .errors import (NotInChart, NotInvertible, RingMismatch, ShapeMismatch,
+                     SingularOperator)
 
 
 def hat(x):
@@ -218,13 +219,14 @@ def denominators(g, x):
 
 
 def act(g, x):
-    """Chart action g.x = d^-1(n); defined iff both d and c are invertible."""
-    dop, cop, nval = denominators(g, x)
-    if not (dop.is_invertible() and cop.is_invertible()):
-        raise NotInChart("image left the affine chart")
-    return op_solve(dop, nval)
+    """Chart action g.x = d^-1(n); defined iff d and c are invertible,
+    that is iff d is (both are Kronecker products of (h^-1)_11 and h_22)."""
+    dop, _, nval = denominators(g, x)
+    try:
+        return op_solve(dop, nval)
+    except SingularOperator as e:
+        raise NotInChart("image left the affine chart") from e
 
 
 def in_chart(g, x):
-    dop, cop, _ = denominators(g, x)
-    return dop.is_invertible() and cop.is_invertible()
+    return denominators(g, x)[0].is_invertible()

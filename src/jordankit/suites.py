@@ -337,9 +337,10 @@ def check_cocycle(ring, n, trials, seed):
             f = randgen.rand_group_word(rng, ring, n, length=rng.randint(1, 2))
             h = randgen.rand_group_word(rng, ring, n, length=rng.randint(1, 2))
             x = randgen.rand_matrix(rng, ring, n)
-            if not in_chart(h, x):
+            try:
+                hx = act(h, x)
+            except NotInChart:
                 continue
-            hx = act(h, x)
             d_fh = denominators(f @ h, x)[0]
             d_h = denominators(h, x)[0]
             d_f_hx = denominators(f, hx)[0]

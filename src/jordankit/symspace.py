@@ -4,18 +4,34 @@ projective points (m = mu_{-1}(x, p(x), y)), and matrix groups
 (m = x y^-1 x); with the point symmetries, quadratic representation, Lie
 triple systems, canonical vector fields, transvections and the truncated
 tanh exponential.
+
+The Lie triple system at o is one bracket, T(u, theta v, w) - T(v, theta u,
+w) (Loos, Symmetric Spaces I, 1969), with theta(v) = (1/4) o^-1 v o^-1 on
+the unit and group spaces and the tangent map of the polarity at o on the
+projective space.
 """
 
 from __future__ import annotations
 
 from .algebra import (LinearOperator, Matrix, dual_combine, dual_split,
-                      herm_split, lift_once)
+                      lift_once)
 from .errors import (NotInSpace, NotInvertible, NotTransversal,
                      SeriesNotInvertible, SingularOperator, _echo)
-from .jordan import (is_jordan_invertible, jordan_inverse, mult_operator,
-                     quad_triple_operator, triple_product)
-from .projline import (ProjectivePoint, chart_coords, gamma_chart,
+from .graded import GroupElement
+from .jordan import is_jordan_invertible, jordan_inverse, quad_triple_operator
+from .projline import (ProjectivePoint, act_frac, chart_coords, gamma_chart,
                        mu_dilation, transversal)
+from .rings import DualRing
+
+
+def _quarter_sandwich(space, v):
+    """theta(v) = (1/4) o^-1 v o^-1: x -> o^-1 x is an automorphism of
+    m(x, y) = x y^-1 x on GL_n(K) taking o to 1, where theta is v/4."""
+    if space._theta is None:
+        oi = space.o.inverse()
+        space._theta = (oi.scale(space.ring.inv_int(4)), oi)
+    left, right = space._theta
+    return left @ v @ right
 
 
 class JordanUnitsSpace:
@@ -30,6 +46,7 @@ class JordanUnitsSpace:
         if not self.contains(self.o):
             raise NotInSpace("base point is not invertible")
         self._lifts = {}
+        self._theta = None
 
     @property
     def ring(self):
@@ -63,13 +80,7 @@ class JordanUnitsSpace:
     def tangent_contains(self, v):
         return self.jctx.contains(v)
 
-    def lts(self, u, v, w):
-        """[L(u), L(v)] w."""
-        lu = mult_operator(self.jctx, u)
-        lv = mult_operator(self.jctx, v)
-        op = lu.compose(lv) - lv.compose(lu)
-        return self.jctx.space.from_coords(
-            op.apply_flat(self.jctx.space.coords(w)))
+    theta = _quarter_sandwich
 
     def at_ring(self, ring):
         """The space over a dual extension, validated once per ring."""
@@ -92,6 +103,7 @@ class GroupSpace:
         self.involution = involution
         self.o = Matrix.identity(ring, n) if o is None else o
         self._lifts = {}
+        self._theta = None
 
     @property
     def ring(self):
@@ -124,16 +136,12 @@ class GroupSpace:
         return self.o
 
     def tangent_contains(self, v):
-        if self.kind == "full_linear":
-            return v.shape == (self.n, self.n) and v.ring == self.ring
-        h, a = herm_split(self.involution, v)
-        return h.is_zero()
+        """Shape and ring, and v* = -v in the unitary group."""
+        if v.shape != (self.n, self.n) or v.ring != self.ring:
+            return False
+        return self.kind != "unitary" or self.involution.apply(v) == -v
 
-    def lts(self, u, v, w):
-        """(1/4) [[u, v], w] with matrix commutators."""
-        quarter = self.ring.invert(self.ring.from_int(4))
-        uv = u @ v - v @ u
-        return (uv @ w - w @ uv).scale(quarter)
+    theta = _quarter_sandwich
 
     def at_ring(self, ring):
         """The space over a dual extension, built once per ring."""
@@ -154,6 +162,7 @@ class ProjectiveSpace:
         if not self.contains(self.o):
             raise NotInSpace("base point is isotropic")
         self._lifts = {}
+        self._theta = None
 
     @property
     def ring(self):
@@ -185,10 +194,24 @@ class ProjectiveSpace:
     def tangent_contains(self, v):
         return self.jctx.contains(v)
 
-    def lts(self, u, v, w):
-        """T(u,v,w) - T(v,u,w) at the base chart point."""
-        return (triple_product(self.jctx, u, v, w)
-                - triple_product(self.jctx, v, u, w))
+    def theta(self, v):
+        """The tangent map of the polarity p at o = Gamma_z0: the eps-part
+        of the infinity-chart coordinate w (E = [(1; w)]) of
+        exp_ad(-z0, +1).p(Gamma_{z0 + eps v}), one dual evaluation of p for
+        linear and semilinear polarities alike. exp_ad(-z0, +1) moves o to
+        Gamma_0 with derivative 1. exp_ad(-q, -1), which would then move
+        p(o) = [(1; q)] to infinity, only translates the infinity chart and
+        leaves eps-parts as they are, so it is left out."""
+        if self._theta is None:
+            z0 = self.o_chart
+            # swap turns the infinity coordinate into the chart coordinate
+            g = (GroupElement.swap(self.ring, z0.nrows)
+                 @ GroupElement.exp_ad(-z0, 1))
+            dring = DualRing(self.ring)
+            self._theta = (z0, g.embed(dring), self.polarity.embed(dring))
+        z0, g, pol = self._theta
+        image = act_frac(g, pol.apply(gamma_chart(dual_combine(z0, v))))
+        return dual_split(chart_coords(image))[1]
 
     def at_ring(self, ring):
         """The space over a dual extension, validated once per ring."""
@@ -269,9 +292,14 @@ def exp_tanh(ctx, v, order=24):
 
 
 def lts_bracket(ctx, u, v, w):
-    """Closed-form Lie triple bracket of the tangent module at the base
-    point; antisymmetric in (u, v)."""
+    """The Lie triple bracket T(u, theta v, w) - T(v, theta u, w) of the
+    tangent module at the base point; the unit space projects it onto V,
+    as its `mul` does."""
     for t in (u, v, w):
         if not ctx.tangent_contains(t):
             raise NotInSpace("arguments must be tangent at the base point")
-    return ctx.lts(u, v, w)
+    tu, tv = ctx.theta(u), ctx.theta(v)
+    out = u @ tv @ w + w @ tv @ u - (v @ tu @ w + w @ tu @ v)
+    if isinstance(ctx, JordanUnitsSpace):
+        return ctx.jctx.space.project(out)
+    return out

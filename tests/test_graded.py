@@ -8,7 +8,7 @@ from jordankit.graded import (GroupElement, act, ad_bracket, blocks, check,
                               denominators, euler, hat, in_chart, pr1)
 from jordankit.jordan import JordanContext, bergman_operator
 from jordankit.randgen import rand_group_word, rand_matrix, trial_rng
-from jordankit.rings import RATIONAL
+from jordankit.rings import RATIONAL, DualRing, PrimeFieldRing
 from operator_oracles import (degree_basis, degree_component, grading_block,
                               prm1)
 
@@ -185,6 +185,29 @@ def test_act_matches_denominator_solve():
             continue
         d, c, nval = denominators(g, x)
         assert act(g, x) == op_solve(d, nval)
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q)],
+                         ids=str)
+def test_chart_denominators_invertible_together(ring):
+    """d = (h^-1)_11 (x) h_22^T and c = h_22 (x) (h^-1)_11^T are Kronecker
+    products of the same two blocks, so they are invertible together, and
+    `act` and `in_chart` decide the chart by d alone."""
+    rng = trial_rng(23, 0)
+    seen = set()
+    for _ in range(20):
+        x = rand_matrix(rng, ring, 2)
+        y = rand_matrix(rng, ring, 2)
+        for g in (rand_group_word(rng, ring, 2, length=2),
+                  GroupElement.jmat(ring, 2), GroupElement.exp_ad(y, -1)):
+            d, c, _ = denominators(g, x)
+            inside = d.is_invertible()
+            assert c.is_invertible() == inside == in_chart(g, x)
+            if not inside:
+                with pytest.raises(NotInChart):
+                    act(g, x)
+            seen.add(inside)
+    assert seen == {True, False}
 
 
 def test_standard_matrices():

@@ -9,7 +9,8 @@ from jordankit.algebra import (CoordinateBasis, Involution, Matrix,
                                dual_combine, dual_split)
 from jordankit.errors import NotInSpace
 from jordankit.graded import GroupElement
-from jordankit.jordan import JordanContext, jordan_inverse, jordan_product
+from jordankit.jordan import (JordanContext, jordan_inverse, jordan_product,
+                              mult_operator)
 from jordankit.projline import Polarity, chart_coords, gamma_chart
 from jordankit.randgen import (rand_filtered, rand_in_context, rand_invertible,
                                rand_matrix, rand_orthogonal2, trial_rng)
@@ -17,9 +18,9 @@ from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing
 from jordankit.suites import (group_space, jordan_ctx, literal_units,
                               numeric_lts, proj_space_i11, proj_space_swap,
                               unitary_space, units_space)
-from jordankit.symspace import (JordanUnitsSpace, ProjectiveSpace, exp_tanh,
-                                lts_bracket, quadratic_rep_point, sym_mul,
-                                tilde_field, transvection)
+from jordankit.symspace import (GroupSpace, JordanUnitsSpace, ProjectiveSpace,
+                                exp_tanh, lts_bracket, quadratic_rep_point,
+                                sym_mul, tilde_field, transvection)
 
 Q = RATIONAL
 
@@ -148,9 +149,10 @@ def test_units_mul_decides_left_invertibility_on_re_parts():
                                   DualRing(DualRing(Q))], ids=str)
 def test_unit_space_materializes_no_operator(ring, monkeypatch):
     """With CoordinateBasis.materialize made to raise, the unit space is
-    still built and its mul, contains, jordan_inverse and tilde_field
-    still answer: none of them builds an n^2 x n^2 operator (every
-    operator of the Jordan context reaches V through `materialize`)."""
+    still built and its mul, contains, jordan_inverse, tilde_field and
+    lts_bracket still answer: none of them builds an n^2 x n^2 operator
+    (every operator of the Jordan context reaches V through
+    `materialize`)."""
     def refuse(*args, **kwargs):
         raise AssertionError("an n^2 x n^2 operator was built")
 
@@ -166,6 +168,9 @@ def test_unit_space_materializes_no_operator(ring, monkeypatch):
         assert not space.contains(jctx.zero())
         v = rand_in_context(rng, jctx)
         assert tilde_field(space, v, x) == jordan_product(jctx, v, x)
+        quarter = ring.inv_int(4)
+        assert lts_bracket(space, v, x, y) == (
+            v @ x @ y + y @ x @ v - x @ v @ y - y @ v @ x).scale(quarter)
 
 
 def test_quadratic_rep_point():
@@ -289,17 +294,99 @@ def test_lts_group_quarter_bracket():
         Q.invert(Q.from_int(4)))
 
 
+def _band(ring, n, symmetric):
+    """2 on the diagonal and 1 beside it: invertible over Q, F_5 and F_7
+    at n <= 3."""
+    return Matrix.from_ints(ring, [
+        [2 if i == j else int(j == i + 1 or (symmetric and i == j + 1))
+         for j in range(n)] for i in range(n)])
+
+
+def lts_configurations(ring, n):
+    """Unit, group and projective spaces away from o = 1 and from the swap
+    polarity at Gamma_0, where a bracket that ignores theta is wrong."""
+    one, swap = GroupElement.identity(ring, n), GroupElement.swap(ring, n)
+    osym, ofull = _band(ring, n, True), _band(ring, n, False)
+    full, herm = jordan_ctx(ring, n), jordan_ctx(ring, n, "hermitian")
+    z = Matrix.unit(ring, n, 0, 0).scale(ring.from_int(3))
+    return [
+        units_space(ring, n),
+        JordanUnitsSpace(herm, osym),
+        JordanUnitsSpace(full, ofull),
+        GroupSpace(n, ring, o=ofull),
+        proj_space_swap(ring, n),
+        ProjectiveSpace(Polarity("linear", S=swap), full, gamma_chart(ofull)),
+        proj_space_i11(ring, n),
+        ProjectiveSpace(Polarity("linear", S=one, H=osym), full),
+        ProjectiveSpace(Polarity("linear", S=one, H=osym), herm,
+                        gamma_chart(z)),
+        ProjectiveSpace(Polarity("semilinear", S=swap, j=1), full),
+        ProjectiveSpace(Polarity("semilinear", S=swap, j=2), full,
+                        gamma_chart(z)),
+        ProjectiveSpace(Polarity("semilinear", S=swap, j=2),
+                        jordan_ctx(ring, n, "antihermitian"))]
+
+
 def test_numeric_lts_matches_closed_forms():
+    """The one bracket T(u, theta v, w) - T(v, theta u, w) equals the
+    nested dual bracket of the canonical fields on 12 configurations."""
     rng = trial_rng(8, 0)
-    for space in (units_space(Q, 2), group_space(Q, 2), proj_space_swap(Q, 2)):
-        for _ in range(3):
-            if hasattr(space, "jctx"):
-                u, v, w = (rand_in_context(rng, space.jctx, lo=-1, hi=1)
-                           for _ in range(3))
-            else:
-                u, v, w = (rand_matrix(rng, Q, 2, lo=-1, hi=1)
-                           for _ in range(3))
-            assert numeric_lts(space, u, v, w) == lts_bracket(space, u, v, w)
+    for ring, n in itertools.product((Q, PrimeFieldRing(7)), (1, 2)):
+        for space in lts_configurations(ring, n):
+            for _ in range(2):
+                if hasattr(space, "jctx"):
+                    u, v, w = (rand_in_context(rng, space.jctx, lo=-1, hi=1)
+                               for _ in range(3))
+                else:
+                    u, v, w = (rand_matrix(rng, ring, n, lo=-1, hi=1)
+                               for _ in range(3))
+                assert (numeric_lts(space, u, v, w)
+                        == lts_bracket(space, u, v, w)), space
+
+
+def test_lts_units_away_from_one():
+    """theta = (1/4) o^-1 v o^-1: at o = diag(2, 1) the bracket of E11,
+    E12, E21 is E11/8 - E22/16, not the (E11 - E22)/4 of o = 1."""
+    space = JordanUnitsSpace(JordanContext(2, Q), mat([[2, 0], [0, 1]]))
+    e = [[Matrix.unit(Q, 2, i, j) for j in range(2)] for i in range(2)]
+    want = e[0][0].scale(Q.inv_int(8)) - e[1][1].scale(Q.inv_int(16))
+    assert lts_bracket(space, e[0][0], e[0][1], e[1][0]) == want
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q)],
+                         ids=str)
+def test_unit_lts_at_one_is_the_materialized_bracket(ring):
+    """At o = 1 the bracket is [L(u), L(v)] w, with L materialized as an
+    operator on V, on the full, the transpose-hermitian and a
+    symmetric-form hermitian flavor."""
+    rng = trial_rng(22, 0)
+    for n in (1, 2, 3):
+        iota = Involution("form_adjoint", _band(ring, n, True), "symmetric")
+        for jctx in (JordanContext(n, ring),
+                     JordanContext(n, ring, "hermitian", Involution()),
+                     JordanContext(n, ring, "hermitian", iota)):
+            space = JordanUnitsSpace(jctx)
+            u, v, w = (rand_in_context(rng, jctx) for _ in range(3))
+            lu, lv = mult_operator(jctx, u), mult_operator(jctx, v)
+            op = lu.compose(lv) - lv.compose(lu)
+            want = jctx.space.from_coords(
+                op.apply_flat(jctx.space.coords(w)))
+            assert lts_bracket(space, u, v, w) == want
+
+
+def test_unitary_tangent_checks_shape_and_ring():
+    """A tangent of the unitary group is an n x n matrix over its ring
+    with v* = -v; anything else is refused before any product."""
+    space = unitary_space(Q, 2)
+    skew = mat([[0, 1], [-1, 0]])
+    assert lts_bracket(space, skew, skew, skew).is_zero()
+    for bad in (Matrix.zeros(Q, 3),
+                Matrix.from_ints(PrimeFieldRing(5), [[0, 1], [4, 0]]),
+                mat([[1, 0], [0, 0]])):
+        with pytest.raises(NotInSpace):
+            lts_bracket(space, bad, skew, skew)
+        with pytest.raises(NotInSpace):
+            lts_bracket(space, skew, skew, bad)
 
 
 def test_numeric_lts_on_restricted_flavors():
