@@ -34,12 +34,19 @@ def rand_scalar(rng, ring, lo=-BOX, hi=BOX):
     return ring.from_int(rng.randint(lo, hi))
 
 
-def rand_unit(rng, ring, lo=-BOX, hi=BOX):
+def _first_accepted(draw, accept):
+    """The first of up to RETRY_CAP draws `draw()` that `accept` takes, or
+    None. Every filter below draws through here."""
     for _ in range(RETRY_CAP):
-        s = rand_scalar(rng, ring, lo, hi)
-        if ring.is_unit(s):
-            return s
+        x = draw()
+        if accept(x):
+            return x
     return None
+
+
+def rand_unit(rng, ring, lo=-BOX, hi=BOX):
+    return _first_accepted(lambda: rand_scalar(rng, ring, lo, hi),
+                           ring.is_unit)
 
 
 def rand_matrix(rng, ring, n, m=None, lo=-BOX, hi=BOX):
@@ -49,11 +56,8 @@ def rand_matrix(rng, ring, n, m=None, lo=-BOX, hi=BOX):
 
 
 def rand_invertible(rng, ring, n, lo=-BOX, hi=BOX):
-    for _ in range(RETRY_CAP):
-        x = rand_matrix(rng, ring, n, lo=lo, hi=hi)
-        if x.is_invertible():
-            return x
-    return None
+    return _first_accepted(lambda: rand_matrix(rng, ring, n, lo=lo, hi=hi),
+                           lambda x: x.is_invertible())
 
 
 def rand_in_context(rng, jctx, lo=-BOX, hi=BOX):
@@ -62,20 +66,13 @@ def rand_in_context(rng, jctx, lo=-BOX, hi=BOX):
 
 
 def rand_filtered(rng, gen, pred):
-    for _ in range(RETRY_CAP):
-        x = gen(rng)
-        if pred(x):
-            return x
-    return None
+    return _first_accepted(lambda: gen(rng), pred)
 
 
 def rand_quasi_invertible(rng, jctx):
-    for _ in range(RETRY_CAP):
-        x = rand_in_context(rng, jctx)
-        y = rand_in_context(rng, jctx)
-        if is_quasi_invertible(jctx, x, y):
-            return x, y
-    return None
+    return _first_accepted(
+        lambda: (rand_in_context(rng, jctx), rand_in_context(rng, jctx)),
+        lambda xy: is_quasi_invertible(jctx, *xy))
 
 
 def rand_group_word(rng, ring, n, length=2, lo=-BOX, hi=BOX):

@@ -102,6 +102,8 @@ class GroupSpace:
         self.kind = kind
         self.involution = involution
         self.o = Matrix.identity(ring, n) if o is None else o
+        if not self.contains(self.o):
+            raise NotInSpace("base point is not in the group")
         self._lifts = {}
         self._theta = None
 
@@ -136,10 +138,14 @@ class GroupSpace:
         return self.o
 
     def tangent_contains(self, v):
-        """Shape and ring, and v* = -v in the unitary group."""
+        """Shape and ring, and in the unitary group w* = -w for
+        w = o^-1 v, the tangent space at o (at o = 1, v* = -v)."""
         if v.shape != (self.n, self.n) or v.ring != self.ring:
             return False
-        return self.kind != "unitary" or self.involution.apply(v) == -v
+        if self.kind != "unitary":
+            return True
+        w = self.o.inverse() @ v
+        return self.involution.apply(w) == -w
 
     theta = _quarter_sandwich
 

@@ -24,19 +24,19 @@ def report(num, label, *results):
 
 def test_criterion_1_fundamental_formula():
     report(1, "fundamental formula, 500 pairs over Q and F5, exact",
-           suites.check_fundamental_formula(Q, 2, 500, 101, "full"),
-           suites.check_fundamental_formula(F5, 2, 500, 102, "full"))
+           suites.check_fundamental_formula(Q, 2, 500, 101, flavor="full"),
+           suites.check_fundamental_formula(F5, 2, 500, 102, flavor="full"))
 
 
 def test_criterion_2_pair_identities():
     report(2, "outer symmetry and five-term identity, 300 tuples, exact",
-           suites.check_pair_identities(Q, 2, 300, 103, "full"))
+           suites.check_pair_identities(Q, 2, 300, 103, flavor="full"))
 
 
 def test_criterion_3_bergman_coherence():
     report(3, "Bergman ad-form = closed form (300); quasi-inverse = "
               "lower-unipotent chart action incl. failure agreement (300)",
-           suites.check_bergman_coherence(Q, 2, 300, 104, "full"),
+           suites.check_bergman_coherence(Q, 2, 300, 104, flavor="full"),
            suites.check_quasi_vs_act(Q, 2, 300, 105))
 
 
@@ -73,7 +73,7 @@ def test_criterion_8_exp_tanh():
     report(8, "exp = truncated cosh^-1 sinh: tanh oracle at 1e-12 (n=1), "
               "doubling law at 1e-10 (Sym_2)",
            suites.check_exp_tanh_scalar(100, 114, order=24, tol=1e-12),
-           suites.check_exp_tanh_doubling(50, 115, n=2, order=24, tol=1e-10))
+           suites.check_exp_tanh_doubling(50, 115, order=24, tol=1e-10))
 
 
 def test_criterion_9_projective_identities():

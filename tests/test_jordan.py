@@ -305,7 +305,7 @@ def test_quad_apply_equals_materialized_q(ring):
     flavor has trials where both x and y are units."""
     for n in (1, 2, 3):
         for flavor in ("full", "hermitian"):
-            res = check_units_literal(ring, n, 8, 17, flavor)
+            res = check_units_literal(ring, n, 8, 17, flavor=flavor)
             assert res.ok and res.passed == 8, res.first_counterexample
 
 

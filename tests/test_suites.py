@@ -14,6 +14,7 @@ from jordankit.rings import FLOAT64, RATIONAL, PrimeFieldRing
 RING_OF = {"rational": RATIONAL, "float64": FLOAT64,
            "prime_field": PrimeFieldRing(5)}
 GOLDEN = Path(__file__).parent / "data" / "suite_reports_golden.json"
+GOLDEN_N13 = Path(__file__).parent / "data" / "suite_reports_n1_n3_golden.json"
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
@@ -58,9 +59,10 @@ def test_reports_identical_for_same_config():
 
 
 def test_size_three_core_identities():
-    r1 = suites.check_bergman_coherence(RATIONAL, 3, 10, 31, "full")
+    r1 = suites.check_bergman_coherence(RATIONAL, 3, 10, 31, flavor="full")
     r2 = suites.check_quasi_vs_act(RATIONAL, 3, 10, 32)
-    r3 = suites.check_fundamental_formula(RATIONAL, 3, 10, 33, "hermitian")
+    r3 = suites.check_fundamental_formula(RATIONAL, 3, 10, 33,
+                                          flavor="hermitian")
     for r in (r1, r2, r3):
         assert r.ok, r.name
 
@@ -86,10 +88,10 @@ def test_quasi_closed_sees_a_wrong_value_and_a_missed_refusal(flavor,
 
     for ring in (RATIONAL, PrimeFieldRing(5)):
         for wrong, n in ((left_side, 3), (never_refuses, 2)):
-            assert suites.check_quasi_closed(ring, n, 8, 1, flavor).ok
+            assert suites.check_quasi_closed(ring, n, 8, 1, flavor=flavor).ok
             with monkeypatch.context() as m:
                 m.setattr(suites, "quasi_inverse", wrong)
-                res = suites.check_quasi_closed(ring, n, 8, 1, flavor)
+                res = suites.check_quasi_closed(ring, n, 8, 1, flavor=flavor)
             assert res.failed, (ring, wrong.__name__)
 
 
@@ -101,6 +103,30 @@ def test_check_whose_trials_all_skip_fails():
     rep = suites.SuiteReport("s", [some, suites.run_check(
         "y", 2, 0, lambda r, i: None)])
     assert rep.failed == 0 and not rep.ok
+
+
+def test_resample_draws_again_from_the_same_stream():
+    """A trial that answers RESAMPLE k times runs again on the same
+    stream, so its next run sees the next draws; one that always answers
+    RESAMPLE is skipped at the cap, and its check is not ok."""
+    seen = []
+
+    def trial(rng, i):
+        seen.append(rng.random())
+        return suites.RESAMPLE if len(seen) % 4 else True
+
+    res = suites.run_check("x", 2, 7, trial)
+    assert (res.passed, res.skipped, res.failed) == (2, 0, 0)
+    stream = suites.randgen.trial_rng(7, 0)
+    assert seen[:4] == [stream.random() for _ in range(4)]
+    stream = suites.randgen.trial_rng(7, 1)
+    assert seen[4:] == [stream.random() for _ in range(4)]
+
+    calls = []
+    res = suites.run_check(
+        "y", 3, 0, lambda r, i: calls.append(i) or suites.RESAMPLE)
+    assert res.skipped == 3 and not res.ok
+    assert calls == [i for i in range(3) for _ in range(suites.RESAMPLE_CAP)]
 
 
 def golden_reports():
@@ -137,3 +163,28 @@ def test_ad_multiplicative_runs_at_most_100_trials():
     checks = {c.name: c for c in suites.run_suite(cfg).checks}
     assert checks["ad-multiplicative"].trials == 100
     assert checks["quasi-vs-act"].trials == 101
+
+
+def test_suite_reports_at_n_1_and_3_are_unchanged():
+    """The report of every suite that reads n, over each ring kind it
+    supports, at n = 1 and n = 3 (seed 1, 3 trials, without wall_time)
+    stays the one recorded before the checks were declared by their
+    trials."""
+    want = json.loads(GOLDEN_N13.read_text(encoding="utf-8"))
+    got = []
+    for name in sorted(suites.SUITES):
+        if "n" not in suites.suite_options(name):
+            continue
+        for kind in suites.SUITES[name][0]:
+            for n in (1, 3):
+                cfg = suites.SuiteConfig(suite=name, ring=RING_OF[kind], n=n,
+                                         trials=3, seed=1)
+                rep = suites.run_suite(cfg)
+                assert rep.ok, (name, kind, n)
+                rep = rep.to_json()
+                rep.pop("wall_time")
+                got.append(rep)
+    assert len(got) == len(want) == 42
+    for g, w in zip(got, want):
+        assert (json.dumps(g, sort_keys=True)
+                == json.dumps(w, sort_keys=True)), (w["suite"], w["config"])

@@ -68,6 +68,33 @@ def test_singular_base_point_rejected_at_construction():
                          mat([[1, 2], [2, 4]]).embed(DualRing(Q)))
 
 
+def test_group_base_point_must_lie_in_the_group():
+    """A singular o, or an o of the unitary group with o* o != 1, is
+    refused when the space is built, as the other spaces refuse theirs."""
+    with pytest.raises(NotInSpace):
+        GroupSpace(2, Q, o=Matrix.zeros(Q, 2))
+    with pytest.raises(NotInSpace):
+        GroupSpace(2, Q, "unitary", Involution(), o=mat([[2, 0], [0, 1]]))
+
+
+def test_unitary_tangent_is_taken_at_the_base_point():
+    """At o = diag(1, 1, -1) the tangent space of the unitary group is o
+    times the skew matrices: o s is tangent, and its bracket is the one of
+    the nested dual oracle; a skew s with o^-1 s symmetric is refused."""
+    o = Matrix.from_ints(Q, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    space = GroupSpace(3, Q, "unitary", Involution(), o=o)
+
+    def skew(a, b, c):
+        return Matrix.from_ints(Q, [[0, a, b], [-a, 0, c], [-b, -c, 0]])
+
+    u, v, w = (o @ skew(*t) for t in ((1, 2, 0), (0, 1, -1), (2, 0, 1)))
+    got = lts_bracket(space, u, v, w)
+    assert not got.is_zero()
+    assert got == numeric_lts(space, u, v, w)
+    with pytest.raises(NotInSpace):
+        lts_bracket(space, skew(0, 1, 0), v, w)
+
+
 def test_lifts_are_built_once_per_ring():
     d1 = DualRing(Q)
     d2 = DualRing(d1)
