@@ -28,33 +28,47 @@ class ProjectivePoint:
         self.ring = rep.ring
         self.rep = rep
 
+    @classmethod
+    def _of(cls, rep, n):
+        """Internal fast path: the point of a 2n x n rep that has rank n
+        by construction, adopted without ranking it."""
+        E = cls.__new__(cls)
+        E.n = n
+        E.ring = rep.ring
+        E.rep = rep
+        return E
+
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
         if self.ring != other.ring or self.n != other.n:
             return False
-        return self.rep.hstack(other.rep).rank() == self.n
+        return _joined_rank(self, other) == self.n
 
     __hash__ = None
 
     def embed(self, ring):
+        """The point over an extension; embedding keeps the re-part, so
+        the rank."""
         if ring == self.ring:
             return self
-        return ProjectivePoint(self.rep.embed(ring), self.n)
+        return ProjectivePoint._of(self.rep.embed(ring), self.n)
 
     def __repr__(self):
         return f"ProjectivePoint({self.rep!r})"
 
 
 def gamma_chart(z):
-    """Column space of (z; 1): the graph of left translation by z."""
-    return ProjectivePoint(z.vstack(Matrix.identity(z.ring, z.nrows)), z.nrows)
+    """Column space of (z; 1): the graph of left translation by z; its
+    identity block gives it rank n."""
+    n = z.nrows
+    return ProjectivePoint._of(z.vstack(Matrix.identity(z.ring, n)), n)
 
 
 def base_plus(ring, n):
     """o+ = [(1; 0)]."""
     one = Matrix.identity(ring, n)
-    return ProjectivePoint(one.vstack(Matrix.zeros(ring, n)), n)
+    return ProjectivePoint._of(one.vstack(Matrix.zeros(ring, n)), n)
 
 
 def base_minus(ring, n):
@@ -83,14 +97,30 @@ def _same_line(E, *others):
         raise RingMismatch("points of different lines")
 
 
+def _joined_rank(E, F):
+    """The rank of [E | F]: the pivots of the re-parts side by side. Over
+    Q each block is joined by its numerators, without a common
+    denominator: scaling a block by a positive integer keeps the
+    pivots."""
+    a, b = E.rep.base_part(), F.rep.base_part()
+    return K.gauss_rank([x + y for x, y in zip(a._form, b._form)], a.ring)
+
+
 def transversal(E, F):
     _same_line(E, F)
-    return E.rep.hstack(F.rep).rank() == 2 * E.n
+    return _joined_rank(E, F) == 2 * E.n
 
 
 def act_frac(g, E):
-    """Column space of g . rep; total on the projective line."""
-    return ProjectivePoint(g.mat @ E.rep, E.n)
+    """Column space of g . rep; total on the projective line. Over exact
+    rings and dual towers over them an invertible g keeps the rank of
+    rep, so the image is ranked only when g is singular; the rank of g
+    is kept on its matrix. Over float64 both are threshold decisions
+    and the image is ranked."""
+    image = g.mat @ E.rep
+    if E.ring.is_exact() and g.mat.is_invertible():
+        return ProjectivePoint._of(image, E.n)
+    return ProjectivePoint(image, E.n)
 
 
 def mu_dilation(r, x, a, y):
@@ -98,7 +128,8 @@ def mu_dilation(r, x, a, y):
     K^{2n} = x + a; in the chart with origin x and infinity a this scales
     coordinates by r. The solve y = x P + a Q fails exactly when x meets
     a; [y | a] = [x | a] (P 0; Q 1), so y meets a exactly when P is
-    singular."""
+    singular. The image x P + a Q r = [x | a] (P; Q r) then has rank n,
+    which over float64 is ranked again, as a threshold decision."""
     if not x.ring.is_unit(r):
         raise NotAUnit("dilation factor must be a unit")
     _same_line(a, x, y)
@@ -111,7 +142,10 @@ def mu_dilation(r, x, a, y):
     if p is None or p.rank() != n:
         raise NotTransversal("dilation needs x and y transversal to a")
     q = pq.submatrix(range(n, 2 * n), range(n))
-    return ProjectivePoint(x.rep @ p + a.rep @ q.scale(r), n)
+    image = x.rep @ p + a.rep @ q.scale(r)
+    if x.ring.is_exact():
+        return ProjectivePoint._of(image, n)
+    return ProjectivePoint(image, n)
 
 
 # -- block involutions of M_2(A) -------------------------------------------
@@ -141,11 +175,11 @@ def phi_group(j, iota, g):
 def standard_complement(E):
     """The complement of E spanned by the first standard basis vectors
     independent of E and of each other: the pivot columns after the
-    first n of [E | I_2n]."""
+    first n of [E | I_2n]; n distinct columns of the identity."""
     ring, n = E.ring, E.n
     eye = Matrix.identity(ring, 2 * n)
     piv = K.pivot_columns(E.rep.hstack(eye)._form, ring)
-    return ProjectivePoint(
+    return ProjectivePoint._of(
         eye.submatrix(range(2 * n), [k - n for k in piv if k >= n]), n)
 
 
@@ -180,7 +214,8 @@ def _phi_image(j, iota, E, p):
     piv = K.pivot_columns(kmat._form, E.ring)
     if len(piv) != E.n:
         raise ShapeMismatch("involution image has wrong rank")
-    return ProjectivePoint(kmat.submatrix(range(2 * E.n), piv), E.n)
+    # Elimination of the pivot columns alone finds the same pivots.
+    return ProjectivePoint._of(kmat.submatrix(range(2 * E.n), piv), E.n)
 
 
 def classify_point(iota, E):

@@ -9,6 +9,13 @@ The Lie triple system at o is one bracket, T(u, theta v, w) - T(v, theta u,
 w) (Loos, Symmetric Spaces I, 1969), with theta(v) = (1/4) o^-1 v o^-1 on
 the unit and group spaces and the tangent map of the polarity at o on the
 projective space.
+
+A space checks its base point once, when it is built. Its lift to a dual
+extension (`at_ring`) carries the validated base point, embedded, and is
+not checked again: embedding is an injective ring homomorphism, and over
+a dual ring every decision (rank, coordinates, transversality) is made on
+re-parts, where the lifted point is the validated one. The projective
+space computes the chart coordinate of its base point, `o_chart`, once.
 """
 
 from __future__ import annotations
@@ -34,19 +41,38 @@ def _quarter_sandwich(space, v):
     return left @ v @ right
 
 
-class JordanUnitsSpace:
+class _Space:
+    """What the three spaces share: their fields and empty caches, set by
+    `_set` before a constructor checks the base point, and the lift to a
+    dual extension, which sets the embedded fields of the validated space
+    without that check."""
+
+    _caches = ("_theta",)
+
+    def _set(self, **fields):
+        vars(self).update(fields, _lifts={}, **dict.fromkeys(self._caches))
+
+    def _lift(self, ring, fields):
+        """The space over `ring`, an iterated dual extension of its ring,
+        built once per ring (see `lift_once`) from `fields(r)`, this
+        space's fields embedded into r."""
+        def build(r):
+            lifted = object.__new__(type(self))
+            lifted._set(**fields(r))
+            return lifted
+        return lift_once(self, ring, build)
+
+
+class JordanUnitsSpace(_Space):
     """Invertible elements of a unital Jordan algebra (full or hermitian
     flavor), with m(x, y) = Q(x) y^-1 = x y^-1 x."""
 
     def __init__(self, jctx, o=None):
         if jctx.flavor == "antihermitian":
             raise ValueError("unit space needs a unital flavor")
-        self.jctx = jctx
-        self.o = jctx.unit() if o is None else o
+        self._set(jctx=jctx, o=jctx.unit() if o is None else o)
         if not self.contains(self.o):
             raise NotInSpace("base point is not invertible")
-        self._lifts = {}
-        self._theta = None
 
     @property
     def ring(self):
@@ -83,12 +109,12 @@ class JordanUnitsSpace:
     theta = _quarter_sandwich
 
     def at_ring(self, ring):
-        """The space over a dual extension, validated once per ring."""
-        return lift_once(self, ring, lambda r: JordanUnitsSpace(
-            self.jctx.at_ring(r), self.o.embed(r)))
+        """The space over a dual extension, built once per ring."""
+        return self._lift(ring, lambda r: dict(
+            jctx=self.jctx.at_ring(r), o=self.o.embed(r)))
 
 
-class GroupSpace:
+class GroupSpace(_Space):
     """A matrix group as a symmetric space, m(x, y) = x y^-1 x; either all
     of GL_n or the unitary group of an involution."""
 
@@ -97,15 +123,10 @@ class GroupSpace:
             raise ValueError(f"unknown group kind {_echo(kind)}")
         if kind == "unitary" and involution is None:
             raise ValueError("unitary group needs an involution")
-        self.n = n
-        self._ring = ring
-        self.kind = kind
-        self.involution = involution
-        self.o = Matrix.identity(ring, n) if o is None else o
+        self._set(n=n, _ring=ring, kind=kind, involution=involution,
+                  o=Matrix.identity(ring, n) if o is None else o)
         if not self.contains(self.o):
             raise NotInSpace("base point is not in the group")
-        self._lifts = {}
-        self._theta = None
 
     @property
     def ring(self):
@@ -151,24 +172,23 @@ class GroupSpace:
 
     def at_ring(self, ring):
         """The space over a dual extension, built once per ring."""
-        return lift_once(self, ring, lambda r: GroupSpace(
-            self.n, r, self.kind,
-            self.involution.embed(r) if self.involution else None,
-            self.o.embed(r)))
+        return self._lift(ring, lambda r: dict(
+            n=self.n, _ring=r, kind=self.kind,
+            involution=self.involution.embed(r) if self.involution else None,
+            o=self.o.embed(r)))
 
 
-class ProjectiveSpace:
+class ProjectiveSpace(_Space):
     """Non-isotropic points of a polarity, m(x, y) = mu_{-1}(x, p(x), y);
     carries a Jordan context for its tangent modules at chart points."""
 
+    _caches = ("_theta", "_o_chart")
+
     def __init__(self, polarity, jctx, o=None):
-        self.polarity = polarity
-        self.jctx = jctx
-        self.o = gamma_chart(jctx.zero()) if o is None else o
+        self._set(polarity=polarity, jctx=jctx,
+                  o=gamma_chart(jctx.zero()) if o is None else o)
         if not self.contains(self.o):
             raise NotInSpace("base point is isotropic")
-        self._lifts = {}
-        self._theta = None
 
     @property
     def ring(self):
@@ -195,7 +215,11 @@ class ProjectiveSpace:
 
     @property
     def o_chart(self):
-        return chart_coords(self.o)
+        """The chart coordinate of o, computed once; an o off the chart
+        raises NotInChart on every read."""
+        if self._o_chart is None:
+            self._o_chart = chart_coords(self.o)
+        return self._o_chart
 
     def tangent_contains(self, v):
         return self.jctx.contains(v)
@@ -220,9 +244,10 @@ class ProjectiveSpace:
         return dual_split(chart_coords(image))[1]
 
     def at_ring(self, ring):
-        """The space over a dual extension, validated once per ring."""
-        return lift_once(self, ring, lambda r: ProjectiveSpace(
-            self.polarity.embed(r), self.jctx.at_ring(r), self.o.embed(r)))
+        """The space over a dual extension, built once per ring."""
+        return self._lift(ring, lambda r: dict(
+            polarity=self.polarity.embed(r), jctx=self.jctx.at_ring(r),
+            o=self.o.embed(r)))
 
 
 def sym_mul(ctx, x, y):
@@ -252,11 +277,11 @@ def tilde_field(ctx, v, p):
     `p` may live over any iterated dual extension of the context ring, so
     the field itself can be differentiated by further lifting.
     """
+    if not ctx.at_ring(v.ring).tangent_contains(v):
+        raise NotInSpace("v is not tangent at the base point")
     ring = p.ring
     ctx_r = ctx.at_ring(ring)
     vr = v.embed(ring)
-    if not ctx_r.tangent_contains(vr):
-        raise NotInSpace("v is not tangent at the base point")
     inner = ctx_r.mul_chart(ctx_r.o_chart, p)
     x_eps = dual_combine(ctx_r.o_chart, vr)
     dring = x_eps.ring

@@ -421,6 +421,29 @@ def test_compute_rank_deficient_point_is_domain_error():
         assert json.loads(out)["error"] == "ShapeMismatch", req
 
 
+def test_compute_act_frac_by_a_requested_g_ranks_a_singular_image():
+    """A g from a request is not known to be invertible: by the singular
+    g = (1 0; 0 0) the image of o+ is o+, and that of o- is refused."""
+    g = {"blocks": [[[["1"]], [["0"]]], [[["0"]], [["0"]]]]}
+    for rep, want in (([["1"], ["0"]], 0), ([["0"], ["1"]], 1)):
+        code, out, _ = run_in_process(["compute"], stdin=json.dumps(
+            {"op": "act_frac", "g": g, "E": _point(rep)}))
+        assert code == want
+        if want:
+            assert json.loads(out) == {"error": "ShapeMismatch", "detail":
+                                       "point rep is rank-deficient"}
+
+
+def test_compute_lts_at_o_plus_is_not_in_chart():
+    req = {"op": "lts", "u": [["1"]], "v": [["2"]], "w": [["3"]],
+           "context": {"variant": "projective", "ring": "rational", "n": 1,
+                       "polarity": {"mode": "linear", "S": "F"},
+                       "o": _point([["1"], ["0"]])}}
+    code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
+    assert code == 1 and not err
+    assert json.loads(out)["error"] == "NotInChart"
+
+
 def test_compute_derivative_alias():
     """Each op has one name: the former aliases derivative_check and
     cayley_identity are unknown ops."""

@@ -2,9 +2,12 @@
 block involutions, classification, polarities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jordankit import projline
 from jordankit.algebra import Involution, Matrix
-from jordankit.errors import NotInChart, NotTransversal
+from jordankit.errors import NotInChart, NotTransversal, ShapeMismatch
 from jordankit.graded import GroupElement, act, in_chart as act_in_chart
 from jordankit.projline import (Polarity, ProjectivePoint, act_frac,
                                 base_minus, base_plus, chart_coords,
@@ -12,9 +15,9 @@ from jordankit.projline import (Polarity, ProjectivePoint, act_frac,
                                 modification_matrix, mu_dilation,
                                 phi_involution, standard_complement,
                                 transversal)
-from jordankit.randgen import (rand_group_word, rand_matrix, rand_point,
-                               rand_unit, trial_rng)
-from jordankit.rings import RATIONAL, DualRing, PrimeFieldRing
+from jordankit.randgen import (rand_group_word, rand_invertible, rand_matrix,
+                               rand_point, rand_unit, trial_rng)
+from jordankit.rings import FLOAT64, RATIONAL, DualRing, PrimeFieldRing
 
 Q = RATIONAL
 
@@ -344,3 +347,101 @@ def test_phi_refuses_a_non_complement():
             with pytest.raises(NotTransversal, match="^complement is not "
                                "transversal to the point$"):
                 phi_involution(1, Involution(), e, complement=f)
+
+
+def _rebased(rng, ring, e):
+    """The point e on another basis, with fractional entries over Q: rep
+    times an invertible matrix over a random denominator."""
+    b = rand_invertible(rng, ring, e.n)
+    k = ring.from_int(rng.choice((2, 3, 6)))
+    return ProjectivePoint(e.rep @ b.scale(ring.invert(k)), e.n)
+
+
+QEE = DualRing(QE)
+
+
+@pytest.mark.parametrize("ring", [Q, F5, FLOAT64, QE, QEE], ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_joined_re_parts_rank_as_the_hstack_does(ring, n):
+    """transversal and == rank the numerators of the re-parts side by
+    side; on transversal, meeting and equal pairs with fractional reps
+    they decide as the rank of E.rep.hstack(F.rep) does."""
+    rng = trial_rng(44, n)
+    seen = set()
+    for _ in range(6):
+        e, f = (_rebased(rng, ring, rand_point(rng, ring, n))
+                for _ in range(2))
+        pairs = [(e, f), (e, e), (e, _rebased(rng, ring, e))]
+        meet = _meeting(rng, ring, e)
+        if meet is not None:
+            pairs.append((e, _rebased(rng, ring, meet)))
+        for x, y in pairs:
+            rank = x.rep.hstack(y.rep).rank()
+            assert projline._joined_rank(x, y) == rank
+            assert transversal(x, y) == (rank == 2 * n)
+            assert (x == y) == (rank == n)
+            seen.add(rank)
+    assert {n, 2 * n} <= seen
+    if n > 1:
+        assert seen - {n, 2 * n}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ring=st.sampled_from([Q, F5, QE, QEE]), n=st.integers(1, 3))
+def test_points_built_without_the_rank_check_have_full_rank(seed, ring, n):
+    """Every point built without ranking its rep (charts, base points,
+    embeddings, complements, involution images, images under an
+    invertible g and dilation images over exact rings) has a rep that
+    the checked constructor accepts."""
+    rng = trial_rng(seed, n)
+    e, x, a, y = (rand_point(rng, ring, n) for _ in range(4))
+    g = rand_group_word(rng, ring, n, length=2)
+    semilinear = Polarity("semilinear", GroupElement.swap(ring, n), j=2)
+    built = [gamma_chart(rand_matrix(rng, ring, n)), base_plus(ring, n),
+             base_minus(ring, n), e.embed(DualRing(ring)),
+             standard_complement(e), act_frac(g, e), semilinear.apply(e)]
+    built += [phi_involution(j, Involution(), e) for j in (1, 2, 3, 4)]
+    try:
+        built.append(mu_dilation(rand_unit(rng, ring), x, a, y))
+    except NotTransversal:
+        pass
+    for p in built:
+        assert ProjectivePoint(Matrix(p.ring, p.rep.rows), p.n) == p
+
+
+@pytest.mark.parametrize("ring", [Q, F5, QE], ids=["Q", "F5", "Q[e]"])
+def test_act_frac_by_a_singular_g_ranks_the_image(ring):
+    one, zero = Matrix.identity(ring, 2), Matrix.zeros(ring, 2)
+    g = GroupElement.from_blocks(one, zero, zero, zero)
+    assert act_frac(g, base_plus(ring, 2)) == base_plus(ring, 2)
+    with pytest.raises(ShapeMismatch, match="^point rep is rank-deficient$"):
+        act_frac(g, base_minus(ring, 2))
+
+
+@pytest.mark.parametrize("ring", [Q, FLOAT64], ids=repr)
+def test_only_float64_images_are_ranked(ring, monkeypatch):
+    """Over float64 "g is invertible" and "P is invertible" are threshold
+    decisions, so act_frac and mu_dilation rank their images there; over
+    Q the image has full rank by construction and is not ranked."""
+    z = Matrix.from_ints(ring, [[1, 2], [3, 4]])
+    g = GroupElement.exp_ad(z, -1)
+    ranked, rank = [], Matrix.rank
+    monkeypatch.setattr(Matrix, "rank",
+                        lambda m: ranked.append(m) or rank(m))
+    outs = [act_frac(g, gamma_chart(z)),
+            mu_dilation(ring.from_int(2), base_minus(ring, 2),
+                        base_plus(ring, 2), gamma_chart(z))]
+    for out in outs:
+        assert any(m is out.rep for m in ranked) == (ring is FLOAT64)
+
+
+def test_float64_act_frac_refuses_an_image_below_the_threshold():
+    """g is invertible at the float64 pivot threshold (1e-12) and so is
+    the rep, but the image (0; 1e-13) is not: its rank decides."""
+    one, zero = Matrix.identity(FLOAT64, 2), Matrix.zeros(FLOAT64, 2)
+    g = GroupElement.from_blocks(one, zero, zero, one.scale(1e-7))
+    e = ProjectivePoint(zero.vstack(one.scale(1e-6)), 2)
+    assert g.mat.is_invertible()
+    with pytest.raises(ShapeMismatch, match="^point rep is rank-deficient$"):
+        act_frac(g, e)

@@ -7,17 +7,17 @@ import pytest
 
 from jordankit.algebra import (CoordinateBasis, Involution, Matrix,
                                dual_combine, dual_split)
-from jordankit.errors import NotInSpace
+from jordankit.errors import NotInChart, NotInSpace
 from jordankit.graded import GroupElement
 from jordankit.jordan import (JordanContext, jordan_inverse, jordan_product,
                               mult_operator)
-from jordankit.projline import Polarity, chart_coords, gamma_chart
+from jordankit.projline import Polarity, base_plus, chart_coords, gamma_chart
 from jordankit.randgen import (rand_filtered, rand_in_context, rand_invertible,
                                rand_matrix, rand_orthogonal2, trial_rng)
 from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing
-from jordankit.suites import (group_space, jordan_ctx, literal_units,
-                              numeric_lts, proj_space_i11, proj_space_swap,
-                              unitary_space, units_space)
+from jordankit.suites import (SPACES, group_space, jordan_ctx,
+                              literal_units, numeric_lts, proj_space_i11,
+                              proj_space_swap, unitary_space, units_space)
 from jordankit.symspace import (GroupSpace, JordanUnitsSpace, ProjectiveSpace,
                                 exp_tanh, lts_bracket, quadratic_rep_point,
                                 sym_mul, tilde_field, transvection)
@@ -549,3 +549,64 @@ def test_group_mul_decides_invertibility_as_the_rank_does(ring, n):
                 with pytest.raises(NotInSpace):
                     space.mul(*args)
     assert refused
+
+
+QE, QEE = DualRing(Q), DualRing(DualRing(Q))
+
+
+@pytest.mark.parametrize("ring", [QE, QEE], ids=repr)
+def test_lifts_carry_the_validated_base_point(ring):
+    """A lift is built from the validated space without checking o again:
+    its o is the embedded base o, lies in the lifted space, and its chart
+    coordinate is the embedded base one; so through an intermediate
+    lift."""
+    spaces = [kind.build(Q, 2) for kind in SPACES.values()]
+    spaces += [unitary_space(Q, 2), proj_space_i11(Q, 2)]
+    for space in spaces:
+        for lifted in (space.at_ring(ring), space.at_ring(QE).at_ring(ring)):
+            assert lifted.ring == ring and type(lifted) is type(space)
+            assert lifted.o == space.o.embed(ring)
+            assert lifted.contains(lifted.o)
+            assert lifted.o_chart == space.o_chart.embed(ring)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_tilde_field_decides_tangency_at_every_depth(depth):
+    """A v that is not tangent at o is refused whether it comes over the
+    base ring or over the ring of the chart point; a tangent one gives
+    v at o."""
+    ring = Q
+    for _ in range(depth):
+        ring = DualRing(ring)
+    skew, upper = mat([[0, 1], [-1, 0]]), mat([[0, 1], [0, 0]])
+    for space, tangent in ((units_space(Q, 2), upper + upper.transpose()),
+                           (proj_space_swap(Q, 2, "hermitian"),
+                            upper + upper.transpose()),
+                           (unitary_space(Q, 2), skew)):
+        p = space.o_chart.embed(ring)
+        for v in (upper, upper.embed(ring)):
+            with pytest.raises(NotInSpace,
+                               match="^v is not tangent at the base point$"):
+                tilde_field(space, v, p)
+        assert tilde_field(space, tangent, p) == tangent.embed(ring)
+
+
+def test_an_off_chart_base_point_is_refused_by_chart_work_every_time():
+    """A projective space at o = o+ builds, but o+ has no chart
+    coordinate: o_chart, a chart product that lands on o, the canonical
+    field and the bracket refuse with NotInChart, and again on a second
+    call (a refusal is not kept)."""
+    space = ProjectiveSpace(Polarity("linear", S=GroupElement.swap(Q, 2)),
+                            jordan_ctx(Q, 2), base_plus(Q, 2))
+    one = Matrix.identity(Q, 2)
+    two = one.scale(Q.from_int(2))
+    y = one.scale(Q.from_int(5) * Q.invert(Q.from_int(4)))
+    assert space.mul(gamma_chart(two), gamma_chart(y)) == space.o
+    v = mat([[1, 2], [0, 1]])
+    calls = [lambda: space.o_chart, lambda: space.mul_chart(two, y),
+             lambda: tilde_field(space, v, two),
+             lambda: lts_bracket(space, v, two, v)]
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(NotInChart):
+                call()
