@@ -85,7 +85,7 @@ class Matrix:
     # -- arithmetic --
 
     def _same(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other):
@@ -435,19 +435,24 @@ def op_solve(op, y):
 
 
 class CoordinateBasis:
-    """A K-subspace of M_n(K) with membership test and coordinates.
+    """A K-subspace V of M_n(K) with membership test and coordinates.
 
-    Built from an explicit basis; coordinates are read off through a
-    precomputed left inverse on pivot rows, then membership is the check
-    that the reconstruction reproduces the element. On pivot rows the
-    reconstruction cols[piv] L^-1 flat[piv] is flat[piv] by construction,
-    so only the remaining (free) rows are compared. A coordinate vector
-    is a column Matrix, in the ring's form; `from_coords` also takes a
-    sequence of scalars.
+    Built from an explicit basis, whose flattened elements are the columns
+    of `_cols` (n^2 x d). Elimination picks d pivot rows on which these
+    columns are independent; coordinates are read off through the inverse
+    L of the basis on those rows, c = L flat[piv]. The reconstruction
+    cols c equals flat on the pivot rows by construction, so x lies in V
+    exactly when it also equals flat on the f = n^2 - d free rows:
+    cols[free] L flat[piv] - flat[free] = 0. That is one constraint
+    matrix N (f x n^2), `_constraints`, with cols[free] L in the pivot
+    columns and -I in the free columns: x lies in V exactly when
+    N vec(x) = 0, and an operator preserves V exactly when N kills the
+    images of the basis. A coordinate vector is a column Matrix, in the
+    ring's form; `from_coords` also takes a sequence of scalars.
     """
 
     __slots__ = ("ring", "n", "basis", "_cols", "_pivot_rows", "_left_inv",
-                 "_free_rows", "_free_cols", "_standard")
+                 "_constraints", "_standard")
 
     def __init__(self, ring, n, basis):
         self.ring = ring
@@ -462,59 +467,69 @@ class CoordinateBasis:
             raise ValueError("basis is not independent")
         self._pivot_rows = piv
         self._left_inv = cols.submatrix(piv, range(d)).inverse()
-        self._free_rows = [i for i in range(n * n) if i not in piv]
-        self._free_cols = cols.submatrix(self._free_rows, range(d))
-        self._standard = (not self._free_rows
-                          and cols == Matrix.identity(ring, d))
+        free = [i for i in range(n * n) if i not in piv]
+        f = len(free)
+        self._constraints = None
+        if f:
+            # [cols[free] L | -I] has the columns piv + free; put them
+            # back in row-major order.
+            at = {row: k for k, row in enumerate(piv + free)}
+            self._constraints = (
+                cols.submatrix(free, range(d)) @ self._left_inv
+            ).hstack(-Matrix.identity(ring, f)).submatrix(
+                range(f), [at[i] for i in range(n * n)])
+        self._standard = not f and cols == Matrix.identity(ring, d)
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def _read(self, x):
-        """The column of row-major entries of x and the column of
-        coordinates read off its pivot rows."""
+    def _flat(self, x):
+        """The column of row-major entries of x."""
         if x.ring != self.ring or x.shape != (self.n, self.n):
             raise RingMismatch("element does not match the subspace ambient")
-        flat = x.vec()
+        return x.vec()
+
+    def _read(self, flat):
+        """The column of coordinates read off the pivot rows of `flat`."""
         if self._standard:
-            return flat, flat
-        return flat, _matvec(self._left_inv,
-                             flat.submatrix(self._pivot_rows, [0]))
+            return flat
+        return _matvec(self._left_inv, flat.submatrix(self._pivot_rows, [0]))
 
-    def coords(self, x):
-        flat, c = self._read(x)
-        if self._free_rows and not self._agree(
-                _matvec(self._free_cols, c),
-                flat.submatrix(self._free_rows, [0])):
-            raise NotInSubspace("element is outside the subspace")
-        return c
-
-    def _agree(self, got, want):
-        """Whether two matrices are equal: exactly over exact rings,
-        within 1e-9 in every base component over float rings."""
+    def _zero(self, r):
+        """Whether the residual r (N applied to flattened elements) is 0:
+        exactly over exact rings, within 1e-9 in every base component
+        over float rings."""
         if self.ring.is_exact():
-            return got == want
-        return all(abs(f) <= 1e-9 for x in (got - want).flatten()
+            return r.is_zero()
+        return all(abs(f) <= 1e-9 for x in r.flatten()
                    for f in _components(x))
 
+    def _holds(self, flat):
+        """Whether N flat = 0 for the column `flat` of row-major entries;
+        always when V is all of M_n(K) (N has no rows)."""
+        return (self._constraints is None
+                or self._zero(_matvec(self._constraints, flat)))
+
+    def coords(self, x):
+        flat = self._flat(x)
+        if not self._holds(flat):
+            raise NotInSubspace("element is outside the subspace")
+        return self._read(flat)
+
     def contains(self, x):
-        try:
-            self.coords(x)
-            return True
-        except NotInSubspace:
-            return False
+        return self._holds(self._flat(x))
 
     def project(self, x):
         """The point of the subspace with the coordinates read off the
-        pivot rows of x, as in `coords()`, without the check of the free
-        rows; never a refusal. Over a float ring it turns an x that lies
-        in the subspace up to rounding into a point of it. Over an exact
-        ring that point is x itself for x in the subspace, and its callers
+        pivot rows of x, as in `coords()`, without the membership check;
+        never a refusal. Over a float ring it turns an x that lies in the
+        subspace up to rounding into a point of it. Over an exact ring
+        that point is x itself for x in the subspace, and its callers
         give it only such x, so it returns x as it is."""
         if self.ring.is_exact():
             return x
-        return self.from_coords(self._read(x)[1])
+        return self.from_coords(self._read(self._flat(x)))
 
     def from_coords(self, c):
         col = _column(self.ring, c)
@@ -528,25 +543,25 @@ class CoordinateBasis:
 
         The images of the basis are read off in coordinates as in
         `coords()`, for all basis elements at once; raises NotInSubspace
-        if `op` does not map the subspace into itself.
+        if `op` does not map the subspace into itself, that is, unless N
+        kills every image.
         """
         if self._standard:
             return op
         images = op.mat @ self._cols
-        every = range(images.ncols)
-        c = self._left_inv @ images.submatrix(self._pivot_rows, every)
-        if self._free_rows and not self._agree(
-                self._free_cols @ c, images.submatrix(self._free_rows, every)):
+        if (self._constraints is not None
+                and not self._zero(self._constraints @ images)):
             raise NotInSubspace("operator does not preserve the subspace")
-        return LinearOperator(c)
+        return LinearOperator(self._left_inv @ images.submatrix(
+            self._pivot_rows, range(images.ncols)))
 
     def embed(self, ring):
         """The same subspace over an iterated dual extension of its ring.
 
         Embedding is a ring homomorphism and dual pivots are decided on
         re-parts, so elimination over `ring` would pick the same pivot
-        rows and return the embedded left inverse; both are carried over
-        instead of being recomputed.
+        rows and return the embedded left inverse and constraint matrix;
+        all three are carried over instead of being recomputed.
         """
         out = CoordinateBasis.__new__(CoordinateBasis)
         out.ring = ring
@@ -555,8 +570,7 @@ class CoordinateBasis:
         out._cols = self._cols.embed(ring)
         out._pivot_rows = self._pivot_rows
         out._left_inv = self._left_inv.embed(ring)
-        out._free_rows = self._free_rows
-        out._free_cols = out._cols.submatrix(self._free_rows,
-                                             range(len(self.basis)))
+        out._constraints = (None if self._constraints is None
+                            else self._constraints.embed(ring))
         out._standard = self._standard
         return out

@@ -74,9 +74,22 @@ def ad_blocks(v, degree):
     raise ValueError("degree must be +1 or -1")
 
 
+def _invertible(g):
+    """g, invertible by construction, with the rank 2n recorded on its
+    matrix over exact rings (and dual towers over them), so that nothing
+    ranks it again; over float64 rank is a threshold decision and is
+    computed when asked."""
+    if g.ring.is_exact():
+        g.mat._rank = 2 * g.n
+    return g
+
+
 class GroupElement:
     """Invertible 2 x 2 block matrix over A = M_n(K), acting on gl_2(A)
-    by conjugation and on the projective line by fractional maps."""
+    by conjugation and on the projective line by fractional maps. The
+    named constructors build invertible elements, and so are products
+    of such elements and every inverse: over exact rings their matrices
+    carry the rank 2n (see `_invertible`)."""
 
     __slots__ = ("n", "ring", "mat", "word", "_inv_mat")
 
@@ -93,7 +106,8 @@ class GroupElement:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(n, ring, Matrix.identity(ring, 2 * n), word=())
+        return _invertible(cls(n, ring, Matrix.identity(ring, 2 * n),
+                               word=()))
 
     @classmethod
     def from_blocks(cls, a, b, c, d, word=None):
@@ -108,19 +122,22 @@ class GroupElement:
         one = Matrix.identity(ring, n)
         z = Matrix.zeros(ring, n)
         if degree == 1:
-            return cls.from_blocks(one, v, z, one, word=((1, v),))
-        return cls.from_blocks(one, z, v, one, word=((-1, v),))
+            g = cls.from_blocks(one, v, z, one, word=((1, v),))
+        else:
+            g = cls.from_blocks(one, z, v, one, word=((-1, v),))
+        return _invertible(g)
 
     @classmethod
     def cayley(cls, ring, n):
+        """(1 1; 1 -1), its own inverse up to the unit 2."""
         one = Matrix.identity(ring, n)
-        return cls.from_blocks(one, one, one, -one)
+        return _invertible(cls.from_blocks(one, one, one, -one))
 
     @classmethod
     def swap(cls, ring, n):
         one = Matrix.identity(ring, n)
         z = Matrix.zeros(ring, n)
-        return cls.from_blocks(z, one, one, z)
+        return _invertible(cls.from_blocks(z, one, one, z))
 
     @classmethod
     def jmat(cls, ring, n):
@@ -128,13 +145,14 @@ class GroupElement:
         one = Matrix.identity(ring, n)
         word = ((1, one), (-1, -one), (1, one))
         z = Matrix.zeros(ring, n)
-        return cls(n, ring, z.hstack(one).vstack((-one).hstack(z)), word=word)
+        return _invertible(cls(n, ring, z.hstack(one).vstack((-one).hstack(z)),
+                               word=word))
 
     @classmethod
     def i11(cls, ring, n):
         one = Matrix.identity(ring, n)
         z = Matrix.zeros(ring, n)
-        return cls.from_blocks(one, z, z, -one)
+        return _invertible(cls.from_blocks(one, z, z, -one))
 
     @classmethod
     def from_word(cls, ring, n, word):
@@ -151,7 +169,10 @@ class GroupElement:
         word = None
         if self.word is not None and other.word is not None:
             word = self.word + other.word
-        return GroupElement(self.n, self.ring, self.mat @ other.mat, word=word)
+        g = GroupElement(self.n, self.ring, self.mat @ other.mat, word=word)
+        if self.mat._rank == other.mat._rank == 2 * self.n:
+            _invertible(g)
+        return g
 
     def inverse_mat(self):
         if self._inv_mat is None:
@@ -167,7 +188,7 @@ class GroupElement:
             word = tuple((deg, -v) for deg, v in reversed(self.word))
         g = GroupElement(self.n, self.ring, self.inverse_mat(), word=word)
         g._inv_mat = self.mat
-        return g
+        return _invertible(g)
 
     def blocks(self):
         return blocks(self.mat, self.n)

@@ -128,8 +128,8 @@ def mu_dilation(r, x, a, y):
     K^{2n} = x + a; in the chart with origin x and infinity a this scales
     coordinates by r. The solve y = x P + a Q fails exactly when x meets
     a; [y | a] = [x | a] (P 0; Q 1), so y meets a exactly when P is
-    singular. The image x P + a Q r = [x | a] (P; Q r) then has rank n,
-    which over float64 is ranked again, as a threshold decision."""
+    singular. The image x P + a Q r is y + a Q (r - 1), of rank n, which
+    over float64 is ranked again, as a threshold decision."""
     if not x.ring.is_unit(r):
         raise NotAUnit("dilation factor must be a unit")
     _same_line(a, x, y)
@@ -142,7 +142,7 @@ def mu_dilation(r, x, a, y):
     if p is None or p.rank() != n:
         raise NotTransversal("dilation needs x and y transversal to a")
     q = pq.submatrix(range(n, 2 * n), range(n))
-    image = x.rep @ p + a.rep @ q.scale(r)
+    image = y.rep + a.rep @ q.scale(r - x.ring.one())
     if x.ring.is_exact():
         return ProjectivePoint._of(image, n)
     return ProjectivePoint(image, n)

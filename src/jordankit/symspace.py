@@ -31,13 +31,18 @@ from .projline import (ProjectivePoint, act_frac, chart_coords, gamma_chart,
 from .rings import DualRing
 
 
-def _quarter_sandwich(space, v):
-    """theta(v) = (1/4) o^-1 v o^-1: x -> o^-1 x is an automorphism of
-    m(x, y) = x y^-1 x on GL_n(K) taking o to 1, where theta is v/4."""
+def _o_inverse_pair(space):
+    """((1/4) o^-1, o^-1), computed once per space and kept in `_theta`."""
     if space._theta is None:
         oi = space.o.inverse()
         space._theta = (oi.scale(space.ring.inv_int(4)), oi)
-    left, right = space._theta
+    return space._theta
+
+
+def _quarter_sandwich(space, v):
+    """theta(v) = (1/4) o^-1 v o^-1: x -> o^-1 x is an automorphism of
+    m(x, y) = x y^-1 x on GL_n(K) taking o to 1, where theta is v/4."""
+    left, right = _o_inverse_pair(space)
     return left @ v @ right
 
 
@@ -165,7 +170,7 @@ class GroupSpace(_Space):
             return False
         if self.kind != "unitary":
             return True
-        w = self.o.inverse() @ v
+        w = _o_inverse_pair(self)[1] @ v
         return self.involution.apply(w) == -w
 
     theta = _quarter_sandwich
@@ -198,16 +203,33 @@ class ProjectiveSpace(_Space):
         return isinstance(E, ProjectivePoint) and self.polarity.nonisotropic(E)
 
     def mul(self, x, y):
+        """mu_{-1}(x, p(x), y). The solve of the dilation decides whether
+        x and y are transversal to p(x): it eliminates [x | p(x)] with
+        the pivot rule of the rank that `transversal` takes, on every
+        ring. A product still needs y non-isotropic. Only a refusal runs
+        the rank test of x, to name its cause, in this order: the left
+        argument isotropic, the right one isotropic (or not a point), y
+        meeting p(x)."""
         px = self.polarity.apply(x)
+        refused = None
+        if (isinstance(y, ProjectivePoint) and y.ring == x.ring
+                and y.n == x.n):
+            try:
+                out = mu_dilation(-self.ring.one(), x, px, y)
+            except NotTransversal as e:
+                refused = e
+            else:
+                if not self.contains(y):
+                    raise NotInSpace("right argument is isotropic")
+                return out
         if not transversal(x, px):
             raise NotInSpace("left argument is isotropic")
         if not self.contains(y):
             raise NotInSpace("right argument is isotropic")
-        try:
-            return mu_dilation(-self.ring.one(), x, px, y)
-        except NotTransversal as e:
-            # the chart realization of sigma_x needs y transversal to p(x)
-            raise NotInSpace(str(e)) from e
+        # contains(y) raises on a point of another line, so the dilation
+        # refused y: the chart realization of sigma_x needs y transversal
+        # to p(x)
+        raise NotInSpace(str(refused)) from refused
 
     def mul_chart(self, x, y):
         out = self.mul(gamma_chart(x), gamma_chart(y))

@@ -18,7 +18,7 @@ from jordankit.errors import (NotInvertible, NotInSubspace,
                               SingularOperator)
 from jordankit.jordan import JordanContext
 from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
-                               rand_scalar, trial_rng)
+                               rand_unit, trial_rng)
 from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing, Jets, Packed,
                              PrimeFieldRing, _rational)
 from operator_oracles import op_from_action
@@ -181,49 +181,104 @@ def test_membership_over_float_duals(ring):
     assert not herm.space.contains(Matrix.unit(ring, 2, 0, 1))
 
 
-SUBSPACE_RINGS = [Q, PrimeFieldRing(5), DualRing(Q), DualRing(DualRing(Q))]
+MEMBERSHIP_RINGS = [Q, PrimeFieldRing(3), PrimeFieldRing(5), FLOAT64,
+                    DualRing(Q), DualRing(DualRing(Q))]
 
 
-def restricted_contexts(ring):
-    """Hermitian and antihermitian parts of M_n for the transpose at
-    n = 2, 3 and for the symplectic adjoint at n = 2 (odd n carries no
-    symplectic form)."""
-    symplectic = Involution("form_adjoint",
-                            Matrix.from_ints(ring, [[0, 1], [-1, 0]]), "skew")
-    for n, iota in ((2, Involution()), (3, Involution()), (2, symplectic)):
-        for flavor in ("hermitian", "antihermitian"):
-            yield JordanContext(n, ring, flavor, iota)
+def membership_contexts(ring):
+    """Hermitian and antihermitian parts of M_n, n = 1..4, for the
+    transpose, the adjoint of the symmetric form diag(1, 2, 1, 2, ...)
+    and, at even n, the adjoint of the skew form with blocks (0 1; -1 0)
+    on the diagonal."""
+    for n in range(1, 5):
+        sym = Matrix.from_ints(ring, [[(1 + i % 2) * (i == j)
+                                       for j in range(n)] for i in range(n)])
+        involutions = [Involution(), Involution("form_adjoint", sym)]
+        if n % 2 == 0:
+            skew = Matrix.from_ints(ring, [
+                [int(i % 2 == 0 and j == i + 1) - int(j % 2 == 0 and i == j + 1)
+                 for j in range(n)] for i in range(n)])
+            involutions.append(Involution("form_adjoint", skew, "skew"))
+        for iota in involutions:
+            for flavor in ("hermitian", "antihermitian"):
+                yield JordanContext(n, ring, flavor, iota)
 
 
-@pytest.mark.parametrize("ring", SUBSPACE_RINGS, ids=repr)
-def test_membership_on_free_rows_matches_full_reconstruction(ring):
-    """contains() compares only the non-pivot rows; a full reconstruction
-    from the pivot-row coordinates gives the same verdict on members,
-    random matrices and members perturbed by one off-subspace entry
-    (over dual rings, possibly in the eps-part alone)."""
+def _off_subspace_bump(rng, ring, n):
+    """A multiple of one matrix unit by a unit of the ring; over a dual
+    ring it lies in the eps-part alone."""
+    i, j = rng.randrange(n), rng.randrange(n)
+    if ring.kind != "dual":
+        return Matrix.unit(ring, n, i, j).scale(rand_unit(rng, ring))
+    eps = Matrix.unit(ring.base, n, i, j).scale(rand_unit(rng, ring.base))
+    return dual_combine(Matrix.zeros(ring.base, n), eps)
+
+
+def _agree(ring, a, b):
+    """a == b over exact rings; within 1e-9 in every component over float
+    rings."""
+    return a == b if ring.is_exact() else (a - b).max_abs() <= 1e-9
+
+
+@pytest.mark.parametrize("ring", MEMBERSHIP_RINGS, ids=repr)
+def test_membership_matches_reconstruction_and_involution(ring):
+    """contains() is one constraint matvec, N vec(x) = 0. Its verdict is
+    that of the full reconstruction from the pivot-row coordinates and
+    that of iota(x) = x (hermitian) or -x (antihermitian), on members,
+    random matrices and members bumped in one entry (over dual rings in
+    the eps-part alone); coords() refuses exactly the non-members."""
     rng = trial_rng(11, 0)
-    for ctx in restricted_contexts(ring):
-        space, n = ctx.space, ctx.n
+    for ctx in membership_contexts(ring):
+        space, n, iota = ctx.space, ctx.n, ctx.involution
         verdicts = set()
         for _ in range(8):
             member = rand_in_context(rng, ctx)
-            i, j = rng.randrange(n), rng.randrange(n)
-            bump = Matrix.unit(ring, n, i, j).scale(rand_scalar(rng, ring))
+            bump = _off_subspace_bump(rng, ring, n)
             for x in (member, rand_matrix(rng, ring, n), member + bump):
                 flat = x.flatten()
-                c = on_rows(K.matvec, space._left_inv.rows,
-                            [flat[r] for r in space._pivot_rows], ring)
-                full = space.from_coords(c) == x
-                assert space.contains(x) == full
+                c = (on_rows(K.matvec, space._left_inv.rows,
+                             [flat[r] for r in space._pivot_rows], ring)
+                     if space.dim else [])
+                full = _agree(ring, space.from_coords(c), x)
+                by_iota = _agree(ring, iota.apply(x),
+                                 x if ctx.flavor == "hermitian" else -x)
+                assert space.contains(x) == full == by_iota
+                if full:
+                    assert _agree(ring, space.from_coords(space.coords(x)), x)
+                else:
+                    with pytest.raises(NotInSubspace):
+                        space.coords(x)
                 verdicts.add(full)
-        assert verdicts == {True, False}
+        assert verdicts == ({True} if space.dim == n * n else {True, False})
 
 
-@pytest.mark.parametrize("ring", SUBSPACE_RINGS[:3], ids=repr)
+@pytest.mark.parametrize("ring", MEMBERSHIP_RINGS, ids=repr)
+def test_materialize_refuses_an_operator_that_leaves_the_subspace(ring):
+    """x -> a x a* preserves V and materializes to the map it is on
+    coordinates; x -> e00 x leaves V (n > 1, V neither 0 nor M_n) and is
+    refused."""
+    rng = trial_rng(12, 0)
+    for ctx in membership_contexts(ring):
+        space, n, iota = ctx.space, ctx.n, ctx.involution
+        a = rand_matrix(rng, ring, n)
+        op = space.materialize(sandwich(a, iota.apply(a)))
+        x = rand_in_context(rng, ctx)
+        got = space.from_coords(op.apply_flat(space.coords(x)))
+        assert _agree(ring, got, a @ x @ iota.apply(a))
+        if n > 1 and 0 < space.dim < n * n:
+            with pytest.raises(NotInSubspace,
+                               match="^operator does not preserve the "
+                                     "subspace$"):
+                space.materialize(left_mult(Matrix.unit(ring, n, 0, 0)))
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q)],
+                         ids=repr)
 def test_embedded_basis_equals_fresh_basis(ring):
-    """embed() carries the pivot rows and the embedded left inverse over;
-    both equal what elimination over the extension computes."""
-    for ctx in restricted_contexts(ring):
+    """embed() carries the pivot rows, the embedded left inverse and the
+    embedded constraint matrix over; all three equal what elimination
+    over the extension computes."""
+    for ctx in membership_contexts(ring):
         for target in (DualRing(ring), DualRing(DualRing(ring))):
             space = ctx.space
             lifted = space.embed(target)
@@ -231,7 +286,7 @@ def test_embedded_basis_equals_fresh_basis(ring):
                                     [b.embed(target) for b in space.basis])
             assert lifted._pivot_rows == fresh._pivot_rows
             assert lifted._left_inv == fresh._left_inv
-            assert lifted._free_rows == fresh._free_rows
+            assert lifted._constraints == fresh._constraints
             assert lifted._cols == fresh._cols
             assert lifted.basis == fresh.basis
 

@@ -7,8 +7,9 @@ from jordankit.errors import NotInChart
 from jordankit.graded import (GroupElement, act, ad_bracket, blocks, check,
                               denominators, euler, hat, in_chart, pr1)
 from jordankit.jordan import JordanContext, bergman_operator
+from jordankit.projline import act_frac, gamma_chart
 from jordankit.randgen import rand_group_word, rand_matrix, trial_rng
-from jordankit.rings import RATIONAL, DualRing, PrimeFieldRing
+from jordankit.rings import FLOAT64, RATIONAL, DualRing, PrimeFieldRing
 from operator_oracles import (degree_basis, degree_component, grading_block,
                               prm1)
 
@@ -218,3 +219,35 @@ def test_standard_matrices():
     assert f.mat @ f.mat == Matrix.identity(Q, 4)
     assert j.word is not None and len(j.word) == 3
     assert blocks(j.mat, 2)[1] == Matrix.identity(Q, 2)
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q), FLOAT64],
+                         ids=repr)
+def test_elements_invertible_by_construction_record_their_rank(ring,
+                                                               monkeypatch):
+    """The named constructors, their products and every inverse carry the
+    rank 2n on their matrix over exact rings, and it is the rank that
+    elimination finds; act_frac by a one-shot random word then ranks
+    neither g nor the image. Over float64 rank is a threshold decision:
+    nothing is recorded and the image is ranked."""
+    rng = trial_rng(7, 0)
+    n = 2
+    v = rand_matrix(rng, ring, n)
+    named = [GroupElement.identity(ring, n), GroupElement.exp_ad(v, 1),
+             GroupElement.exp_ad(v, -1), GroupElement.swap(ring, n),
+             GroupElement.i11(ring, n), GroupElement.jmat(ring, n),
+             GroupElement.cayley(ring, n)]
+    built = named + [named[1] @ named[3], (named[2] @ named[4]).inverse(),
+                     GroupElement.from_word(ring, n, named[5].word)]
+    exact = ring.is_exact()
+    for g in built:
+        assert g.mat._rank == (2 * n if exact else None)
+        assert Matrix(ring, g.mat.rows).rank() == 2 * n
+    computed, rank = [], Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: (
+        computed.append(m) if m._rank is None else None) or rank(m))
+    g = rand_group_word(rng, ring, n, length=3)
+    e = gamma_chart(rand_matrix(rng, ring, n))
+    image = act_frac(g, e)
+    assert not any(m is g.mat for m in computed)
+    assert any(m is image.rep for m in computed) == (not exact)

@@ -297,6 +297,51 @@ def test_mu_decides_transversality_as_the_ranks_do(ring, n):
                 assert mu_dilation(r, x_, a_, y_) == want
 
 
+@pytest.mark.parametrize("ring", [Q, F5, FLOAT64, QE, DualRing(QE)],
+                         ids=repr)
+def test_mu_image_is_x_p_plus_a_q_r(ring):
+    """mu_dilation forms its image as y + a Q (r - 1), since y = x P + a Q:
+    the point x P + a Q r on every ring, and the same rep on exact rings,
+    whose packed forms are canonical."""
+    rng = trial_rng(45, 0)
+    built = 0
+    for n in (1, 2, 3):
+        for _ in range(6):
+            r = rand_unit(rng, ring)
+            x, a, y = (rand_point(rng, ring, n) for _ in range(3))
+            want = _mu_by_ranks(r, x, a, y)
+            if want is None:
+                continue
+            got = mu_dilation(r, x, a, y)
+            assert got == want
+            if ring.is_exact():
+                assert got.rep == want.rep
+            built += 1
+    assert built >= 12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_float64_dilation_solve_decides_as_the_rank_does(n):
+    """Over float64 "x meets a" is a threshold decision. The solve of
+    [x | a] in mu_dilation and the rank in transversal eliminate the same
+    block with the same pivot rule, so they decide alike on both sides of
+    the threshold (1e-12): here [x | a] = (1 1; 0 d) blockwise."""
+    one = Matrix.identity(FLOAT64, n)
+    x = base_plus(FLOAT64, n)
+    y = base_minus(FLOAT64, n)
+    seen = set()
+    for d in (1e-6, 1e-11, 2e-12, 1.0000001e-12, 1e-12, 5e-13, 1e-15, 0.0):
+        a = ProjectivePoint(one.vstack(one.scale(d)), n)
+        meets = not transversal(x, a)
+        seen.add(meets)
+        if meets:
+            with pytest.raises(NotTransversal):
+                mu_dilation(FLOAT64.from_int(-1), x, a, y)
+        else:
+            mu_dilation(FLOAT64.from_int(-1), x, a, y)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("ring", [Q, F5, QE], ids=["Q", "F5", "Q[e]"])
 def test_chart_coords_refuses_exactly_off_chart(ring):
     rng = trial_rng(41, 0)

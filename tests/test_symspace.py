@@ -2,16 +2,19 @@
 
 import itertools
 import math
+import re
 
 import pytest
 
 from jordankit.algebra import (CoordinateBasis, Involution, Matrix,
                                dual_combine, dual_split)
-from jordankit.errors import NotInChart, NotInSpace
+from jordankit import symspace
+from jordankit.errors import NotInChart, NotInSpace, RingMismatch
 from jordankit.graded import GroupElement
 from jordankit.jordan import (JordanContext, jordan_inverse, jordan_product,
                               mult_operator)
-from jordankit.projline import Polarity, base_plus, chart_coords, gamma_chart
+from jordankit.projline import (Polarity, base_plus, chart_coords, gamma_chart,
+                                mu_dilation, transversal)
 from jordankit.randgen import (rand_filtered, rand_in_context, rand_invertible,
                                rand_matrix, rand_orthogonal2, trial_rng)
 from jordankit.rings import FLOAT64, RATIONAL, Dual, DualRing, PrimeFieldRing
@@ -610,3 +613,61 @@ def test_an_off_chart_base_point_is_refused_by_chart_work_every_time():
         for _ in range(2):
             with pytest.raises(NotInChart):
                 call()
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), FLOAT64, DualRing(Q)],
+                         ids=repr)
+def test_projective_refusals_keep_their_type_message_and_order(ring,
+                                                              monkeypatch):
+    """On the I_{1,1} space Gamma_z is isotropic exactly when z is
+    singular, and p(Gamma_z) = Gamma_{-z}, which Gamma_w meets exactly
+    when w + z is singular. The solve of the dilation decides a product;
+    a refusal keeps its type, its message and its order: the left
+    argument isotropic, then the right one isotropic or not a point, then
+    y meeting p(x). A product that succeeds makes no rank test of x."""
+    space = proj_space_i11(ring, 2)
+
+    def chart(rows):
+        return gamma_chart(Matrix.from_ints(ring, rows))
+
+    iso, x = chart([[1, 0], [0, 0]]), chart([[2, 1], [0, 1]])
+    y, meet = chart([[1, 0], [1, 3]]), chart([[-1, -1], [0, -1]])
+    other = gamma_chart(Matrix.identity(PrimeFieldRing(7), 2))
+    not_a_point = Matrix.identity(ring, 2)
+    left, right = "left argument is isotropic", "right argument is isotropic"
+    dilation = "dilation needs x and y transversal to a"
+    cases = [(iso, iso, left), (iso, y, left), (iso, meet, left),
+             (iso, not_a_point, left), (iso, other, left),
+             (x, iso, right), (x, not_a_point, right),
+             (x, space.polarity.apply(x), dilation), (x, meet, dilation)]
+    assert space.contains(meet) and not space.contains(iso)
+    for a, b, message in cases:
+        with pytest.raises(NotInSpace, match=f"^{message}$"):
+            space.mul(a, b)
+    with pytest.raises(RingMismatch, match=f"^{re.escape(repr(ring))} vs F7$"):
+        space.mul(x, other)
+    ranked = []
+    monkeypatch.setattr(symspace, "transversal",
+                        lambda *a: ranked.append(a) or transversal(*a))
+    got = space.mul(x, y)
+    assert not ranked
+    assert got == mu_dilation(-ring.one(), x, space.polarity.apply(x), y)
+    with pytest.raises(NotInSpace, match=f"^{left}$"):
+        space.mul(iso, y)
+    assert ranked
+
+
+def test_unitary_space_inverts_its_base_point_once(monkeypatch):
+    """The tangent test and theta of the unitary group share one o^-1,
+    computed once over the life of the space."""
+    o = Matrix.from_ints(Q, [[1, 0], [0, -1]])
+    u, v, w = (o @ mat([[0, k], [-k, 0]]) for k in (1, 2, 3))
+    want = numeric_lts(GroupSpace(2, Q, "unitary", Involution(), o=o),
+                       u, v, w)
+    space = GroupSpace(2, Q, "unitary", Involution(), o=o)
+    inverted, inverse = [], Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse",
+                        lambda m: inverted.append(m) or inverse(m))
+    for _ in range(3):
+        assert lts_bracket(space, u, v, w) == want
+    assert inverted == [o]
