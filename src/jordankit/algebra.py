@@ -126,7 +126,7 @@ class Matrix:
 
     def vec(self):
         """The column of the row-major entries."""
-        return self.reshape(self.nrows * self.ncols, 1)
+        return Matrix._of(self.ring, self.ring.mvec(self._form))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -148,7 +148,7 @@ class Matrix:
         return f"[{body}]"
 
     def is_zero(self):
-        return self == Matrix.zeros(self.ring, self.nrows, self.ncols)
+        return self.ring.mis_zero(self._form)
 
     # -- linear algebra --
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import randgen
-from .algebra import dual_combine, dual_split, op_solve
+from .algebra import Matrix, dual_combine, dual_split, op_solve
 from .errors import DomainViolation, JordankitError, NotAUnit
 from .graded import act, denominators, in_chart
-from .jordan import (bergman_operator, jordan_inverse, quasi_inverse,
-                     rep_operators)
+from .jordan import (_require_product_closed, bergman_operator,
+                     jordan_inverse, quasi_inverse, rep_operators)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,11 @@ class DerivativeLaw:
 
 
 def jordan_inverse_law(ctx):
-    """dj(x) v = -Q(x)^-1 v on the Jordan-invertible elements of ctx."""
+    """dj(x) v = -Q(x)^-1 v on the Jordan-invertible elements of ctx, the
+    x of V invertible in A (see `jordan.jordan_inverse`). Only the unital
+    flavors have a Jordan inverse: the antihermitian one is refused here,
+    where no draw is made."""
+    _require_product_closed(ctx)
 
     def expected(x, v):
         _, qx = rep_operators(ctx, x)
@@ -151,7 +155,7 @@ def jordan_inverse_law(ctx):
     def sample(rng):
         x = randgen.rand_filtered(
             rng, lambda r: randgen.rand_in_context(r, ctx),
-            lambda m: rep_operators(ctx, m)[1].is_invertible())
+            Matrix.is_invertible)
         if x is None:
             return None
         return x, randgen.rand_in_context(rng, ctx)
@@ -183,7 +187,9 @@ def squaring_law(ring, n):
 
 
 def act_law(g):
-    """d(g.x) v = d_g(x)^-1 v on the chart of g."""
+    """d(g.x) v = d_g(x)^-1 v on the chart of g: the dual derivative of
+    the fractional form (a x + b)(c x + d)^-1 of `graded.act` against the
+    literal n^2 x n^2 denominator d_g(x) of `graded.denominators`."""
 
     def sample(rng):
         x = randgen.rand_filtered(

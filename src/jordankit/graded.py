@@ -239,9 +239,40 @@ def denominators(g, x):
     return sandwich(hi11, h22), sandwich(h22, hi11), nval
 
 
+def _chart_image(g, x):
+    """(a x + b, c x + d) for g = (a b; c d): the two blocks of g (x; 1),
+    the rep of g.Gamma_x, by one 2n x 2n by 2n x n product."""
+    n = g.n
+    image = g.mat @ x.vstack(Matrix.identity(g.ring, n))
+    return (image.submatrix(range(n), range(n)),
+            image.submatrix(range(n, 2 * n), range(n)))
+
+
 def act(g, x):
-    """Chart action g.x = d^-1(n); defined iff d and c are invertible,
-    that is iff d is (both are Kronecker products of (h^-1)_11 and h_22)."""
+    """Chart action g.x = (a x + b)(c x + d)^-1 for g = (a b; c d), by one
+    n x n solve in A, of (c x + d)^T y = (a x + b)^T; defined iff c x + d
+    is invertible.
+
+    With h = g exp_ad(x, +1), c x + d is h_22, and the literal denominator
+    d of `denominators` is the sandwich of (h^-1)_11 and h_22. For an
+    invertible h, (h^-1)_11 is invertible exactly when h_22 is (Jacobi's
+    complementary minor), so the two forms refuse the same x; on the chart
+    d^-1(n) = (a x + b)(c x + d)^-1 (Bertram and Neeb, Projective
+    completions of Jordan pairs, Part I). `act_literal` keeps d^-1(n) as
+    the oracle, and `suites.check_act_chart_agreement` compares both with
+    the point action."""
+    num, den = _chart_image(g, x)
+    try:
+        return den.transpose().solve(num.transpose()).transpose()
+    except SingularOperator as e:
+        raise NotInChart("image left the affine chart") from e
+
+
+def act_literal(g, x):
+    """Chart action g.x = d^-1(n), solved with the n^2 x n^2 denominator
+    d of `denominators`; defined iff d and c are invertible, that is iff d
+    is (both are Kronecker products of (h^-1)_11 and h_22). The oracle of
+    `act`."""
     dop, _, nval = denominators(g, x)
     try:
         return op_solve(dop, nval)
@@ -250,4 +281,6 @@ def act(g, x):
 
 
 def in_chart(g, x):
-    return denominators(g, x)[0].is_invertible()
+    """Whether g.x lies in the chart: whether c x + d is invertible (see
+    `act`)."""
+    return _chart_image(g, x)[1].is_invertible()

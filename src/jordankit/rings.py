@@ -553,6 +553,15 @@ class _PackedField(Ring):
         """The submatrix on `rows` and `cols`."""
         return self._reduce([[a[i][j] for j in cols] for i in rows], a.d)
 
+    def mvec(self, a):
+        """The column of the row-major entries of a."""
+        return Packed.of([[x] for r in a for x in r], a.d)
+
+    def mis_zero(self, a):
+        """Whether every entry of a is zero; over float64 -0.0 is zero
+        and nan is not, as for ==."""
+        return not any(map(any, a))
+
     def mmove(self, a, f):
         """The matrix f(rows, zero), for a function f of the rows of a
         matrix and the zero entry that moves or repeats entries among
@@ -978,7 +987,12 @@ class DualRing(Ring):
         return Jets(self.root.mneg(a.stack), a.n)
 
     def mscale(self, a, s):
-        # s A is the Kronecker product of the 1 x 1 matrix s with A.
+        # s A is the Kronecker product of the 1 x 1 matrix s with A. An
+        # exact root scalar (every eps-coordinate 0) scales each block
+        # alike, in one root scaling of the stack; over float64 a zero
+        # block times inf must still give nan, as the product does.
+        if self._p is not None and not any(s.v[1:]):
+            return Jets(self.root.mscale(a.stack, s._root(0)), a.n)
         return self.mkron(self.pack([[s]]), a)
 
     def mkron(self, a, b):
@@ -1015,6 +1029,14 @@ class DualRing(Ring):
         return Jets(self.root.mselect(
             a.stack, [m * n + i for m in range(self.size) for i in rows],
             cols), len(rows))
+
+    def mvec(self, a):
+        # The blocks are stacked by mask, so the column of each block's
+        # row-major entries is the column of the stack's.
+        return Jets(self.root.mvec(a.stack), a.n * len(a[0]) if a.n else 0)
+
+    def mis_zero(self, a):
+        return self.root.mis_zero(a.stack)
 
     def mmove(self, a, f):
         n, size = a.n, self.size

@@ -28,8 +28,8 @@ from .algebra import (Involution, LinearOperator, Matrix, dual_combine,
                       dual_split, op_solve)
 from .errors import (DomainViolation, NotInChart, NotInSpace, NotInvertible,
                      NotQuasiInvertible)
-from .graded import (GroupElement, act, ad_bracket, ad_operator, check,
-                     denominators, hat, in_chart, pr1)
+from .graded import (GroupElement, act, act_literal, ad_bracket, ad_operator,
+                     check, denominators, hat, in_chart, pr1)
 from .jordan import (JordanContext, bergman_closed, bergman_operator,
                      jordan_inverse, jordan_product, mult_operator,
                      quasi_inverse, quasi_inverse_literal, rep_operators,
@@ -223,7 +223,7 @@ def check_fundamental_formula(rng, i, ctx):
 def check_l_inverse(rng, i, ctx):
     x = randgen.rand_filtered(
         rng, lambda r: randgen.rand_in_context(r, ctx),
-        lambda x: rep_operators(ctx, x)[1].is_invertible())
+        Matrix.is_invertible)
     if x is None:
         return None
     xi = jordan_inverse(ctx, x)
@@ -357,16 +357,17 @@ def check_cocycle(rng, i, ring, n):
 
 @trial_check("act-chart-agreement")
 def check_act_chart_agreement(rng, i, ring, n):
-    """act agrees with the fractional point action, including when the
-    chart is left."""
+    """act, its fractional form, and act_literal, its denominator solve,
+    both agree with the fractional point action, refusals included: each
+    refuses exactly when g.Gamma_z leaves the chart."""
     g = randgen.rand_group_word(rng, ring, n, length=rng.randint(1, 3))
     z = randgen.rand_matrix(rng, ring, n)
     gz = act_frac(g, gamma_chart(z))
     if in_chart(g, z) != point_in_chart(gz):
         return (False, {"reason": "chart predicate mismatch", "trial": i})
-    if not point_in_chart(gz):
-        return True
-    return act(g, z) == chart_coords(gz)
+    want = _outcome(NotInChart, chart_coords, gz)
+    return all(_outcome(NotInChart, f, g, z) == want
+               for f in (act, act_literal))
 
 
 @trial_check("translation-action")

@@ -18,7 +18,7 @@ from jordankit.errors import (NotInvertible, NotInSubspace,
                               SingularOperator)
 from jordankit.jordan import JordanContext
 from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
-                               rand_unit, trial_rng)
+                               rand_scalar, rand_unit, trial_rng)
 from jordankit.rings import (FLOAT64, RATIONAL, Dual, DualRing, Jets, Packed,
                              PrimeFieldRing, _rational)
 from operator_oracles import op_from_action
@@ -580,3 +580,43 @@ def test_packed_coordinates_match_generic_loops(data, ring, n, flavor, g):
     jets = dual_combine(x, x.scale(ring.from_int(2)))
     for m in (jets, jets.embed(DualRing(jets.ring))):
         assert m.base_part() == x and _is_packed(m.base_part())
+
+
+@pytest.mark.parametrize("ring", [DualRing(Q), DualRing(DualRing(Q)),
+                                  DualRing(PrimeFieldRing(5)),
+                                  DualRing(FLOAT64)], ids=repr)
+def test_stack_paths_match_the_general_paths(ring):
+    """Over dual rings `vec` builds the column from the stack in one pass,
+    `is_zero` reads the stack, and `mscale` by an exact root scalar (every
+    eps-coordinate 0) scales the stack in one root scaling. Each gives the
+    form of the general path: `reshape`, comparison with `Matrix.zeros`,
+    and the Kronecker product with the 1 x 1 scalar matrix."""
+    rng = trial_rng(28, 0)
+    for n, m in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        a = rand_matrix(rng, ring, n, m)
+        for x in (a, a.base_part().embed(ring), Matrix.zeros(ring, n, m)):
+            v = x.vec()
+            assert v.shape == (n * m, 1)
+            assert v._form == x.reshape(n * m, 1)._form
+            assert x.is_zero() == (x == Matrix.zeros(ring, n, m))
+            for k in (ring.half(), ring.inv_int(4), ring.from_int(-2),
+                      ring.zero(), rand_scalar(rng, ring)):
+                assert (ring.mscale(x._form, k)
+                        == ring.mkron(ring.pack([[k]]), x._form))
+        assert not a.is_zero() and Matrix.zeros(ring, n, m).is_zero()
+
+
+def test_is_zero_and_scaling_over_float_rings_keep_ieee_semantics():
+    """Over float64 and R64[e], -0.0 counts as zero and nan does not, as
+    with ==; and a real scalar times a matrix with an infinite entry gives
+    nan in the zero eps-block, as the jet product does (0.0 * inf)."""
+    inf, nan = float("inf"), float("nan")
+    for ring, lift in ((FLOAT64, float), (DualRing(FLOAT64),
+                                          lambda t: Dual(t, 0.0))):
+        for entry, zero in ((-0.0, True), (0.0, True), (nan, False),
+                            (1e-300, False)):
+            x = Matrix(ring, [[lift(0.0), lift(entry)]])
+            assert x.is_zero() == zero == (x == Matrix.zeros(ring, 1, 2))
+    ring = DualRing(FLOAT64)
+    x = Matrix(ring, [[Dual(inf, 0.0)]]).scale(ring.from_int(2))
+    assert x[0, 0].re == inf and x[0, 0].eps != x[0, 0].eps

@@ -1,11 +1,14 @@
 """gl_2(A): grading, elementary generators, denominators, chart action."""
 
+from fractions import Fraction
+
 import pytest
 
 from jordankit.algebra import Matrix, op_solve
 from jordankit.errors import NotInChart
-from jordankit.graded import (GroupElement, act, ad_bracket, blocks, check,
-                              denominators, euler, hat, in_chart, pr1)
+from jordankit.graded import (GroupElement, act, act_literal, ad_bracket,
+                              blocks, check, denominators, euler, hat,
+                              in_chart, pr1)
 from jordankit.jordan import JordanContext, bergman_operator
 from jordankit.projline import act_frac, gamma_chart
 from jordankit.randgen import rand_group_word, rand_matrix, trial_rng
@@ -193,7 +196,8 @@ def test_act_matches_denominator_solve():
 def test_chart_denominators_invertible_together(ring):
     """d = (h^-1)_11 (x) h_22^T and c = h_22 (x) (h^-1)_11^T are Kronecker
     products of the same two blocks, so they are invertible together, and
-    `act` and `in_chart` decide the chart by d alone."""
+    the chart that `act` and `in_chart` decide by c x + d = h_22 is the
+    one that d alone decides."""
     rng = trial_rng(23, 0)
     seen = set()
     for _ in range(20):
@@ -208,6 +212,79 @@ def test_chart_denominators_invertible_together(ring):
                 with pytest.raises(NotInChart):
                     act(g, x)
             seen.add(inside)
+    assert seen == {True, False}
+
+
+def _outcome(f, g, x):
+    try:
+        return f(g, x)
+    except NotInChart:
+        return None
+
+
+def _chart_cases(rng, ring, n):
+    """(g, x) pairs at one random x: a random word of one to three
+    generators, J (J.x = -x^-1) and the lower generator at -x^-1 + w, whose
+    c x + d = w x is singular for w = 0, so that both sides of the chart
+    occur at every n."""
+    x = rand_matrix(rng, ring, n)
+    cases = [(rand_group_word(rng, ring, n, length=rng.randint(1, 3)), x),
+             (GroupElement.jmat(ring, n), x)]
+    if x.is_invertible():
+        w = rand_matrix(rng, ring, n) if rng.randint(0, 1) else x - x
+        cases.append((GroupElement.exp_ad(w - x.inverse(), -1), x))
+    return cases
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q),
+                                  DualRing(DualRing(Q))], ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_act_equals_act_literal_refusals_included(ring, n):
+    """On exact rings the fractional form (a x + b)(c x + d)^-1 equals the
+    literal d^-1(n) exactly and refuses the same x, and in_chart, the
+    invertibility of c x + d, is the invertibility of the literal d."""
+    rng = trial_rng(26, n)
+    seen = set()
+    for _ in range(6 if ring.kind == "dual" and n == 4 else 10):
+        for g, x in _chart_cases(rng, ring, n):
+            got = _outcome(act, g, x)
+            assert got == _outcome(act_literal, g, x)
+            inside = denominators(g, x)[0].is_invertible()
+            assert in_chart(g, x) == inside == (got is not None)
+            seen.add(inside)
+    assert seen == {True, False}
+
+
+def _exact(m):
+    return Matrix(Q, [[Fraction(v) for v in r] for r in m.rows])
+
+
+def test_float_act_agrees_with_act_literal_and_the_exact_value():
+    """Over float64, on integer words and J at integer draws, whose chart
+    decisions are far from the threshold, act and act_literal refuse the
+    same x and agree within 1e-9 relative, and act is within 1e-12
+    relative of the exact value over Q. The literal n^2 x n^2 solve is
+    the less accurate of the two: on these draws the two differ by up to
+    1.1e-11 relative, at n = 4. (The lower generator at -x^-1 is not
+    integral: its c x + d is singular only up to rounding.)"""
+    seen = set()
+    for n in (1, 2, 3, 4):
+        rng = trial_rng(27, n)
+        for _ in range(25):
+            for g, x in _chart_cases(rng, FLOAT64, n)[:2]:
+                got = _outcome(act, g, x)
+                lit = _outcome(act_literal, g, x)
+                gq = GroupElement(n, Q, _exact(g.mat))
+                want = _outcome(act, gq, _exact(x))
+                seen.add(got is not None)
+                assert (got is None) == (lit is None) == (want is None)
+                if got is None:
+                    continue
+                scale = max(lit.max_abs(), 1.0)
+                assert (got - lit).max_abs() <= 1e-9 * scale
+                err = max(abs(Fraction(a) - b) for ra, rb in
+                          zip(got.rows, want.rows) for a, b in zip(ra, rb))
+                assert err <= Fraction(1e-12) * Fraction(scale)
     assert seen == {True, False}
 
 

@@ -16,7 +16,7 @@ PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 WORKLOADS = ["verify-exact", "dual-tower", "compute-requests"]
 SEED_1_DIGESTS = {"verify-exact": "e943970c23dd5472",
                   "dual-tower": "0adef7ee2c4b3ff8",
-                  "compute-requests": "4521b65accc5b44e"}
+                  "compute-requests": "17b9cd22da62b6d8"}
 
 
 @pytest.fixture(scope="module")
