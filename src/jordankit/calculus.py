@@ -4,9 +4,10 @@ closed-form derivative laws (map, closed form, sampler) that the CLI
 `derivative` request and the `derivative-laws` suite both certify
 against dual evaluation through `suites.law_check`.
 
-Map handles are ring-generic by construction: their evaluators receive
-the evaluation ring and inputs over it, and any captured constants are
-structurally embedded, so lifting inputs commutes with evaluation.
+Map handles are ring-generic by construction: their evaluators take an
+input and read the evaluation ring from it (`x.ring`), and any captured
+constants are structurally embedded into that ring, so lifting inputs
+commutes with evaluation.
 """
 
 from __future__ import annotations
@@ -27,47 +28,47 @@ class MapHandle:
     name: str
     evaluator: Callable
 
-    def __call__(self, ring, x):
-        return self.evaluator(ring, x)
+    def __call__(self, x):
+        return self.evaluator(x)
 
 
 # -- built-in handles -------------------------------------------------------
 
 def alg_inversion():
-    return MapHandle("alg_inversion", lambda ring, x: x.inverse())
+    return MapHandle("alg_inversion", lambda x: x.inverse())
 
 
 def squaring():
-    return MapHandle("squaring", lambda ring, x: x @ x)
+    return MapHandle("squaring", lambda x: x @ x)
 
 
 def linear_map(a, name="linear"):
-    return MapHandle(name, lambda ring, x: a.embed(ring) @ x)
+    return MapHandle(name, lambda x: a.embed(x.ring) @ x)
 
 
 def jordan_inversion(jctx):
-    return MapHandle("jordan_inversion", lambda ring, x: jordan_inverse(
-        jctx.at_ring(ring), x))
+    return MapHandle("jordan_inversion", lambda x: jordan_inverse(
+        jctx.at_ring(x.ring), x))
 
 
 def quasi_inverse_in_first(jctx, y):
-    return MapHandle("quasi_inverse_x", lambda ring, x: quasi_inverse(
-        jctx.at_ring(ring), x, y.embed(ring)))
+    return MapHandle("quasi_inverse_x", lambda x: quasi_inverse(
+        jctx.at_ring(x.ring), x, y.embed(x.ring)))
 
 
 def group_action(g):
-    return MapHandle("group_action", lambda ring, x: act(g.embed(ring), x))
+    return MapHandle("group_action", lambda x: act(g.embed(x.ring), x))
 
 
 def compose(f, g):
     """f after g."""
-    return MapHandle(f"{f.name}.{g.name}",
-                     lambda ring, x: f(ring, g(ring, x)))
+    return MapHandle(f"{f.name}.{g.name}", lambda x: f(g(x)))
 
 
 def bergman_inverse_apply(jctx, a, v):
     """x -> B(x, a)^-1 v, the operator-family quotient map."""
-    def ev(ring, x):
+    def ev(x):
+        ring = x.ring
         ctx = jctx.at_ring(ring)
         b = bergman_operator(ctx, x, a.embed(ring))
         return ctx.space.from_coords(
@@ -84,7 +85,7 @@ def diff_quotient(f, x, h, t):
     if not ring.is_unit(t):
         raise NotAUnit("difference quotient needs a unit step")
     try:
-        num = f(ring, x + h.scale(t)) - f(ring, x)
+        num = f(x + h.scale(t)) - f(x)
     except JordankitError as e:
         raise DomainViolation(str(e)) from e
     return num.scale(ring.invert(t))
@@ -94,7 +95,7 @@ def tangent_map(f, x, v):
     """(f(x), df(x)v) in one dual evaluation."""
     lifted = dual_combine(x, v)
     try:
-        out = f(lifted.ring, lifted)
+        out = f(lifted)
     except JordankitError as e:
         raise DomainViolation(str(e)) from e
     return dual_split(out)
@@ -113,12 +114,11 @@ def lie_bracket_fields(xfield, yfield, x):
     then Y at x + eps X(x). A field undefined at x raises its own error,
     not DomainViolation: when the dual evaluation of X fails, X(x) is
     evaluated on its own to tell the two apart."""
-    ring = x.ring
-    yv = yfield(ring, x)
+    yv = yfield(x)
     try:
         xv, dxy = tangent_map(xfield, x, yv)
     except DomainViolation:
-        xfield(ring, x)
+        xfield(x)
         raise
     return dual_derivative(yfield, x, xv) - dxy
 
@@ -126,7 +126,7 @@ def lie_bracket_fields(xfield, yfield, x):
 def field_bracket(xfield, yfield):
     """The bracket as a field, so brackets can be nested."""
     return MapHandle(f"[{xfield.name},{yfield.name}]",
-                     lambda ring, p: lie_bracket_fields(xfield, yfield, p))
+                     lambda p: lie_bracket_fields(xfield, yfield, p))
 
 
 # -- derivative laws ---------------------------------------------------------

@@ -18,13 +18,13 @@ the subset convolution of the mask blocks, a solve one root solve of the
 mask-0 block against every other block, back-substituted by mask, and
 embedding and the eps-split pad or split the masks. Every operation
 takes and returns these forms, so no scalar is built until a caller
-reads entries. Each root field has one packed solve (`_solve_packed`),
-which its plain matrices and its dual towers share: on Q a fraction-free
-Gauss-Jordan elimination on integer rows (`_bareiss`), on F_p a
-Gauss-Jordan elimination on residues (`_solve_mod`), on float64 a
-Gauss-Jordan elimination with partial pivoting (`Float64Ring._eliminate`,
-which also finds its pivots); the pivots of Q and F_p come from a
-forward elimination on integer rows (`_pivots`).
+reads entries. Each root field has one dot loop (`_dots`) and one packed
+solve (`_solve_packed`), which its plain matrices and its dual towers
+share. Q and F_p solve by one Gauss-Jordan elimination on integer rows
+(`_gauss_jordan`), fraction-free on Q and on residues on F_p; float64
+by a Gauss-Jordan elimination with partial pivoting
+(`Float64Ring._eliminate`, which also finds its pivots). The pivots of Q
+and F_p come from a forward elimination on integer rows (`_pivots`).
 """
 
 from __future__ import annotations
@@ -270,16 +270,6 @@ def _as_jet(s):
     return _jet((s.numerator,), s.denominator, 0)
 
 
-def _idot(x, y):
-    return sum(map(mul, x, y))
-
-
-def _fdot(x, y):
-    # Left to right from 0.0, as the generic loops of the parity tests
-    # add (sum() may compensate float rounding).
-    return reduce(add, map(mul, x, y), 0.0)
-
-
 class Packed(list):
     """A matrix over a root field in the field's packed form: its rows
     as lists of numbers over one denominator `d`.
@@ -441,15 +431,17 @@ def _pivots(rows, p):
     return cols
 
 
-def _bareiss(rows, n):
+def _gauss_jordan(rows, n, p):
     """(N, d) with A X = B for X = N / d, d > 0, or None when A is
-    singular; `rows` are the integer rows of [A | B], A n x n, and may be
-    reordered.
+    singular (mod p when `p` is not 0); `rows` are the integer rows of
+    [A | B], A n x n (residues in [0, p) mod p), and may be reordered.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968):
-    each update p a - f b is divided exactly by the previous pivot, so
-    every entry stays a minor of [A | B], and the left block ends as
-    d times the identity.
+    Gauss-Jordan elimination with the pivot rule of `_pivots`. Over Z
+    (`p` 0) it is fraction-free (Bareiss, Math. Comp. 1968): each update
+    p a - f b is divided exactly by the previous pivot, so every entry
+    stays a minor of [A | B], and the left block ends as d times the
+    identity. Modulo p the pivot row is scaled to a leading 1 and every
+    update reduced mod p, so entries stay residues and d is 1.
     """
     prev = 1
     for k in range(n):
@@ -460,6 +452,13 @@ def _bareiss(rows, n):
             return None
         rows[k], rows[i] = rows[i], rows[k]
         prow = rows[k]
+        if p:
+            inv = pow(prow[k], -1, p)
+            prow = [x * inv % p for x in prow]
+            rows = [prow if i == k else
+                    [(x - f * y) % p for x, y in zip(r, prow)] if (f := r[k])
+                    else r for i, r in enumerate(rows)]
+            continue
         pv = prow[k]
         rows = [r if i == k else [(pv * x - r[k] * y) // prev
                                   for x, y in zip(r, prow)]
@@ -468,29 +467,6 @@ def _bareiss(rows, n):
     if prev < 0:
         return [[-x for x in r[n:]] for r in rows], -prev
     return [r[n:] for r in rows], prev
-
-
-def _solve_mod(rows, n, p):
-    """(X, 1) with A X = B mod p, or None when A is singular mod p; `rows`
-    are the rows of [A | B], A n x n, as residues in [0, p), and may be
-    reordered.
-
-    Gauss-Jordan elimination on the residues: the pivot row is scaled to
-    a leading 1 and every update reduced mod p, so entries stay residues.
-    """
-    for k in range(n):
-        for i in range(k, n):
-            if rows[i][k]:
-                break
-        else:
-            return None
-        rows[k], rows[i] = rows[i], rows[k]
-        inv = pow(rows[k][k], -1, p)
-        prow = [x * inv % p for x in rows[k]]
-        rows = [prow if i == k else
-                [(x - f * y) % p for x, y in zip(r, prow)] if (f := r[k])
-                else r for i, r in enumerate(rows)]
-    return [r[n:] for r in rows], 1
 
 
 class _PackedField(Ring):
@@ -568,11 +544,13 @@ class _PackedField(Ring):
         zeros (transpose, reshape, operator layouts)."""
         return Packed.of(f(a, self._zero_entry), a.d)
 
+    def _dots(self, rows, cols):
+        """The unreduced dot product of every row with every column."""
+        return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
     def matmul(self, a, b):
         """A B for A (n x k) and B (k x m)."""
-        cols = list(zip(*b))
-        return self._reduce([[sum(map(mul, r, c)) for c in cols] for r in a],
-                            a.d * b.d)
+        return self._reduce(self._dots(a, list(zip(*b))), a.d * b.d)
 
     def solve(self, a, b):
         """X with A X = B for square A, or None when A is not invertible."""
@@ -584,6 +562,11 @@ class _PackedField(Ring):
         if a.d != 1:
             x = [[v * a.d for v in r] for r in x]
         return self._reduce(x, den * b.d)
+
+    def _solve_packed(self, rows, n):
+        """The root solve of plain matrices and dual towers, on the rows
+        of [A | B] (see `_gauss_jordan`)."""
+        return _gauss_jordan(rows, n, self._p)
 
     def pivot_columns(self, a):
         """Columns in which row elimination of A finds a pivot: the first
@@ -638,9 +621,6 @@ class RationalRing(_PackedField):
                 return Packed.of([[x // g for x in r] for r in rows], d // g)
         return Packed.of(rows, d)
 
-    # The root solve of a dual tower over Q, on its integer-scaled rows.
-    _solve_packed = staticmethod(_bareiss)
-
     def __repr__(self):
         return "Q"
 
@@ -688,21 +668,21 @@ class Float64Ring(_PackedField):
     def mscale(self, a, s):
         return Packed.of([[s * x for x in r] for r in a])
 
-    def matmul(self, a, b):
-        # Each entry adds left to right from 0.0, as _fdot does. Index
-        # loops over the columns of B as tuples run faster here than one
-        # _fdot call per entry, and than indexing B, a list subclass.
-        cols, k = list(zip(*b)), len(b)
+    def _dots(self, rows, cols):
+        # Each dot adds left to right from 0.0, as the generic loops of the
+        # parity tests do (sum() compensates rounding from Python 3.12 on).
+        # Index loops run faster here than reduce(add, map(mul, r, c)).
         out = []
-        for r in a:
+        for r in rows:
+            k = range(len(r))
             row = []
             for c in cols:
                 acc = 0.0
-                for t in range(k):
+                for t in k:
                     acc += r[t] * c[t]
                 row.append(acc)
             out.append(row)
-        return Packed.of(out)
+        return out
 
     def _eliminate(self, rows, width):
         """Gauss-Jordan elimination of the float `rows` in place, with
@@ -837,9 +817,6 @@ class PrimeFieldRing(_PackedField):
         p = self.p
         return Packed.of([[x % p for x in r] for r in rows])
 
-    def _solve_packed(self, rows, n):
-        return _solve_mod(rows, n, self.p)
-
     def __repr__(self):
         return f"F{self.p}"
 
@@ -858,11 +835,8 @@ class DualRing(Ring):
         root = base.root if inner else base
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "size", 2 * base.size if inner else 2)
-        # The jets' root tag (see Dual) and the dot product of their
-        # packed coordinates.
+        # The jets' root tag (see Dual).
         object.__setattr__(self, "_p", _as_jet(root.zero()).p)
-        object.__setattr__(self, "_dot",
-                           _fdot if root.kind == "float64" else _idot)
 
     @property
     def depth(self):
@@ -1049,13 +1023,13 @@ class DualRing(Ring):
         # only those with both blocks non-zero are formed. Row i of A and
         # column j of B are laid out per mask m as the concatenation, over
         # those s, of row i of A_s or column j of B_(m^s), so every output
-        # coordinate is one dot product: over float64 it adds s outer,
-        # increasing, then the inner index, left to right from 0.0.
+        # coordinate is one dot product of the root: over float64 it adds
+        # s outer, increasing, then the inner index, left to right from 0.0.
         ba, bb = self._blocks(a), self._blocks(b)
         sa, sb = self._support(a), self._support(b)
         cb = {s: list(zip(*bb[s])) for s in sb}
         zero = [[self.root._zero_entry] * (len(b[0]) if b.n else 0)] * a.n
-        dot = self._dot
+        dots = self.root._dots
         stack = []
         for m, sub in enumerate(_subsets(self.size)):
             ss = [s for s in sub if s in sa and m ^ s in sb]
@@ -1069,7 +1043,7 @@ class DualRing(Ring):
             else:
                 stack += zero
                 continue
-            stack += [[dot(r, c) for c in cols] for r in rows]
+            stack += dots(rows, cols)
         return self._jets(stack, a.stack.d * b.stack.d, a.n)
 
     def solve(self, a, b):
@@ -1099,7 +1073,6 @@ class DualRing(Ring):
               for j, s in enumerate(sa)}
         bits = [bin(k).count("1") for k in range(self.size)]
         zero = [[self.root._zero_entry] * w] * n
-        dot = self._dot
         xs = {}
         for m, sub in enumerate(_subsets(self.size)):
             terms = [s for s in sub[1:] if s in zs and m ^ s in xs]
@@ -1112,8 +1085,8 @@ class DualRing(Ring):
                 z = [[x * den ** (bits[s] - 1) for s in terms
                       for x in zs[s][i]] for i in range(n)]
                 cols = list(zip(*[r for s in terms for r in xs[m ^ s]]))
-                y = [[v - dot(zr, c) for v, c in zip(yr, cols)]
-                     for yr, zr in zip(y, z)]
+                y = [[v - d for v, d in zip(yr, dr)]
+                     for yr, dr in zip(y, self.root._dots(z, cols))]
             xs[m] = y
         # Mask k is P_k over D^e, e the largest |k| + 1, times d.
         e = max([bits[k] for k in xs], default=0) + 1

@@ -755,13 +755,12 @@ def numeric_lts(space, u, v, w):
     """[[u~, v~], w~](o) computed from Eq.-style chart brackets with
     nested dual layers."""
     def handle(vec, tag):
-        return calculus.MapHandle(
-            tag, lambda ring, p: tilde_field(space, vec, p))
+        return calculus.MapHandle(tag, lambda p: tilde_field(space, vec, p))
 
     ut, vt, wt = handle(u, "u~"), handle(v, "v~"), handle(w, "w~")
     outer = calculus.field_bracket(calculus.field_bracket(ut, vt), wt)
     o = space.o_chart
-    return outer(o.ring, o)
+    return outer(o)
 
 
 @trial_check("lts-axioms[{space_name}]", space_of)
@@ -997,7 +996,7 @@ def check_schwarz(rng, i, ring, n):
 
     def second(a, b):
         g = calculus.MapHandle(
-            "d_b", lambda rr, p: calculus.dual_derivative(f, p, b.embed(rr)))
+            "d_b", lambda p: calculus.dual_derivative(f, p, b.embed(p.ring)))
         return calculus.dual_derivative(g, x, a)
 
     return second(v, w) == second(w, v)

@@ -312,13 +312,33 @@ def tilde_field(ctx, v, p):
     return eps.scale(ring.half())
 
 
+def _is_swap_at_gamma0(ctx):
+    """Whether ctx is the projective space of the swap polarity,
+    unmodified, at Gamma_0: the one space whose exponential is the
+    series of `exp_tanh`. The swap is the identity with its halves
+    swapped, and o = [(P; Q)], of rank n, is Gamma_0 exactly when P = 0;
+    neither is read by a rank."""
+    pol, n = ctx.polarity, ctx.jctx.n
+    swap = Matrix.identity(ctx.ring, 2 * n).submatrix(
+        [*range(n, 2 * n), *range(n)], range(2 * n))
+    return (pol.mode == "linear" and pol.H is None and pol.S.mat == swap
+            and ctx.o.rep.submatrix(range(n), range(n)).is_zero())
+
+
 def exp_tanh(ctx, v, order=24):
     """Exponential of the projective symmetric space at its base point:
     the gamma-chart point of cosh_N(v)^-1 sinh_N(v), with
     cosh_N(v) = sum_{k<=N} Q(v)^k / (2k)! and
-    sinh_N(v) = sum_{k<=N} Q(v)^k v / (2k+1)!."""
+    sinh_N(v) = sum_{k<=N} Q(v)^k v / (2k+1)!.
+
+    The series reads neither the base point nor the polarity: it is the
+    exponential of the swap polarity at Gamma_0 only, and every other
+    space is refused."""
     if not isinstance(ctx, ProjectiveSpace):
         raise NotInSpace("exp_tanh lives on the projective context")
+    if not _is_swap_at_gamma0(ctx):
+        raise NotInSpace("exp_tanh computes only the swap polarity at "
+                         "Gamma_0")
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     jctx = ctx.jctx

@@ -22,14 +22,14 @@ def frac(p, q):
 
 
 def constant_map(c):
-    return calculus.MapHandle("constant", lambda ring, x: c.embed(ring))
+    return calculus.MapHandle("constant", lambda x: c.embed(x.ring))
 
 
 def quasi_inverse_in_second(jctx, x):
     from jordankit.jordan import quasi_inverse
 
-    def ev(ring, y):
-        return quasi_inverse(jctx.at_ring(ring), x.embed(ring), y)
+    def ev(y):
+        return quasi_inverse(jctx.at_ring(y.ring), x.embed(y.ring), y)
 
     return calculus.MapHandle("quasi_inverse_y", ev)
 
@@ -121,22 +121,21 @@ def test_field_bracket_nests():
     # linear fields: [Av, Bv] is the field of -[A, B]; nesting stays linear
     ab = a @ b - b @ a
     want_op = -(ab @ a - a @ ab)  # [[A,B],A] operator with field signs
-    assert outer(Q, x) == -(want_op @ x)
+    assert outer(x) == -(want_op @ x)
 
 
 def bracket_reference(xfield, yfield, x):
     """The bracket by four evaluations: X(x) and Y(x) on their own, then
     one dual derivative of each field."""
-    ring = x.ring
-    xv = xfield(ring, x)
-    yv = yfield(ring, x)
+    xv = xfield(x)
+    yv = yfield(x)
     return (calculus.dual_derivative(yfield, x, xv)
             - calculus.dual_derivative(xfield, x, yv))
 
 
 def reference_field(xfield, yfield):
     return calculus.MapHandle(
-        "ref", lambda ring, p: bracket_reference(xfield, yfield, p))
+        "ref", lambda p: bracket_reference(xfield, yfield, p))
 
 
 @pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), DualRing(Q),
@@ -162,13 +161,13 @@ def test_bracket_equals_four_evaluation_reference(ring):
                 == bracket_reference(sq, inv, x))
         got = calculus.field_bracket(calculus.field_bracket(inv, lin), sq)
         want = reference_field(reference_field(inv, lin), sq)
-        assert got(ring, x) == want(ring, x)
+        assert got(x) == want(x)
 
 
 def counted(handle, log):
-    def ev(ring, x):
-        log.append((handle.name, ring.depth))
-        return handle(ring, x)
+    def ev(x):
+        log.append((handle.name, x.ring.depth))
+        return handle(x)
     return calculus.MapHandle(handle.name, ev)
 
 
@@ -184,7 +183,7 @@ def test_bracket_evaluates_three_times():
                    ("alg_inversion", 1)]
     # the nested bracket's inner field is evaluated once, over the duals
     log.clear()
-    calculus.field_bracket(calculus.field_bracket(sq, inv), lin)(Q, x)
+    calculus.field_bracket(calculus.field_bracket(sq, inv), lin)(x)
     assert log == [("linear", 0), ("alg_inversion", 1), ("squaring", 2),
                    ("alg_inversion", 2), ("linear", 1)]
 
@@ -198,8 +197,8 @@ def test_bracket_field_undefined_at_x_raises_its_own_error():
             calculus.lie_bracket_fields(xf, yf, x)
     # a field defined at x but not at x + eps v is a domain violation
 
-    def base_only(ring, p):
-        if ring.kind == "dual":
+    def base_only(p):
+        if p.ring.kind == "dual":
             raise NotInvertible("no dual extension")
         return p
     odd = calculus.MapHandle("base_only", base_only)
@@ -293,7 +292,7 @@ def test_schwarz_second_derivatives():
     def second(aa, bb):
         g = calculus.MapHandle(
             "partial",
-            lambda rr, p: calculus.dual_derivative(inv, p, bb.embed(rr)))
+            lambda p: calculus.dual_derivative(inv, p, bb.embed(p.ring)))
         return calculus.dual_derivative(g, x, aa)
 
     assert second(v, w) == second(w, v)

@@ -444,6 +444,44 @@ def test_compute_lts_at_o_plus_is_not_in_chart():
     assert json.loads(out)["error"] == "NotInChart"
 
 
+def _proj_ctx(n, polarity, o=None):
+    ctx = {"variant": "projective", "ring": "rational", "n": n,
+           "polarity": polarity}
+    if o is not None:
+        ctx["o"] = _point(o)
+    return ctx
+
+
+_SWAP = {"mode": "linear", "S": "F"}
+
+
+@pytest.mark.parametrize("ctx", [
+    # Exp(0) is o = Gamma_2, not Gamma_0
+    _proj_ctx(1, _SWAP, [["2"], ["1"]]),
+    _proj_ctx(2, {"mode": "linear", "S": "I11"},
+              [["1", "0"], ["0", "1"], ["1", "0"], ["0", "1"]]),
+    _proj_ctx(2, dict(_SWAP, H=[["2", "0"], ["0", "3"]]),
+              [["1", "0"], ["0", "1"], ["1", "0"], ["0", "1"]]),
+    _proj_ctx(1, _SWAP, [["1"], ["0"]]),
+], ids=["swap-at-gamma2", "i11-at-gamma1", "modified-swap-at-gamma1",
+        "swap-at-o-plus"])
+def test_compute_exp_refuses_spaces_its_series_does_not_compute(ctx):
+    """The tanh series is the exponential of the swap polarity at Gamma_0
+    only; every other space is a domain error (exit 1)."""
+    n = ctx["n"]
+    req = {"op": "exp", "context": ctx, "v": [["0"] * n] * n}
+    code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
+    assert code == 1 and not err
+    assert json.loads(out)["error"] == "NotInSpace"
+    # The swap at Gamma_0, here given by another rep, still answers.
+    req["context"] = _proj_ctx(n, _SWAP, [["0"] * n] * n
+                               + [["2" if i == j else "0" for j in range(n)]
+                                  for i in range(n)])
+    code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
+    assert code == 0 and not err
+    assert json.loads(out)["chart"] == [["0"] * n] * n
+
+
 def test_compute_derivative_alias():
     """Each op has one name: the former aliases derivative_check and
     cayley_identity are unknown ops."""

@@ -170,9 +170,33 @@ def test_float_dual_parity():
                 assert _rows_close(x, want)
 
 
+def _float_jet_product(a, b, size):
+    """The product of rows of float jets with `size` coordinates, one
+    coordinate at a time: coordinate m of entry (i, j) adds a[i][t]_s
+    b[t][j]_(m^s) over the subsets s of m (outer, increasing), then over
+    the inner index t, left to right from 0.0."""
+    out = []
+    for r in a:
+        row = []
+        for c in zip(*b):
+            coords = []
+            for m in range(size):
+                acc = 0.0
+                for s in range(m + 1):
+                    if s & m == s:
+                        for x, y in zip(r, c):
+                            acc += x.v[s] * y.v[m ^ s]
+                coords.append(acc)
+            row.append(coords)
+        out.append(row)
+    return out
+
+
 def test_float_dual_depth_one_matches_generic_bitwise():
     """At depth 1 the packed float64 product and solve add in the order
-    of the generic loops over the parts, so they agree bit for bit."""
+    of the generic loops over the parts, so they agree bit for bit. At
+    depths 1 to 3 every coordinate of a product adds in the order of the
+    per-coordinate reference, bit for bit."""
     def bits(rows):
         return [[(x.re.hex(), x.eps.hex()) for x in r] for r in rows]
 
@@ -186,6 +210,13 @@ def test_float_dual_depth_one_matches_generic_bitwise():
             generic.matmul([r + e for r, e in zip(re, eps)], beps + bre,
                            FLOAT64))]
         assert bits(on_rows(K.matmul, a, b, R64E)) == bits(want)
+
+    for ring in FLOAT_JET_RINGS:
+        for a, b in _cases(ring):
+            got = on_rows(K.matmul, a, b, ring)
+            want = _float_jet_product(a, b, ring.size)
+            assert ([[[c.hex() for c in x.v] for x in r] for r in got]
+                    == [[[c.hex() for c in x] for x in r] for r in want])
 
 
 def test_float_summation_order_and_partial_pivoting():
