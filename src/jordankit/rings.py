@@ -20,11 +20,11 @@ embedding and the eps-split pad or split the masks. Every operation
 takes and returns these forms, so no scalar is built until a caller
 reads entries. Each root field has one dot loop (`_dots`) and one packed
 solve (`_solve_packed`), which its plain matrices and its dual towers
-share. Q and F_p solve by one Gauss-Jordan elimination on integer rows
-(`_gauss_jordan`), fraction-free on Q and on residues on F_p; float64
-by a Gauss-Jordan elimination with partial pivoting
-(`Float64Ring._eliminate`, which also finds its pivots). The pivots of Q
-and F_p come from a forward elimination on integer rows (`_pivots`).
+share. On Q and F_p one forward elimination on integer rows
+(`_echelon`), fraction-free on Q and on residues on F_p, finds the
+pivots, and a solve back-substitutes on its pivot rows
+(`_back_substitute`); float64 solves and finds its pivots by one
+Gauss-Jordan elimination with partial pivoting (`Float64Ring._eliminate`).
 """
 
 from __future__ import annotations
@@ -386,21 +386,22 @@ def _add_rows(a, b):
     return [list(map(add, x, y)) for x, y in zip(a, b)]
 
 
-def _pivots(rows, p):
-    """Pivot columns of integer rows: in each column the pivot is the
-    first non-zero entry at or below the next pivot row.
+def _echelon(rows, width, p):
+    """The pivot columns of integer rows among their first `width`
+    columns, and each pivot row as the elimination left it, from its
+    pivot's column on. In each column the pivot is the first non-zero
+    entry at or below the next pivot row.
 
     The elimination runs forward only and never forms a fraction. Over Z
     (`p` 0) it is fraction-free (Bareiss, Math. Comp. 1968): each
     update p_k a - f b is divided exactly by the previous pivot, so every
-    entry stays a minor of the input. Modulo a prime p the update is
+    entry stays a minor of the input; the last pivot of an invertible
+    block is its determinant up to sign. Modulo a prime p the update is
     reduced mod p instead. Each pass keeps only the columns to the right
     of the current one.
     """
-    cols = []
-    prev = 1
+    cols, piv, prev = [], [], 1
     rows = [r for r in rows if any(r)]
-    width = len(rows[0]) if rows else 0
     for col in range(width):
         for i, r in enumerate(rows):
             if r[0]:
@@ -409,10 +410,11 @@ def _pivots(rows, p):
             rows = [r[1:] for r in rows]
             continue
         cols.append(col)
+        prow = rows[i]
+        piv.append(prow)
         if len(rows) == 1:
             break
         # Swap the pivot row up, as Gauss-Jordan elimination does.
-        prow = rows[i]
         rows[i] = rows[0]
         pv = prow[0]
         prow = prow[1:]
@@ -428,45 +430,35 @@ def _pivots(rows, p):
             rows = [[(pv * a - r[0] * b) // prev
                      for a, b in zip(r[1:], prow)] for r in rest]
         prev = pv
-    return cols
+    return cols, piv
 
 
-def _gauss_jordan(rows, n, p):
-    """(N, d) with A X = B for X = N / d, d > 0, or None when A is
-    singular (mod p when `p` is not 0); `rows` are the integer rows of
-    [A | B], A n x n (residues in [0, p) mod p), and may be reordered.
-
-    Gauss-Jordan elimination with the pivot rule of `_pivots`. Over Z
-    (`p` 0) it is fraction-free (Bareiss, Math. Comp. 1968): each update
-    p a - f b is divided exactly by the previous pivot, so every entry
-    stays a minor of [A | B], and the left block ends as d times the
-    identity. Modulo p the pivot row is scaled to a leading 1 and every
-    update reduced mod p, so entries stay residues and d is 1.
-    """
-    prev = 1
-    for k in range(n):
-        for i in range(k, n):
-            if rows[i][k]:
-                break
-        else:
-            return None
-        rows[k], rows[i] = rows[i], rows[k]
-        prow = rows[k]
+def _back_substitute(piv, p):
+    """(N, d) with A X = B for X = N / d, d > 0, from the n pivot rows
+    [u_kk .. | b'_k] that `_echelon` leaves of [A | B], A invertible. Over
+    Z (`p` 0) d = |u_(n-1)(n-1)| = |det A|, so d X is integral (Cramer's
+    rule): row k of d X, d b'_k less u_kj times row j over j > k, divides
+    exactly by u_kk. Modulo p each pivot is inverted and d is 1."""
+    n = len(piv)
+    d = abs(piv[-1][0]) if n and not p else 1
+    xs = [None] * n
+    for k in range(n - 1, -1, -1):
+        r = piv[k]
+        u, x = r[0], r[n - k:]
+        # d scales b'_k within the first product. Where s = u, as on the
+        # last row with a positive pivot, x is already the row of d X.
+        s = d
+        for f, y in zip(r[1:n - k], xs[k + 1:]):
+            if f:
+                x = [s * v - f * w for v, w in zip(x, y)]
+                s = 1
         if p:
-            inv = pow(prow[k], -1, p)
-            prow = [x * inv % p for x in prow]
-            rows = [prow if i == k else
-                    [(x - f * y) % p for x, y in zip(r, prow)] if (f := r[k])
-                    else r for i, r in enumerate(rows)]
-            continue
-        pv = prow[k]
-        rows = [r if i == k else [(pv * x - r[k] * y) // prev
-                                  for x, y in zip(r, prow)]
-                for i, r in enumerate(rows)]
-        prev = pv
-    if prev < 0:
-        return [[-x for x in r[n:]] for r in rows], -prev
-    return [r[n:] for r in rows], prev
+            u = pow(u, -1, p)
+            x = [v * u % p for v in x]
+        elif s != u:
+            x = [s * v // u for v in x]
+        xs[k] = x
+    return xs, d
 
 
 class _PackedField(Ring):
@@ -565,14 +557,18 @@ class _PackedField(Ring):
 
     def _solve_packed(self, rows, n):
         """The root solve of plain matrices and dual towers, on the rows
-        of [A | B] (see `_gauss_jordan`)."""
-        return _gauss_jordan(rows, n, self._p)
+        of [A | B]: (N, d) (see `_back_substitute`), or None when A is
+        singular."""
+        cols, piv = _echelon(rows, n, self._p)
+        if len(cols) < n:
+            return None
+        return _back_substitute(piv, self._p)
 
     def pivot_columns(self, a):
         """Columns in which row elimination of A finds a pivot: the first
         non-zero entry at or below the next pivot row."""
         # Scaling by the denominator keeps the pivots.
-        return _pivots(a, self._p)
+        return _echelon(a, len(a[0]) if a else 0, self._p)[0]
 
 
 @dataclass(frozen=True)

@@ -344,7 +344,7 @@ def exp_tanh(ctx, v, order=24):
     jctx = ctx.jctx
     ring = jctx.ring
     if ring.kind not in ("rational", "float64"):
-        raise ValueError("exp_tanh needs rational or float64 scalars")
+        raise NotInSpace("exp_tanh computes only over Q and float64")
     qv = quad_triple_operator(jctx, v)
     d = jctx.dim
     cosh = LinearOperator.identity(ring, d)

@@ -482,6 +482,23 @@ def test_compute_exp_refuses_spaces_its_series_does_not_compute(ctx):
     assert json.loads(out)["chart"] == [["0"] * n] * n
 
 
+@pytest.mark.parametrize("ring", ["fp:7",
+                                  {"kind": "dual", "base": "rational"}],
+                         ids=["fp7", "dual"])
+def test_compute_exp_refuses_rings_its_series_does_not_compute(ring):
+    """The series runs over Q and float64 only. Another ring is a domain
+    error (exit 1), not a malformed request; a bad order stays a usage
+    error."""
+    req = {"op": "exp", "ring": ring, "n": 1, "v": [[1]]}
+    code, out, err = run_in_process(["compute"], stdin=json.dumps(req))
+    assert code == 1 and not err
+    assert json.loads(out)["error"] == "NotInSpace"
+    code, out, err = run_in_process(["compute"],
+                                    stdin=json.dumps(dict(req, order=0)))
+    assert code == 2 and not err
+    assert json.loads(out)["error"] == "MalformedRequest"
+
+
 def test_compute_derivative_alias():
     """Each op has one name: the former aliases derivative_check and
     cayley_identity are unknown ops."""

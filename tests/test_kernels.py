@@ -84,8 +84,8 @@ def _cases(ring, seed=777):
 def _systems(ring, seed=778):
     """Square systems A X = B with B of 0 to 3 columns: five with A drawn
     until the generic elimination finds it invertible, then one random A,
-    the empty system, and over a dual ring one whose re-part is
-    singular."""
+    the empty system, over a dual ring one whose re-part is singular, an
+    invertible A at n = 6, and three fixed integer systems."""
     rng = random.Random(seed)
     for n in (1, 2, 3, 4, 4):
         for _ in range(100):
@@ -101,6 +101,21 @@ def _systems(ring, seed=778):
         a[2] = [x + y + Dual(ring.base.zero(), rand_scalar(rng, ring.base))
                 for x, y in zip(a[0], a[1])]
         yield a, rand_rows(rng, ring, 3, 2)
+    for _ in range(100):
+        a = rand_rows(rng, ring, 6, 6)
+        if len(generic.pivots(a, ring)) == 6:
+            break
+    yield a, rand_rows(rng, ring, 6, 2)
+    for a, b in [
+            # Singular, with no pivot in A's first column: B's columns
+            # must not lend one.
+            ([[0, 1], [0, 2]], [[1], [3]]),
+            # A row swap.
+            ([[0, 1], [1, 0]], [[1, 2], [3, 4]]),
+            # A row swap to a negative last pivot over Z, det A = 2.
+            ([[0, 2], [-1, 3]], [[1], [1]])]:
+        yield ([[ring.from_int(k) for k in r] for r in a],
+               [[ring.from_int(k) for k in r] for r in b])
 
 
 def _close(x, y, rel=1e-12):
@@ -163,6 +178,10 @@ def test_float_dual_parity():
                 assert _rows_close([on_rows(K.matvec, a, v, ring)],
                                    [generic.matvec(a, v, ring)])
         for a, b in _systems(ring):
+            # At n = 6 and depth 3 the two solves differ by more than the
+            # rounding bound above: the jets amplify it like cond(A_0)^4.
+            if len(a) > 4 and ring.depth == 3:
+                continue
             x = on_rows(K.gauss_solve, a, b, ring)
             want = generic.gauss_solve(a, b, ring)
             assert (x is None) == (want is None)
@@ -404,29 +423,39 @@ def test_prime_field_pivots_from_unreduced_integers(p):
 _SMALL_RINGS = [RATIONAL, PrimeFieldRing(3), PrimeFieldRing(7), FLOAT64]
 
 
+_ENTRY = st.tuples(st.integers(-3, 3), st.sampled_from([1, 2, 3, 10**20]))
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(ring=st.sampled_from(_SMALL_RINGS),
        entries=st.integers(0, 5).flatmap(lambda m: st.lists(
-           st.lists(st.tuples(st.integers(-3, 3),
-                              st.sampled_from([1, 2, 3, 10**20])),
-                    min_size=m, max_size=m), max_size=5)))
-def test_pivot_search_matches_generic_property(ring, entries):
-    """Pivots and rank, and on square input the inverse (None when
+           st.lists(_ENTRY, min_size=m, max_size=m), max_size=5)),
+       data=st.data())
+def test_pivot_search_matches_generic_property(ring, entries, data):
+    """Pivots and rank, and on square input the solves against I (the
+    inverse) and against a random B of 1 to 3 columns (None when
     singular), equal those of the generic elimination."""
-    if ring == RATIONAL:
-        a = [[_rational(Fraction(k, d)) for k, d in row] for row in entries]
-    elif ring == FLOAT64:
-        a = [[k / d for k, d in row] for row in entries]
-    else:
-        a = [[ring.from_int(k * d) for k, d in row] for row in entries]
+    def scalars(entries):
+        if ring == RATIONAL:
+            return [[_rational(Fraction(k, d)) for k, d in row]
+                    for row in entries]
+        if ring == FLOAT64:
+            return [[k / d for k, d in row] for row in entries]
+        return [[ring.from_int(k * d) for k, d in row] for row in entries]
+
+    a = scalars(entries)
     want = generic.pivots(a, ring)
     assert on_rows(K.pivot_columns, a, ring) == want
     assert on_rows(K.gauss_rank, a, ring) == len(want)
     if a and len(a) == len(a[0]):
-        eye = generic.meye(len(a), ring)
-        x = on_rows(K.gauss_solve, a, eye, ring)
-        assert x == generic.gauss_solve(a, eye, ring)
-        assert bits(x) == bits(generic.gauss_solve(a, eye, ring))
+        m = data.draw(st.integers(1, 3))
+        b = scalars(data.draw(st.lists(
+            st.lists(_ENTRY, min_size=m, max_size=m),
+            min_size=len(a), max_size=len(a))))
+        for rhs in (generic.meye(len(a), ring), b):
+            x = on_rows(K.gauss_solve, a, rhs, ring)
+            assert x == generic.gauss_solve(a, rhs, ring)
+            assert bits(x) == bits(generic.gauss_solve(a, rhs, ring))
 
 
 def test_singular_mod_p_only():
