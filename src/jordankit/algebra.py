@@ -65,7 +65,10 @@ class Matrix:
     @classmethod
     def zeros(cls, ring, n, m=None):
         m = n if m is None else m
-        return cls._of(ring, ring.ints([[0] * m for _ in range(n)]))
+        out = cls._of(ring, ring.ints([[0] * m for _ in range(n)]))
+        # A form with no rows has no row to read the width off.
+        out.ncols = m
+        return out
 
     @classmethod
     def identity(cls, ring, n):
@@ -103,6 +106,9 @@ class Matrix:
         self._same(other)
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
+        if not (self.nrows and other.nrows):
+            # The kernels read the width off B's first row.
+            return Matrix.zeros(self.ring, self.nrows, other.ncols)
         return Matrix._of(self.ring,
                           K.matmul(self._form, other._form, self.ring))
 
@@ -449,18 +455,21 @@ class CoordinateBasis:
     N vec(x) = 0, and an operator preserves V exactly when N kills the
     images of the basis. A coordinate vector is a column Matrix, in the
     ring's form; `from_coords` also takes a sequence of scalars.
+
+    All of M_n(K) on the matrix units is built directly, without
+    elimination, by `standard`.
     """
 
-    __slots__ = ("ring", "n", "basis", "_cols", "_pivot_rows", "_left_inv",
-                 "_constraints", "_standard")
+    __slots__ = ("ring", "n", "dim", "_basis", "_cols", "_pivot_rows",
+                 "_left_inv", "_constraints", "_standard")
 
     def __init__(self, ring, n, basis):
         self.ring = ring
         self.n = n
-        self.basis = list(basis)
-        d = len(self.basis)
+        self._basis = list(basis)
+        self.dim = d = len(self._basis)
         cols = Matrix.zeros(ring, n * n, 0).hstack(
-            *[b.vec() for b in self.basis])
+            *[b.vec() for b in self._basis])
         self._cols = cols
         piv = K.pivot_columns(cols.transpose()._form, ring)
         if len(piv) != d:
@@ -480,9 +489,30 @@ class CoordinateBasis:
                 range(f), [at[i] for i in range(n * n)])
         self._standard = not f and cols == Matrix.identity(ring, d)
 
+    @classmethod
+    def standard(cls, ring, n):
+        """All of M_n(K) on its matrix units E_ij, row-major (see
+        `matrix_unit_basis`): the coordinates of x are its row-major
+        entries, `from_coords` is a reshape, there are no constraints,
+        and `materialize` returns its operator as it is. No matrix is
+        built and nothing is eliminated; the answers are those of the
+        basis that elimination builds from the matrix units."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.n = n
+        out.dim = n * n
+        out._basis = out._cols = out._pivot_rows = None
+        out._left_inv = out._constraints = None
+        out._standard = True
+        return out
+
     @property
-    def dim(self):
-        return len(self.basis)
+    def basis(self):
+        """The basis, a list of matrices; the matrix units of `standard`
+        are built on first read."""
+        if self._basis is None:
+            self._basis = matrix_unit_basis(self.ring, self.n)
+        return self._basis
 
     def _flat(self, x):
         """The column of row-major entries of x."""
@@ -561,12 +591,16 @@ class CoordinateBasis:
         Embedding is a ring homomorphism and dual pivots are decided on
         re-parts, so elimination over `ring` would pick the same pivot
         rows and return the embedded left inverse and constraint matrix;
-        all three are carried over instead of being recomputed.
+        all three are carried over instead of being recomputed. The lift
+        of `standard` is `standard` over `ring`, and embeds nothing.
         """
+        if self._cols is None:
+            return CoordinateBasis.standard(ring, self.n)
         out = CoordinateBasis.__new__(CoordinateBasis)
         out.ring = ring
         out.n = self.n
-        out.basis = [b.embed(ring) for b in self.basis]
+        out.dim = self.dim
+        out._basis = [b.embed(ring) for b in self._basis]
         out._cols = self._cols.embed(ring)
         out._pivot_rows = self._pivot_rows
         out._left_inv = self._left_inv.embed(ring)

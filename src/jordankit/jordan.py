@@ -45,9 +45,9 @@ class JordanContext:
         self._lifts = {}
 
     def _build_space(self):
-        units = matrix_unit_basis(self.ring, self.n)
         if self.flavor == "full":
-            return CoordinateBasis(self.ring, self.n, units)
+            return CoordinateBasis.standard(self.ring, self.n)
+        units = matrix_unit_basis(self.ring, self.n)
         idx = 0 if self.flavor == "hermitian" else 1
         candidates = [herm_split(self.involution, u)[idx] for u in units]
         # The pivot columns of the matrix whose columns are the candidates

@@ -14,7 +14,7 @@ from jordankit.algebra import (CoordinateBasis, Involution, LinearOperator,
                                Matrix, dual_combine, dual_split,
                                herm_split, left_mult, matrix_unit_basis,
                                op_solve, right_mult, sandwich)
-from jordankit.errors import (NotInvertible, NotInSubspace,
+from jordankit.errors import (NotInvertible, NotInSubspace, RingMismatch,
                               SingularOperator)
 from jordankit.jordan import JordanContext
 from jordankit.randgen import (rand_in_context, rand_invertible, rand_matrix,
@@ -289,6 +289,52 @@ def test_embedded_basis_equals_fresh_basis(ring):
             assert lifted._constraints == fresh._constraints
             assert lifted._cols == fresh._cols
             assert lifted.basis == fresh.basis
+
+
+def _same_answers(direct, eliminated, rng):
+    """Two bases of all of M_n(K) give the same answers: ring, size,
+    dimension and basis; on drawn x, a and b, coords, from_coords (of a
+    column and of a sequence of scalars), contains, project and the
+    materialized sandwich by a and b; and a matrix of the wrong shape is
+    refused alike."""
+    ring, n = direct.ring, direct.n
+    assert (eliminated.ring, eliminated.n) == (ring, n)
+    assert direct.dim == eliminated.dim == n * n
+    assert direct.basis == eliminated.basis == matrix_unit_basis(ring, n)
+    for _ in range(4):
+        x, a, b = (rand_matrix(rng, ring, n) for _ in range(3))
+        c = direct.coords(x)
+        assert c == eliminated.coords(x) == x.vec()
+        scalars = [r[0] for r in c.rows]
+        for space in (direct, eliminated):
+            assert space.contains(x)
+            assert space.project(x) == x
+            assert space.from_coords(c) == space.from_coords(scalars) == x
+        op = sandwich(a, b)
+        assert direct.materialize(op) == eliminated.materialize(op) == op
+    wrong = rand_matrix(rng, ring, n + 1)
+    for space in (direct, eliminated):
+        with pytest.raises(RingMismatch):
+            space.contains(wrong)
+
+
+@pytest.mark.parametrize("ring", [Q, PrimeFieldRing(5), FLOAT64, DualRing(Q),
+                                  DualRing(DualRing(Q))], ids=repr)
+def test_standard_basis_equals_eliminated_matrix_units(ring):
+    """CoordinateBasis.standard, built without elimination, answers as the
+    basis that elimination builds from the matrix units, at n = 1..3; so
+    do the two lifts to the next dual extension, which also answer as the
+    basis elimination builds there."""
+    rng = trial_rng(29, 0)
+    target = DualRing(ring)
+    for n in (1, 2, 3):
+        direct = CoordinateBasis.standard(ring, n)
+        eliminated = CoordinateBasis(ring, n, matrix_unit_basis(ring, n))
+        _same_answers(direct, eliminated, rng)
+        lifted = direct.embed(target)
+        _same_answers(lifted, eliminated.embed(target), rng)
+        _same_answers(lifted, CoordinateBasis(
+            target, n, matrix_unit_basis(target, n)), rng)
 
 
 # -- packed and entry forms over Q, F_p, float64 and dual towers -------------
@@ -604,6 +650,19 @@ def test_stack_paths_match_the_general_paths(ring):
                 assert (ring.mscale(x._form, k)
                         == ring.mkron(ring.pack([[k]]), x._form))
         assert not a.is_zero() and Matrix.zeros(ring, n, m).is_zero()
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS + JET_RINGS, ids=repr)
+def test_matrices_without_rows_keep_their_width(ring):
+    """A matrix with no rows keeps its column count, a product over an
+    empty inner dimension is the zero matrix of the outer shape, and an
+    operator with no columns maps the empty vector to the zero column."""
+    assert Matrix.zeros(ring, 0, 3).shape == (0, 3)
+    prod = Matrix.zeros(ring, 2, 0) @ Matrix.zeros(ring, 0, 3)
+    assert prod.shape == (2, 3) and prod == Matrix.zeros(ring, 2, 3)
+    assert (Matrix.zeros(ring, 0, 2) @ Matrix.zeros(ring, 2, 3)).shape == (0, 3)
+    image = LinearOperator(Matrix.zeros(ring, 2, 0)).apply_flat([])
+    assert image == Matrix.zeros(ring, 2, 1)
 
 
 def test_is_zero_and_scaling_over_float_rings_keep_ieee_semantics():

@@ -4,9 +4,13 @@ quasi-inverses, with the associative oracles."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jordankit import _kernels as K
 from jordankit import cli
-from jordankit.algebra import Involution, Matrix, dual_combine, dual_split
+from jordankit.algebra import (Involution, LinearOperator, Matrix,
+                               dual_combine, dual_split)
 from jordankit.errors import NotInSubspace, NotInvertible, NotQuasiInvertible
 from jordankit.jordan import (JordanContext, bergman_closed,
                               bergman_operator, full_quasi_inverse_oracle,
@@ -563,3 +567,97 @@ def test_units_results_are_bit_hermitian_over_floats(ring, scale):
             for z in (space.mul(x, y), jordan_inverse(ctx, x),
                       jordan_inverse(ctx, y)):
                 assert z == ctx.involution.apply(z)
+
+
+def test_full_contexts_build_and_lift_without_kernels(monkeypatch):
+    """A full-flavor context takes the standard basis directly: building
+    one over Q, F_7 and float64 at n = 1..3 and lifting it to the second
+    dual extension calls no `_kernels` function. A hermitian context
+    still runs the pivot search."""
+    calls = []
+
+    def spy(name, kernel):
+        def call(*args):
+            calls.append(name)
+            return kernel(*args)
+        return call
+
+    for name, kernel in list(vars(K).items()):
+        if callable(kernel) and not name.startswith("_"):
+            monkeypatch.setattr(K, name, spy(name, kernel))
+    for ring in (Q, PrimeFieldRing(7), FLOAT64):
+        for n in (1, 2, 3):
+            lifted = JordanContext(n, ring).at_ring(DualRing(DualRing(ring)))
+            assert lifted.dim == n * n
+    assert calls == []
+    JordanContext(2, Q, "hermitian", Involution())
+    assert "pivot_columns" in calls
+
+
+F7 = PrimeFieldRing(7)
+QE = DualRing(Q)
+
+
+def _answer(op, ctx, *xs):
+    """op(ctx, *xs) as a matrix (a Bergman operator as its matrix on the
+    context's coordinates), or the type of the domain error it raised."""
+    try:
+        out = op(ctx, *xs)
+    except (NotInvertible, NotQuasiInvertible) as e:
+        return type(e)
+    return out.mat if isinstance(out, LinearOperator) else out
+
+
+def _mod7(m):
+    """The reduction mod 7 of a matrix over Q whose denominators are
+    prime to 7."""
+    return Matrix(F7, [[F7.from_int(x.numerator)
+                        * F7.invert(F7.from_int(x.denominator)) for x in r]
+                       for r in m.rows])
+
+
+@st.composite
+def _int_elements(draw, n, symmetric):
+    """An n x n integer matrix with entries in -1..3, symmetric when asked
+    (an element of the hermitian flavor under the transpose)."""
+    m = draw(st.lists(st.lists(st.integers(-1, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if symmetric:
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return m
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3),
+       flavor=st.sampled_from(["full", "hermitian"]),
+       op=st.sampled_from([quasi_inverse, jordan_inverse, bergman_operator]))
+def test_ops_commute_with_base_change(data, n, flavor, op):
+    """quasi_inverse, jordan_inverse and bergman_operator commute with the
+    ring maps between Q, Q[e] and F_7, on integer draws: embedding
+    Q -> Q[e] (in the lifted context and in one built over Q[e]), the
+    re-part Q[e] -> Q, and reduction Q -> F_7, which is one-sided: when F_7
+    answers, Q answers and reduces to it, and when Q refuses, F_7 refuses.
+    Each refusal has the type of the one it is compared with."""
+    arity = 1 if op is jordan_inverse else 2
+    iota = None if flavor == "full" else Involution()
+    draw = _int_elements(n, flavor == "hermitian")
+    res = [data.draw(draw) for _ in range(arity)]
+    epss = [data.draw(draw) for _ in range(arity)]
+    ctx = JordanContext(n, Q, flavor, iota)
+    xs = [Matrix.from_ints(Q, m) for m in res]
+    want = _answer(op, ctx, *xs)
+    refused = isinstance(want, type)
+    lifted, fresh = ctx.at_ring(QE), JordanContext(n, QE, flavor, iota)
+    embedded = want if refused else want.embed(QE)
+    duals = [dual_combine(x, Matrix.from_ints(Q, m))
+             for x, m in zip(xs, epss)]
+    for c in (lifted, fresh):
+        assert _answer(op, c, *[x.embed(QE) for x in xs]) == embedded
+        got = _answer(op, c, *duals)
+        assert (got if isinstance(got, type) else got.base_part()) == want
+    got = _answer(op, JordanContext(n, F7, flavor, iota),
+                  *[Matrix.from_ints(F7, m) for m in res])
+    if refused:
+        assert got is want
+    elif not isinstance(got, type):
+        assert _mod7(want) == got
