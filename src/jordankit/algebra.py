@@ -65,10 +65,7 @@ class Matrix:
     @classmethod
     def zeros(cls, ring, n, m=None):
         m = n if m is None else m
-        out = cls._of(ring, ring.ints([[0] * m for _ in range(n)]))
-        # A form with no rows has no row to read the width off.
-        out.ncols = m
-        return out
+        return cls._of(ring, ring.ints([[0] * m for _ in range(n)]))._width(m)
 
     @classmethod
     def identity(cls, ring, n):
@@ -120,24 +117,37 @@ class Matrix:
         (see Ring.mmove)."""
         return Matrix._of(self.ring, self.ring.mmove(self._form, f))
 
+    def _width(self, ncols):
+        """This matrix, just built, with `ncols` columns: a form with no
+        rows has no row to read the width off."""
+        self.ncols = ncols
+        return self
+
     def transpose(self):
-        return self._move(lambda rows, z: [list(c) for c in zip(*rows)])
+        m = self.ncols
+
+        def flip(rows, z):
+            # No rows give zip(*rows) no columns to read.
+            return ([list(c) for c in zip(*rows)] if rows
+                    else [[] for _ in range(m)])
+        return self._move(flip)._width(self.nrows)
 
     def reshape(self, n, m):
         """The n x m matrix of the same entries in row-major order."""
         def regroup(rows, z):
             flat = [x for r in rows for x in r]
             return [flat[i * m:(i + 1) * m] for i in range(n)]
-        return self._move(regroup)
+        return self._move(regroup)._width(m)
 
     def vec(self):
         """The column of the row-major entries."""
-        return Matrix._of(self.ring, self.ring.mvec(self._form))
+        return Matrix._of(self.ring, self.ring.mvec(self._form))._width(1)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.ring == other.ring and self._form == other._form
+        return (self.ring == other.ring and self.nrows == other.nrows
+                and self.ncols == other.ncols and self._form == other._form)
 
     __hash__ = None
 
@@ -204,7 +214,8 @@ class Matrix:
         return self._join(others, False)
 
     def submatrix(self, rows, cols):
-        return Matrix._of(self.ring, self.ring.mselect(self._form, rows, cols))
+        return Matrix._of(self.ring, self.ring.mselect(
+            self._form, rows, cols))._width(len(cols))
 
     def flatten(self):
         """Row-major entry list."""

@@ -21,7 +21,7 @@ from .graded import act
 from .jordan import bergman_operator, quasi_inverse
 from .projline import (act_frac, chart_coords, classify_point,
                        mu_dilation, phi_involution)
-from .rings import ring_from_json, scalar_from_json, scalar_to_json
+from .rings import ring_from_json, scalar_from_json
 from .serialize import (group_from_json, int_from_json,
                         involution_from_json, jordan_context_from_json,
                         matrix_from_json, matrix_to_json, n_from_json,
@@ -119,9 +119,9 @@ def _space_n(space):
 
 
 def _element_out(m):
-    if m.shape == (1, 1):
-        return scalar_to_json(m.ring, m[0, 0])
-    return matrix_to_json(m)
+    """The JSON form of an element: a bare scalar when it is 1 x 1."""
+    out = matrix_to_json(m)
+    return out[0][0] if m.shape == (1, 1) else out
 
 
 def compute(req):
@@ -245,7 +245,9 @@ def cmd_compute(args, out):
         return 2
     try:
         req = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError: not JSON (JSONDecodeError), or an int literal past
+        # CPython's digit limit on int-from-string conversion;
         # RecursionError: the request nests deeper than the decoder goes.
         _emit({"error": "MalformedRequest", "detail": str(e)}, out)
         return 2

@@ -91,3 +91,8 @@ class ShapeMismatch(JordankitError):
 
 class NonFiniteResult(JordankitError):
     """A float result holds a NaN or an infinity, which JSON cannot carry."""
+
+
+class ResultTooLarge(JordankitError):
+    """A result entry has more digits than Python converts between int
+    and string (sys.get_int_max_str_digits()), so it cannot be written."""

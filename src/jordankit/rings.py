@@ -18,17 +18,21 @@ the subset convolution of the mask blocks, a solve one root solve of the
 mask-0 block against every other block, back-substituted by mask, and
 embedding and the eps-split pad or split the masks. Every operation
 takes and returns these forms, so no scalar is built until a caller
-reads entries. Each root field has one dot loop (`_dots`) and one packed
-solve (`_solve_packed`), which its plain matrices and its dual towers
-share. On Q and F_p one forward elimination on integer rows
-(`_echelon`), fraction-free on Q and on residues on F_p, finds the
-pivots, and a solve back-substitutes on its pivot rows
-(`_back_substitute`); float64 solves and finds its pivots by one
-Gauss-Jordan elimination with partial pivoting (`Float64Ring._eliminate`).
+reads entries. A JSON matrix is read straight into the form (`decode`)
+and written from it (`encode`), with no scalar built either way; a JSON
+scalar is their 1 x 1 case (`scalar_from_json`, `scalar_to_json`). Each
+root field has one dot loop (`_dots`) and one packed solve
+(`_solve_packed`), which its plain matrices and its dual towers share.
+On Q and F_p one forward elimination on integer rows (`_echelon`),
+fraction-free on Q and on residues on F_p, finds the pivots, and a solve
+back-substitutes on its pivot rows (`_back_substitute`); float64 solves
+and finds its pivots by one Gauss-Jordan elimination with partial
+pivoting (`Float64Ring._eliminate`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -36,7 +40,7 @@ from itertools import chain
 from math import gcd, inf, isfinite, lcm, nan
 from operator import add, mul, sub
 
-from .errors import NotAUnit, RingMismatch, _echo
+from .errors import NotAUnit, ResultTooLarge, RingMismatch, _echo
 
 # The one rational type, named so the benchmark's `# env` line can report
 # it.
@@ -461,6 +465,12 @@ def _back_substitute(piv, p):
     return xs, d
 
 
+def _not_boolean(obj):
+    """Refuse a JSON true or false where a scalar is read."""
+    if isinstance(obj, bool):
+        raise ValueError(f"a boolean is not a scalar: {obj!r}")
+
+
 class _PackedField(Ring):
     """A root field whose matrices stay packed (see Packed): Q (`_p` 0),
     F_p and float64. Matrix works through the methods below, which take
@@ -474,6 +484,27 @@ class _PackedField(Ring):
     def ints(self, rows):
         """The matrix of integer rows, in the ring's form."""
         return self._reduce([list(r) for r in rows], 1)
+
+    def decode(self, rows):
+        """The form of a JSON matrix, equal rows of JSON scalars, read in
+        row-major order, so the first bad entry is the one refused (see
+        `_entry`)."""
+        return self._packed([[self._entry(x) for x in r] for r in rows])
+
+    def _coords(self, obj):
+        """The entries of a JSON scalar's jet coordinates (see
+        DualRing._coords): on a root field, its one entry."""
+        return [self._entry(obj)]
+
+    def _packed(self, rows):
+        """The packed matrix of rows of `_entry` values."""
+        return Packed.of(rows)
+
+    def encode(self, form):
+        """The JSON matrix of a form: its rows of JSON scalars (see
+        `_json`)."""
+        d, json = form.d, self._json
+        return [[json(x, d) for x in r] for r in form]
 
     def _lincomb(self, a, b, op):
         """a + b or a - b, as op is add or sub."""
@@ -595,18 +626,55 @@ class RationalRing(_PackedField):
 
     def pack(self, rows):
         # Over the lcm of the denominators of reduced fractions the
-        # numerators are in packed form.
+        # numerators are in packed form. An int is the fraction of itself
+        # over 1, so rows may mix ints and Fractions.
         d = lcm(*[x.denominator for r in rows for x in r])
         if d == 1:
             return Packed.of([[x.numerator for x in r] for r in rows])
         return Packed.of([[x.numerator * (d // x.denominator) for x in r]
                           for r in rows], d)
 
+    _packed = pack
+
     def unpack(self, a):
         d = a.d
         if d == 1:
             return [[_rational(x) for x in r] for r in a]
         return [[_rational(x, d) for x in r] for r in a]
+
+    def _entry(self, obj):
+        """A JSON scalar as an int or a Fraction (see `pack`): a JSON
+        int, or an ASCII integer string (-?[0-9]+) by int(), is the int as
+        it is; any other string is read by Fraction(str)."""
+        if type(obj) is int:
+            return obj
+        if type(obj) is str:
+            digits = obj[1:] if obj[:1] == "-" else obj
+            if digits.isascii() and digits.isdigit():
+                # int() of the digits alone, as Fraction(str) reads them,
+                # so a string past the digit limit gets the same refusal.
+                k = int(digits)
+                return k if digits is obj else -k
+        _not_boolean(obj)
+        if not isinstance(obj, (str, int)):
+            raise ValueError(f"bad rational payload {_echo(obj)}")
+        try:
+            return _rational(obj)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {_echo(obj)}") from None
+
+    def _json(self, x, d):
+        """The rational x / d as a JSON string, "a" or "a/b" in lowest
+        terms, as str() writes a Fraction."""
+        g = gcd(x, d)
+        try:
+            return str(x // g) if g == d else f"{x // g}/{d // g}"
+        except ValueError:
+            # CPython converts ints of at most sys.get_int_max_str_digits()
+            # digits to strings.
+            raise ResultTooLarge(
+                "a rational entry has more than "
+                f"{sys.get_int_max_str_digits()} digits") from None
 
     def _reduce(self, rows, d):
         """The packed matrix of integer rows over d > 0: divided by
@@ -656,6 +724,22 @@ class Float64Ring(_PackedField):
     ints = pack
 
     unpack = staticmethod(list)
+
+    def _entry(self, obj):
+        """A JSON number as a float, when the float is finite."""
+        _not_boolean(obj)
+        try:
+            x = float(obj) if isinstance(obj, (int, float)) else nan
+        except OverflowError:
+            x = inf
+        if not isfinite(x):
+            raise ValueError("a float64 scalar is a finite JSON number, "
+                             f"not {_echo(obj)}")
+        return x
+
+    @staticmethod
+    def _json(x, d):
+        return x
 
     def _reduce(self, rows, d):
         """Float rows are in packed form as they are (d is always 1)."""
@@ -807,6 +891,28 @@ class PrimeFieldRing(_PackedField):
         p = self.p
         return [[Fp(x, p) for x in r] for r in a]
 
+    def _entry(self, obj):
+        """The residue of a JSON scalar: an int, or {"fp": an int,
+        "p"?: the modulus}."""
+        p = self.p
+        if type(obj) is int:
+            return obj % p
+        if isinstance(obj, dict):
+            fp = obj.get("fp")
+            if isinstance(fp, int) and not isinstance(fp, bool):
+                if obj.get("p", p) != p:
+                    raise RingMismatch(
+                        f"payload mod {_echo(obj['p'])} in F_{p}")
+                return fp % p
+        else:
+            _not_boolean(obj)
+            if isinstance(obj, int):
+                return obj % p
+        raise ValueError(f"bad prime-field payload {_echo(obj)}")
+
+    def _json(self, x, d):
+        return {"fp": x, "p": self.p}
+
     def _reduce(self, rows, d):
         """The packed matrix of integer rows (d is always 1 over F_p):
         their residues."""
@@ -865,10 +971,6 @@ class DualRing(Ring):
     def is_exact(self):
         return self.root.is_exact()
 
-    def lift(self, s):
-        """Embed a base-ring scalar."""
-        return _as_jet(s)._pad(self.size // 2)
-
     def from_coords(self, ks):
         """The scalar whose jet coordinates, in mask order, are the
         integers ks."""
@@ -912,6 +1014,37 @@ class DualRing(Ring):
         make = _jet if d == 1 else _reduced
         return [[make(v, d, p) for v in zip(*rows)]
                 for rows in zip(*self._blocks(a))]
+
+    def decode(self, rows):
+        # Each entry's coordinates in mask order, read in row-major order,
+        # then stacked by mask.
+        coords = [[self._coords(x) for x in r] for r in rows]
+        return Jets(self.root._packed([[c[m] for c in r]
+                                       for m in range(self.size)
+                                       for r in coords]), len(rows))
+
+    def _coords(self, obj):
+        """The root entries (see _PackedField._entry) of a JSON scalar's
+        jet coordinates, in mask order: {"re": .., "eps": ..} reads both
+        parts over the base ring, re first; any other payload is a scalar
+        of the base ring, embedded with zero upper masks."""
+        read = self.base._coords
+        if isinstance(obj, dict) and "re" in obj:
+            return read(obj["re"]) + read(obj["eps"])
+        return read(obj) + [self.root._zero_entry] * (self.size // 2)
+
+    def encode(self, form):
+        # Each entry's coordinates in mask order, nested as {"re", "eps"}
+        # halves down to the root's JSON scalars.
+        d, json = form.stack.d, self.root._json
+
+        def nest(cs):
+            if len(cs) == 1:
+                return json(cs[0], d)
+            h = len(cs) // 2
+            return {"re": nest(cs[:h]), "eps": nest(cs[h:])}
+        return [[nest(cs) for cs in zip(*rows)]
+                for rows in zip(*self._blocks(form))]
 
     def ints(self, rows):
         zeros = [[0] * len(r) for r in rows] * (self.size - 1)
@@ -1172,50 +1305,10 @@ def _field_from_json(obj):
 
 
 def scalar_to_json(ring, s):
-    if ring.kind == "rational":
-        return str(s) if s.denominator != 1 else str(s.numerator)
-    if ring.kind == "float64":
-        return s
-    if ring.kind == "prime_field":
-        return {"fp": s.v, "p": s.p}
-    if ring.kind == "dual":
-        return {"re": scalar_to_json(ring.base, s.re),
-                "eps": scalar_to_json(ring.base, s.eps)}
-    raise ValueError(ring.kind)
+    """The JSON form of a scalar: the 1 x 1 case of `ring.encode`."""
+    return ring.encode(ring.pack([[s]]))[0][0]
 
 
 def scalar_from_json(ring, obj):
-    if isinstance(obj, bool):
-        raise ValueError(f"a boolean is not a scalar: {obj!r}")
-    if ring.kind == "rational":
-        if isinstance(obj, (str, int)):
-            try:
-                return _rational(obj)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {_echo(obj)}") from None
-        raise ValueError(f"bad rational payload {_echo(obj)}")
-    if ring.kind == "float64":
-        try:
-            x = float(obj) if isinstance(obj, (int, float)) else nan
-        except OverflowError:
-            x = inf
-        if not isfinite(x):
-            raise ValueError("a float64 scalar is a finite JSON number, "
-                             f"not {_echo(obj)}")
-        return x
-    if ring.kind == "prime_field":
-        if isinstance(obj, int):
-            return Fp(obj, ring.p)
-        fp = obj.get("fp") if isinstance(obj, dict) else None
-        if not isinstance(fp, int) or isinstance(fp, bool):
-            raise ValueError(f"bad prime-field payload {_echo(obj)}")
-        if obj.get("p", ring.p) != ring.p:
-            raise RingMismatch(f"payload mod {_echo(obj['p'])} in F_{ring.p}")
-        return Fp(fp, ring.p)
-    if ring.kind == "dual":
-        if isinstance(obj, dict) and "re" in obj:
-            return Dual(scalar_from_json(ring.base, obj["re"]),
-                        scalar_from_json(ring.base, obj["eps"]))
-        # plain payload: embedded base scalar
-        return ring.lift(scalar_from_json(ring.base, obj))
-    raise ValueError(ring.kind)
+    """The scalar of a JSON payload: the 1 x 1 case of `ring.decode`."""
+    return ring.unpack(ring.decode([[obj]]))[0][0]

@@ -7,8 +7,7 @@ from .errors import _echo
 from .graded import GroupElement
 from .jordan import JordanContext
 from .projline import Polarity, ProjectivePoint
-from .rings import (ring_from_json, ring_to_json, scalar_from_json,
-                    scalar_to_json)
+from .rings import ring_from_json, ring_to_json
 from .symspace import GroupSpace, JordanUnitsSpace, ProjectiveSpace
 
 STANDARD_GROUP = {
@@ -20,13 +19,15 @@ STANDARD_GROUP = {
 
 
 def matrix_to_json(m):
-    return [[scalar_to_json(m.ring, x) for x in row] for row in m.rows]
+    """The rows of JSON scalars of a matrix, written from its form."""
+    return m.ring.encode(m._form)
 
 
 def matrix_from_json(ring, obj, n=None):
-    """The matrix of a list of rows, or of a scalar for a 1 x 1 matrix.
-    Ragged rows, and a shape other than n x n when n is given, are
-    malformed input (ValueError)."""
+    """The matrix of a list of rows, or of a scalar for a 1 x 1 matrix,
+    read straight into its ring's form by the ring's `decode`. Ragged
+    rows, and a shape other than n x n when n is given, are malformed
+    input (ValueError)."""
     rows = obj if isinstance(obj, list) else [[obj]]
     if not all(isinstance(r, list) for r in rows):
         raise ValueError(f"matrix rows must be lists, not {_echo(obj)}")
@@ -36,8 +37,7 @@ def matrix_from_json(ring, obj, n=None):
     if n is not None and shape != (n, n):
         raise ValueError(f"expected a {n} x {n} matrix, "
                          f"got {shape[0]} x {shape[1]}")
-    return Matrix(ring, [[scalar_from_json(ring, x) for x in r]
-                         for r in rows])
+    return Matrix._of(ring, ring.decode(rows))
 
 
 def element_from_json(obj, ring=None, n=None):

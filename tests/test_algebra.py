@@ -665,6 +665,46 @@ def test_matrices_without_rows_keep_their_width(ring):
     assert image == Matrix.zeros(ring, 2, 1)
 
 
+@pytest.mark.parametrize("ring", PACKED_RINGS + JET_RINGS, ids=repr)
+def test_transpose_of_an_empty_matrix_keeps_both_sizes(ring):
+    """The transpose of a 3 x 0 matrix is 0 x 3, and of a 0 x 3 one
+    3 x 0; it differs from a 0 x 2 or 2 x 0 matrix."""
+    for (n, m), other in (((3, 0), (0, 2)), ((0, 3), (2, 0))):
+        t = Matrix.zeros(ring, n, m).transpose()
+        assert t.shape == (m, n) and t == Matrix.zeros(ring, m, n)
+        assert t.transpose().shape == (n, m)
+        assert t != Matrix.zeros(ring, *other)
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS + JET_RINGS, ids=repr)
+def test_submatrix_on_no_rows_keeps_its_columns(ring):
+    """Selecting no rows of a 3 x 2 matrix gives the 0 x 2 matrix, and no
+    columns the 3 x 0 one."""
+    x = Matrix.zeros(ring, 3, 2)
+    assert x.submatrix([], [0, 1]).shape == (0, 2)
+    assert x.submatrix([], range(2)) == Matrix.zeros(ring, 0, 2)
+    assert x.submatrix(range(3), []).shape == (3, 0)
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS + JET_RINGS, ids=repr)
+def test_vec_and_reshape_of_an_empty_matrix_are_columns(ring):
+    """The vec of a 0 x 3 or 3 x 0 matrix is the 0 x 1 column, and a
+    reshape to 0 x 4 keeps its 4 columns."""
+    for n, m in ((0, 3), (3, 0)):
+        v = Matrix.zeros(ring, n, m).vec()
+        assert v.shape == (0, 1) and v == Matrix.zeros(ring, 0, 1)
+        assert Matrix.zeros(ring, n, m).reshape(0, 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS + JET_RINGS, ids=repr)
+def test_matrices_of_different_shapes_differ(ring):
+    """== compares shapes: a 0 x 3 matrix is not the 0 x 2 one, nor a
+    3 x 0 matrix the 2 x 0 one, though no entry tells them apart."""
+    assert Matrix.zeros(ring, 0, 3) != Matrix.zeros(ring, 0, 2)
+    assert Matrix.zeros(ring, 3, 0) != Matrix.zeros(ring, 2, 0)
+    assert Matrix.zeros(ring, 0, 3) == Matrix.zeros(ring, 0, 3)
+
+
 def test_is_zero_and_scaling_over_float_rings_keep_ieee_semantics():
     """Over float64 and R64[e], -0.0 counts as zero and nan does not, as
     with ==; and a real scalar times a matrix with an infinite entry gives

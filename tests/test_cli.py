@@ -792,6 +792,38 @@ def test_booleans_are_not_scalars():
         assert_usage_error(["compute"], "MalformedRequest", json.dumps(req))
 
 
+def test_a_result_too_large_to_write_is_a_domain_error():
+    """The quasi-inverse of x = y = 10^3000 - 1 is x / (1 + x^2), whose
+    denominator has 6,000 digits, more than CPython converts from int to
+    string: a valid request whose answer is the named domain error
+    ResultTooLarge (exit 1), not a malformed request."""
+    big = "9" * 3000
+    req = {"op": "quasi_inverse", "ring": "rational", "n": 1, "x": big,
+           "y": big}
+    code, out, err = run_in_process(["compute"], json.dumps(req))
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out) == {
+        "error": "ResultTooLarge",
+        "detail": "a rational entry has more than "
+                  f"{sys.get_int_max_str_digits()} digits"}
+    # Below the limit the same request answers.
+    req["x"] = req["y"] = "9" * 1000
+    code, out, _ = run_in_process(["compute"], json.dumps(req))
+    assert code == 0 and json.loads(out)["result"].count("/") == 1
+
+
+def test_an_input_past_the_digit_limit_is_a_usage_error():
+    """An entry past CPython's int-from-string digit limit, as a string
+    (signed, or as a denominator) or as a JSON int literal, is a
+    malformed request (exit 2)."""
+    digits = "9" * 5000
+    for x in (f'"{digits}"', f'"-{digits}"', f'"1/{digits}"', digits,
+              f"-{digits}"):
+        text = ('{"op": "quasi_inverse", "ring": "rational", "n": 1, '
+                f'"x": {x}, "y": 1}}')
+        assert_usage_error(["compute"], "MalformedRequest", text)
+
+
 def test_float64_scalars_are_json_numbers():
     """Over float64 a scalar is a JSON number: a string, even one that
     reads as a float, is malformed; ints and floats are read."""
